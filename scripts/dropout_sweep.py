@@ -11,7 +11,7 @@ import csv
 import numpy as np
 
 from trackmine.eventlog import precision
-from trackmine.events import DetectionConfig, detect_events, merge_camera_streams
+from trackmine.events import DetectionConfig, detect_streams
 from trackmine.sim import Actor, Scenario, cell_layout, simulate
 
 DROPOUTS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]
@@ -35,15 +35,7 @@ def scenario(dropout, seed):
 
 def run_one(sc, cfg):
     samples, truth = simulate(sc)
-    by_camera = {}
-    for z in sc.zones:
-        by_camera.setdefault(z.camera_id, []).append(z)
-    streams = [
-        detect_events([s for s in samples if s.camera_id == cam], zs, cfg)
-        for cam, zs in sorted(by_camera.items())
-    ]
-    detected = merge_camera_streams(streams, cfg.dedup_window)
-    return precision(detected, truth, match_window=2.0)
+    return precision(detect_streams(samples, sc.zones, cfg), truth, match_window=2.0)
 
 
 def main():

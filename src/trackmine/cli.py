@@ -118,14 +118,7 @@ def cmd_detect(args) -> int:
     cfg = _detection_config(args)
     samples = events.load_tracks_csv(args.tracks)
     zones = events.load_zones_json(args.zones)
-    by_camera = {}
-    for z in zones:
-        by_camera.setdefault(z.camera_id, []).append(z)
-    streams = []
-    for cam in sorted(by_camera):
-        cam_samples = [s for s in samples if s.camera_id == cam]
-        streams.append(events.detect_events(cam_samples, by_camera[cam], cfg))
-    occurrences = events.merge_camera_streams(streams, cfg.dedup_window)
+    occurrences = events.detect_streams(samples, zones, cfg)
     if args.out.endswith(".csv"):
         events.write_occurrences_csv(args.out, occurrences)
     else:
@@ -228,10 +221,13 @@ def _read_node_list(path: str) -> list[str]:
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".json"):
-        data = json.loads(text)
-        if isinstance(data, dict) and "scores" in data:
-            return [entry["node"] for entry in data["scores"]]
-        return [str(x) for x in data]
+        try:
+            data = json.loads(text)
+            if isinstance(data, dict) and "scores" in data:
+                return [entry["node"] for entry in data["scores"]]
+            return [str(x) for x in data]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path} is not a node list or rank report: {exc!r}") from None
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gradient")
     p.add_argument("--kind", choices=["authority", "hub"], default="authority")
     p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--convention", choices=["squared", "raw", "l1"], default="squared")
+    p.add_argument("--convention", choices=["squared", "raw"], default="squared")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")

@@ -211,6 +211,21 @@ def merge_camera_streams(
     return out
 
 
+def detect_streams(
+    samples: Sequence[DetectionSample], zones: Sequence[ZoneSpec], cfg: DetectionConfig
+) -> list[Occurrence]:
+    """Detect each camera's samples against that camera's zones, cameras
+    in sorted order, then merge the streams with cfg.dedup_window."""
+    by_camera: dict[str, list[ZoneSpec]] = {}
+    for z in zones:
+        by_camera.setdefault(z.camera_id, []).append(z)
+    streams = [
+        detect_events([s for s in samples if s.camera_id == cam], cam_zones, cfg)
+        for cam, cam_zones in sorted(by_camera.items())
+    ]
+    return merge_camera_streams(streams, cfg.dedup_window)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 

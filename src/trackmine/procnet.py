@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,10 +78,6 @@ class LinkMatrix:
                 f"link matrix shape {self.values.shape} does not match {n} labels"
             )
 
-    @property
-    def index(self) -> dict[NodeLabel, int]:
-        return {lbl: i for i, lbl in enumerate(self.labels)}
-
 
 def build_dfg(
     cycle: Cycle,
@@ -126,19 +122,6 @@ def link_matrix(net: ProcessNetwork) -> LinkMatrix:
     for (a, b), w in net.edges.items():
         L[idx[a], idx[b]] = w
     return LinkMatrix(labels=list(net.nodes), values=L)
-
-
-def network_from_matrix(lm: LinkMatrix) -> ProcessNetwork:
-    """Inverse of link_matrix at fixed node order (activities from diagonal
-    presence are not recoverable; self-occurrence counts default to row sums)."""
-    edges = {}
-    n = len(lm.labels)
-    for i in range(n):
-        for j in range(n):
-            if lm.values[i, j] != 0:
-                edges[(lm.labels[i], lm.labels[j])] = float(lm.values[i, j])
-    activities = {lbl: max(1, int(round(lm.values[i].sum()))) for i, lbl in enumerate(lm.labels)}
-    return ProcessNetwork(nodes=list(lm.labels), edges=edges, activities=activities)
 
 
 # ---------------------------------------------------------------------------

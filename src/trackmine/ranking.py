@@ -19,7 +19,7 @@ raw (squares sum to 1) or squared (sum to 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,26 +28,6 @@ from .procnet import LinkMatrix, NodeLabel, ProcessNetwork, link_matrix
 
 MAX_ITERATIONS = 100_000
 SYMMETRY_TOL = 1e-12
-
-
-@dataclass
-class SymmetricMatrix:
-    """Authority (L.T L) or hub (L L.T) matrix; symmetric PSD."""
-
-    values: np.ndarray
-    kind: str = "authority"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise DataError("symmetric matrix must be square")
-        scale = max(1.0, float(np.abs(self.values).max(initial=0.0)))
-        if np.abs(self.values - self.values.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-            raise DataError("matrix is not symmetric")
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -62,22 +42,30 @@ class RankingResult:
     algorithm: str  # gradient | hits_pm_norm | pagerank_norm
     matrix_kind: str  # authority | hub | stochastic
     alpha: float | None
-    convention: str  # squared | raw | l1
+    convention: str  # squared | raw
     scores: dict[NodeLabel, float]
     iterations: int
     residual: float
 
 
-def authority_matrix(lm: LinkMatrix) -> SymmetricMatrix:
-    L = lm.values
-    M = L.T @ L
-    return SymmetricMatrix(values=(M + M.T) / 2.0, kind="authority")
+def authority_matrix(lm: LinkMatrix) -> np.ndarray:
+    """Symmetrised authority matrix L.T @ L; symmetric PSD."""
+    M = lm.values.T @ lm.values
+    return (M + M.T) / 2.0
 
 
-def hub_matrix(lm: LinkMatrix) -> SymmetricMatrix:
-    L = lm.values
-    M = L @ L.T
-    return SymmetricMatrix(values=(M + M.T) / 2.0, kind="hub")
+def hub_matrix(lm: LinkMatrix) -> np.ndarray:
+    """Symmetrised hub matrix L @ L.T; symmetric PSD."""
+    M = lm.values @ lm.values.T
+    return (M + M.T) / 2.0
+
+
+def _base_matrix(lm: LinkMatrix, kind: str) -> np.ndarray:
+    if kind == "authority":
+        return authority_matrix(lm)
+    if kind == "hub":
+        return hub_matrix(lm)
+    raise DataError(f"kind must be 'authority' or 'hub', got {kind!r}")
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -85,9 +73,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def grad_dominant_eigvec(
-    S: SymmetricMatrix | np.ndarray, tol: float = 1e-10
-) -> tuple[np.ndarray, float, int]:
+def grad_dominant_eigvec(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, int]:
     """Dominant eigenpair of a symmetric PSD matrix by Rayleigh-quotient
     ascent with exact line search.
 
@@ -99,10 +85,13 @@ def grad_dominant_eigvec(
     """
     if tol <= 0:
         raise DataError("tol must be > 0")
-    if not isinstance(S, SymmetricMatrix):
-        S = SymmetricMatrix(values=S)
-    A = S.values
-    n = S.dimension
+    A = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DataError("symmetric matrix must be square")
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    if np.abs(A - A.T).max(initial=0.0) > SYMMETRY_TOL * scale:
+        raise DataError("matrix is not symmetric")
+    n = A.shape[0]
     if n == 1:
         return np.array([1.0]), float(A[0, 0]), 0
 
@@ -144,33 +133,34 @@ def _start_vector(n: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _power_iteration(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
-    """Power method with L2 renormalization each step."""
-    n = M.shape[0]
-    x = _start_vector(n)
+def _power_iteration(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, float, int]:
+    """Power method with L2 renormalization each step.
+
+    Returns (unit vector, Rayleigh quotient lam, residual ||M v - lam v||,
+    iterations); the largest-magnitude component of v is positive.  Stops
+    once a step moves the vector by at most 1e-12 or the residual is
+    <= tol.  The one mat-vec per step serves lam, the residual and the
+    next step.
+    """
+    x = _start_vector(M.shape[0])
+    y = M @ x
     for it in range(1, MAX_ITERATIONS + 1):
-        y = M @ x
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             raise ConvergenceError("power iteration collapsed to zero", residual=math.inf)
         x_new = y / norm
-        if float(np.linalg.norm(x_new - x)) <= 1e-12:
-            x = x_new
-            break
-        lam = float(x_new @ (M @ x_new))
-        res = float(np.linalg.norm(M @ x_new - lam * x_new))
+        y = M @ x_new
+        lam = float(x_new @ y)
+        res = float(np.linalg.norm(y - lam * x_new))
+        stalled = float(np.linalg.norm(x_new - x)) <= 1e-12
         x = x_new
-        if res <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge in {MAX_ITERATIONS} iterations",
-            residual=res,
-            iterations=MAX_ITERATIONS,
-        )
-    lam = float(x @ (M @ x))
-    res = float(np.linalg.norm(M @ x - lam * x))
-    return _fix_sign(x), lam, it
+        if stalled or res <= tol:
+            return _fix_sign(x), lam, res, it
+    raise ConvergenceError(
+        f"power iteration did not converge in {MAX_ITERATIONS} iterations",
+        residual=res,
+        iterations=MAX_ITERATIONS,
+    )
 
 
 def _as_result(
@@ -180,8 +170,6 @@ def _as_result(
         values = vec**2
     elif convention == "raw":
         values = vec
-    elif convention == "l1":
-        values = vec**2  # squared components of a unit vector sum to 1
     else:
         raise DataError(f"unknown convention {convention!r}")
     return RankingResult(
@@ -205,14 +193,10 @@ def hits_pm_norm(
     """Power method on the primitivity-adjusted authority or hub matrix."""
     if not 0.0 < alpha <= 1.0:
         raise DataError(f"alpha must be in (0, 1], got {alpha}")
-    base = authority_matrix(lm) if kind == "authority" else hub_matrix(lm)
-    if kind not in ("authority", "hub"):
-        raise DataError(f"kind must be 'authority' or 'hub', got {kind!r}")
-    n = base.dimension
-    M = alpha * base.values + (1.0 - alpha) / n * np.ones((n, n))
-    vec, _, it = _power_iteration(M, tol)
-    lam = float(vec @ (M @ vec))
-    res = float(np.linalg.norm(M @ vec - lam * vec))
+    base = _base_matrix(lm, kind)
+    n = base.shape[0]
+    M = alpha * base + (1.0 - alpha) / n * np.ones((n, n))
+    vec, _, res, it = _power_iteration(M, tol)
     return _as_result(lm, "hits_pm_norm", kind, alpha, convention, vec, it, res)
 
 
@@ -222,36 +206,31 @@ def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
     L = lm.values
     n = L.shape[0]
     col_sums = L.sum(axis=0)
-    S = np.empty_like(L, dtype=float)
-    for j in range(n):
-        S[:, j] = 1.0 / n if col_sums[j] == 0 else L[:, j] / col_sums[j]
+    zero = col_sums == 0
+    S = np.where(zero, 1.0 / n, L / np.where(zero, 1.0, col_sums))
     return alpha * S + (1.0 - alpha) / n * np.ones((n, n))
 
 
 def pagerank_norm(
-    lm: LinkMatrix, alpha: float = 0.8, tol: float = 1e-10, convention: str = "l1"
+    lm: LinkMatrix, alpha: float = 0.8, tol: float = 1e-10, convention: str = "squared"
 ) -> RankingResult:
     """Power method with L2 renormalization on the teleport-adjusted
-    column-stochastic matrix; reported scores are the squared components
-    of the converged unit vector, a probability distribution."""
+    column-stochastic matrix.  The matrix is positive, so the iterates
+    from the positive start vector stay positive and converge to its
+    Perron vector; squared scores form a probability distribution."""
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     G = stochastic_matrix(lm, alpha)
-    vec, _, it = _power_iteration(G, tol)
-    vec = np.abs(vec)  # Perron vector of a positive matrix
-    lam = float(vec @ (G @ vec))
-    res = float(np.linalg.norm(G @ vec - lam * vec))
+    vec, _, res, it = _power_iteration(G, tol)
     return _as_result(lm, "pagerank_norm", "stochastic", alpha, convention, vec, it, res)
 
 
 def gradient_ranking(
     lm: LinkMatrix, kind: str = "authority", tol: float = 1e-10, convention: str = "squared"
 ) -> RankingResult:
-    if kind not in ("authority", "hub"):
-        raise DataError(f"kind must be 'authority' or 'hub', got {kind!r}")
-    base = authority_matrix(lm) if kind == "authority" else hub_matrix(lm)
+    base = _base_matrix(lm, kind)
     vec, lam, it = grad_dominant_eigvec(base, tol)
-    res = float(np.linalg.norm(base.values @ vec - lam * vec))
+    res = float(np.linalg.norm(base @ vec - lam * vec))
     return _as_result(lm, "gradient", kind, None, convention, vec, it, res)
 
 
@@ -284,10 +263,7 @@ def dispersion(result: RankingResult) -> DispersionStats:
     """Entropy and participation ratio of the squared-component
     distribution behind a ranking."""
     values = np.array([result.scores[lbl] for lbl in sorted(result.scores, key=NodeLabel.render)])
-    if result.convention == "raw":
-        p = values**2
-    else:
-        p = values.copy()
+    p = values**2 if result.convention == "raw" else values
     total = p.sum()
     if total <= 0:
         raise DataError("ranking scores sum to zero; no distribution to analyze")

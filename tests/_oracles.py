@@ -50,3 +50,14 @@ def random_psd(rng, n, gap_max=0.999):
         break
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return Q @ np.diag(eigs) @ Q.T
+
+
+def stochastic_columns_loop(L):
+    """Column-stochastic matrix of L built column by column; zero columns
+    become uniform."""
+    n = L.shape[0]
+    S = np.empty_like(L, dtype=float)
+    for j in range(n):
+        col = L[:, j].sum()
+        S[:, j] = 1.0 / n if col == 0 else L[:, j] / col
+    return S

@@ -18,7 +18,15 @@ from trackmine.eventlog import (
     precision,
     segment_cycles,
 )
-from trackmine.events import DetectionConfig, DetectionSample, Occurrence, Rect, ZoneSpec, detect_events
+from trackmine.events import (
+    DetectionConfig,
+    DetectionSample,
+    Occurrence,
+    Rect,
+    ZoneSpec,
+    detect_events,
+    detect_streams,
+)
 from trackmine.procnet import LinkMatrix, NodeLabel, build_dfg, link_matrix
 from trackmine.ranking import (
     authority_matrix,
@@ -33,7 +41,6 @@ from trackmine.ranking import (
 from trackmine.sim import Actor, Scenario, cell_layout, simulate
 
 from _oracles import power_iteration_oracle, random_psd
-from test_sim import detect_and_merge
 
 L0 = np.array([[1.01, 0.01, 0.00], [0.01, 1.00, 0.00], [0.00, 0.00, 0.90]])
 L1 = np.array(
@@ -200,15 +207,15 @@ def test_criterion_08_simulator_round_trip():
     sc = scenario()
     assert len({z.location_id for z in sc.zones}) == 19
     samples, truth = simulate(sc)
-    detected = detect_and_merge(samples, sc.zones, DetectionConfig())
+    detected = detect_streams(samples, sc.zones, DetectionConfig())
     assert precision(detected, truth, match_window=2.0) == 1.0
 
     averages = []
     for dropout in (0.0, 0.15, 0.35):
         values = [
             precision(
-                detect_and_merge(*(simulate(scenario(dropout=dropout, seed=seed))[0],),
-                                 scenario().zones, DetectionConfig()),
+                detect_streams(*(simulate(scenario(dropout=dropout, seed=seed))[0],),
+                               scenario().zones, DetectionConfig()),
                 simulate(scenario(dropout=dropout, seed=seed))[1],
                 match_window=2.0,
             )

@@ -150,3 +150,20 @@ class TestExitCodes:
     def test_bad_anchor_is_data_error(self, log_file, capsys):
         rc = main(["cycles", "--log", str(log_file), "--anchor", "zzz"])
         assert rc == 3
+
+    def test_l1_convention_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main("rank --matrix L.csv --convention l1".split())
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ['["RP_s11", ', '{"scores": [{"value": 0.5}]}'],
+                             ids=["malformed_json", "score_without_node"])
+    def test_bad_node_list_is_data_error(self, tmp_path, capsys, text):
+        a = tmp_path / "a.json"
+        a.write_text(text)
+        b = tmp_path / "b.txt"
+        b.write_text("RP_s11\n")
+        rc = main(["compare", "--a", str(a), "--b", str(b), "--k", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("trackmine compare: ") and err.count("\n") == 1

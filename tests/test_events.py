@@ -10,6 +10,7 @@ from trackmine.events import (
     Rect,
     ZoneSpec,
     detect_events,
+    detect_streams,
     merge_camera_streams,
     overlap_ratio,
     parse_time,
@@ -163,6 +164,20 @@ def test_determinism():
     samples = _random_tracks(rng, n_tracks=5)[0]
     cfg = DetectionConfig()
     assert detect_events(samples, [ZONE], cfg) == detect_events(samples, [ZONE], cfg)
+
+
+def test_detect_streams_merges_cameras():
+    # the same track on two cameras' views of s1, one second apart,
+    # collapses to the earlier start
+    zones = [ZONE, ZoneSpec(location_id="s1", camera_id="cam2", box=Rect(200, 0, 100, 100))]
+    samples = track(range(6), Rect(10, 10, 20, 20)) + track(
+        range(1, 7), Rect(210, 10, 20, 20), camera="cam2"
+    )
+    cfg = DetectionConfig()
+    assert len(detect_events(samples[6:], zones[1:], cfg)) == 1
+    assert detect_streams(samples, zones, cfg) == [
+        Occurrence(start_time=0, location_id="s1", entity_class="worker-right", track_id="T1")
+    ]
 
 
 class TestMerge:

@@ -16,7 +16,6 @@ from trackmine.procnet import (
     link_matrix,
     matrix_from_csv,
     matrix_to_csv,
-    network_from_matrix,
     network_to_dot,
 )
 
@@ -151,12 +150,15 @@ class TestLinkMatrix:
         assert again.labels == labels
         assert np.array_equal(again.values, values)
 
-    def test_network_matrix_bijection(self):
+    def test_edge_weights_at_label_indices(self):
         net = build_dfg(cycle_from_labels(["a_s1", "b_s2", "a_s1", "b_s2", "c_s3"]))
         lm = link_matrix(net)
-        rebuilt = network_from_matrix(lm)
-        assert rebuilt.nodes == net.nodes
-        assert rebuilt.edges == {k: float(v) for k, v in net.edges.items()}
+        assert lm.labels == net.nodes
+        index = {lbl: i for i, lbl in enumerate(lm.labels)}
+        expected = np.zeros((3, 3))
+        for (a, b), w in net.edges.items():
+            expected[index[a], index[b]] = w
+        assert np.array_equal(lm.values, expected)
 
     def test_bad_csv(self):
         with pytest.raises(DataError):

@@ -9,7 +9,6 @@ from trackmine.errors import ConvergenceError, DataError
 from trackmine.procnet import LinkMatrix, NodeLabel
 from trackmine.ranking import (
     DispersionStats,
-    SymmetricMatrix,
     authority_matrix,
     compare_topk,
     dispersion,
@@ -19,9 +18,10 @@ from trackmine.ranking import (
     hub_matrix,
     pagerank_norm,
     rank_nodes,
+    stochastic_matrix,
 )
 
-from _oracles import power_iteration_oracle, random_psd
+from _oracles import power_iteration_oracle, random_psd, stochastic_columns_loop
 
 L0 = np.array([[1.01, 0.01, 0.00], [0.01, 1.00, 0.00], [0.00, 0.00, 0.90]])
 L1 = np.array(
@@ -46,28 +46,24 @@ LM0, LM1 = lm(L0), lm(L1)
 
 class TestAuthorityHub:
     def test_hand_multiplied_entries(self):
-        A = authority_matrix(LM0).values
+        A = authority_matrix(LM0)
         assert A[0, 0] == pytest.approx(1.0202, abs=1e-12)
         assert A[0, 1] == pytest.approx(0.0201, abs=1e-12)
         assert A[2, 2] == pytest.approx(0.81, abs=1e-12)
 
     def test_identity(self):
         ident = lm(np.eye(3))
-        assert np.allclose(authority_matrix(ident).values, np.eye(3))
-        assert np.allclose(hub_matrix(ident).values, np.eye(3))
+        assert np.allclose(authority_matrix(ident), np.eye(3))
+        assert np.allclose(hub_matrix(ident), np.eye(3))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30)
     def test_shared_nonzero_spectrum(self, seed):
         rng = np.random.default_rng(seed)
         L = rng.uniform(0, 2, size=(4, 4))
-        a = np.sort(np.linalg.eigvalsh(authority_matrix(lm(L)).values))
-        h = np.sort(np.linalg.eigvalsh(hub_matrix(lm(L)).values))
+        a = np.sort(np.linalg.eigvalsh(authority_matrix(lm(L))))
+        h = np.sort(np.linalg.eigvalsh(hub_matrix(lm(L))))
         assert np.allclose(a, h, atol=1e-9)
-
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(DataError, match="symmetric"):
-            SymmetricMatrix(values=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestGradientSolver:
@@ -95,7 +91,7 @@ class TestGradientSolver:
         S = authority_matrix(LM1)
         tol = 1e-11
         v, lam, _ = grad_dominant_eigvec(S, tol=tol)
-        assert np.linalg.norm(S.values @ v - lam * v) <= tol
+        assert np.linalg.norm(S @ v - lam * v) <= tol
 
     def test_sign_convention(self):
         v, _, _ = grad_dominant_eigvec(np.diag([3.0, 1.0]))
@@ -104,6 +100,14 @@ class TestGradientSolver:
     def test_bad_tol(self):
         with pytest.raises(DataError):
             grad_dominant_eigvec(np.eye(2), tol=0.0)
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(DataError, match="not symmetric"):
+            grad_dominant_eigvec(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DataError, match="square"):
+            grad_dominant_eigvec(np.ones((2, 3)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -163,6 +167,10 @@ class TestHitsPmNorm:
             with pytest.raises(DataError):
                 hits_pm_norm(LM0, alpha=bad)
 
+    def test_bad_kind(self):
+        with pytest.raises(DataError, match="kind"):
+            hits_pm_norm(LM0, kind="bogus")
+
 
 class TestPagerankNorm:
     def test_table2(self):
@@ -186,10 +194,39 @@ class TestPagerankNorm:
     def test_strict_positivity(self):
         assert all(v > 0 for v in pagerank_norm(LM1, alpha=0.8).scores.values())
 
+    @given(st.integers(0, 1000))
+    @settings(max_examples=30)
+    def test_stochastic_matrix_matches_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        L = rng.integers(0, 3, size=(n, n)) * (rng.random((n, n)) < 0.4)
+        alpha = 0.8
+        teleport = (1 - alpha) / n * np.ones((n, n))
+        expected = alpha * stochastic_columns_loop(L.astype(float)) + teleport
+        assert np.array_equal(stochastic_matrix(lm(L), alpha), expected)
+
     def test_alpha_domain(self):
         for bad in (0.0, 1.0, 2.0):
             with pytest.raises(DataError):
                 pagerank_norm(LM0, alpha=bad)
+
+
+@pytest.mark.parametrize("values", [L0, L1], ids=["L0", "L1"])
+@pytest.mark.parametrize(
+    "solve, base",
+    [(hits_pm_norm, lambda L: L.T @ L), (pagerank_norm, lambda L: L / L.sum(axis=0))],
+    ids=["hits_pm_norm", "pagerank_norm"],
+)
+def test_power_residual_matches_dense(values, solve, base):
+    # the residual reported from inside the power loop is ||M v - lam v||
+    # of the returned vector, recomputed here from the dense matrix
+    tol, alpha, n = 1e-10, 0.8, values.shape[0]
+    result = solve(lm(values), alpha=alpha, tol=tol, convention="raw")
+    v = np.array(list(result.scores.values()))
+    M = alpha * base(values) + (1 - alpha) / n * np.ones((n, n))
+    lam = float(v @ M @ v)
+    assert result.residual == pytest.approx(np.linalg.norm(M @ v - lam * v), abs=1e-14)
+    assert result.residual <= tol
 
 
 class TestRankNodes:

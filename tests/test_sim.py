@@ -3,19 +3,8 @@ import pytest
 
 from trackmine.errors import ConfigError
 from trackmine.eventlog import precision
-from trackmine.events import DetectionConfig, detect_events, merge_camera_streams
+from trackmine.events import DetectionConfig, detect_streams
 from trackmine.sim import Actor, Scenario, cell_layout, simulate
-
-
-def detect_and_merge(samples, zones, cfg):
-    by_camera = {}
-    for z in zones:
-        by_camera.setdefault(z.camera_id, []).append(z)
-    streams = [
-        detect_events([s for s in samples if s.camera_id == cam], zs, cfg)
-        for cam, zs in sorted(by_camera.items())
-    ]
-    return merge_camera_streams(streams, cfg.dedup_window)
 
 
 def single_worker_scenario(dwell=5.0, **noise):
@@ -43,7 +32,7 @@ class TestSimulate:
         sc = single_worker_scenario(dwell=1.0)
         samples, truth = simulate(sc, min_duration=3.0)
         assert truth == []
-        assert detect_and_merge(samples, sc.zones, DetectionConfig()) == []
+        assert detect_streams(samples, sc.zones, DetectionConfig()) == []
 
     def test_unknown_itinerary_location(self):
         with pytest.raises(ConfigError, match="nowhere"):
@@ -74,7 +63,7 @@ class TestRoundTrip:
     def test_zero_noise_precision_one(self):
         sc = two_worker_two_agv_scenario()
         samples, truth = simulate(sc)
-        detected = detect_and_merge(samples, sc.zones, DetectionConfig())
+        detected = detect_streams(samples, sc.zones, DetectionConfig())
         assert len(detected) == len(truth)
         assert precision(detected, truth, match_window=2.0) == 1.0
 
@@ -86,7 +75,7 @@ class TestRoundTrip:
             for seed in range(25):
                 sc = two_worker_two_agv_scenario(dropout=dropout, seed=seed)
                 samples, truth = simulate(sc)
-                detected = detect_and_merge(samples, sc.zones, cfg)
+                detected = detect_streams(samples, sc.zones, cfg)
                 values.append(precision(detected, truth, match_window=2.0))
             averages.append(float(np.mean(values)))
         assert averages[0] >= averages[1] >= averages[2]
