@@ -89,6 +89,12 @@ def _add_detection_flags(p):
     p.add_argument("--dedup-window", type=float, default=2.0, dest="dedup_window")
 
 
+def _add_split_flags(p):
+    split = p.add_mutually_exclusive_group()
+    split.add_argument("--anchor")
+    split.add_argument("--boundaries")
+
+
 def _cycles_from_args(args, log):
     if args.boundaries:
         bounds = [eventlog.to_datetime(events.parse_time(b)) for b in args.boundaries.split(",")]
@@ -96,6 +102,13 @@ def _cycles_from_args(args, log):
     if args.anchor:
         return eventlog.segment_cycles(log, anchor=args.anchor)
     raise DataError("either --anchor or --boundaries is required")
+
+
+def _cycle_from_args(args, log):
+    cycles = _cycles_from_args(args, log)
+    if not 1 <= args.cycle <= len(cycles):
+        raise DataError(f"no cycle with index {args.cycle}; found {len(cycles)} cycles")
+    return cycles[args.cycle - 1]
 
 
 def _report_json(ranked, result, stats):
@@ -162,12 +175,7 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_dfg(args) -> int:
-    log = _read_log(args.log)
-    cycles = _cycles_from_args(args, log)
-    try:
-        cycle = next(c for c in cycles if c.index == args.cycle)
-    except StopIteration:
-        raise DataError(f"no cycle with index {args.cycle}; found {len(cycles)} cycles")
+    cycle = _cycle_from_args(args, _read_log(args.log))
     net = procnet.build_dfg(cycle)
     lm = procnet.link_matrix(net)
     if args.out_matrix:
@@ -189,16 +197,11 @@ def cmd_dfg(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.matrix:
+    if args.matrix is not None:
         with open(args.matrix) as fh:
             lm = procnet.matrix_from_csv(fh.read())
     else:
-        log = _read_log(args.log)
-        cycles = _cycles_from_args(args, log)
-        try:
-            cycle = next(c for c in cycles if c.index == args.cycle)
-        except StopIteration:
-            raise DataError(f"no cycle with index {args.cycle}")
+        cycle = _cycle_from_args(args, _read_log(args.log))
         lm = procnet.link_matrix(procnet.build_dfg(cycle))
     ranked, result, stats = ranking.rank_nodes(
         lm,
@@ -224,10 +227,12 @@ def _read_node_list(path: str) -> list[str]:
         try:
             data = json.loads(text)
             if isinstance(data, dict) and "scores" in data:
-                return [entry["node"] for entry in data["scores"]]
-            return [str(x) for x in data]
+                data = [entry["node"] for entry in data["scores"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path} is not a node list or rank report: {exc!r}") from None
+        if not (isinstance(data, list) and all(isinstance(x, str) for x in data)):
+            raise DataError(f"{path} is not a list of node strings or a rank report")
+        return data
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
@@ -363,15 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="segment an event log into cycles")
     p.add_argument("--log", required=True)
-    p.add_argument("--anchor")
-    p.add_argument("--boundaries")
+    _add_split_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("dfg", help="mine the directly-follows network of one cycle")
     p.add_argument("--log", required=True)
-    p.add_argument("--anchor")
-    p.add_argument("--boundaries")
+    _add_split_flags(p)
     p.add_argument("--cycle", type=int, default=1)
     p.add_argument("--out-matrix", dest="out_matrix")
     p.add_argument("--out-dot", dest="out_dot")
@@ -379,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dfg)
 
     p = sub.add_parser("rank", help="rank nodes of a cycle network or matrix CSV")
-    p.add_argument("--matrix")
-    p.add_argument("--log")
-    p.add_argument("--anchor")
-    p.add_argument("--boundaries")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix")
+    source.add_argument("--log")
+    _add_split_flags(p)
     p.add_argument("--cycle", type=int, default=1)
     p.add_argument("--algorithm", choices=["gradient", "hits_pm_norm", "pagerank_norm"],
                    default="gradient")

@@ -10,12 +10,16 @@ location into one token.
 
 from __future__ import annotations
 
+import html
 import json
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import defaultdict, deque
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from .errors import DataError
 from .events import TIMESTAMP_FMT, Occurrence
@@ -253,38 +257,27 @@ def occurrences_to_log(occurrences: Sequence[Occurrence], label: str = "") -> Ev
     the entity id is the track id (or the class when untracked) and the
     property is the entity class.
     """
-    by_time: dict[float, list[Occurrence]] = {}
-    for occ in sorted(occurrences):
-        by_time.setdefault(occ.start_time, []).append(occ)
     records = []
-    for t in sorted(by_time):
+    for t, occs in groupby(sorted(occurrences), key=attrgetter("start_time")):
         groups: dict[str, list[Entity]] = {}
-        for occ in by_time[t]:
+        for occ in occs:
             ent = Entity(occ.track_id or occ.entity_class, occ.entity_class)
             groups.setdefault(occ.location_id, []).append(ent)
-        records.append(
-            EventRecord(
-                groups=tuple(
-                    Group(loc, tuple(ents)) for loc, ents in groups.items()
-                ),
-                timestamp=to_datetime(t),
-            )
-        )
+        grouped = tuple(Group(loc, tuple(ents)) for loc, ents in groups.items())
+        records.append(EventRecord(groups=grouped, timestamp=to_datetime(t)))
     return EventLog(records=tuple(records), label=label)
 
 
 # ---------------------------------------------------------------------------
 # cycles
 
-def _record_labels(record: EventRecord) -> list[str]:
-    labels = []
+def _record_labels(record: EventRecord) -> Iterator[str]:
     for g in record.groups:
-        labels.append(g.location_id)
+        yield g.location_id
         for e in g.entities:
-            labels.append(e.entity_id)
+            yield e.entity_id
             if e.prop:
-                labels.append(f"{e.prop}_{g.location_id}")
-    return labels
+                yield f"{e.prop}_{g.location_id}"
 
 
 def segment_cycles(
@@ -303,53 +296,36 @@ def segment_cycles(
     if (anchor is None) == (boundaries is None):
         raise DataError("exactly one of anchor or boundaries is required")
 
+    records, n = log.records, len(log.records)
     if anchor is not None:
         pattern = re.compile(anchor)
         starts = [
             i
-            for i, r in enumerate(log.records)
+            for i, r in enumerate(records)
             if any(pattern.search(lbl) for lbl in _record_labels(r))
         ]
         if not starts:
-            available = sorted({lbl for r in log.records for lbl in _record_labels(r)})
+            available = sorted({lbl for r in records for lbl in _record_labels(r)})
             raise DataError(
                 f"anchor {anchor!r} matches no record; available labels: "
                 f"{', '.join(available)}"
             )
-        start_times = [log.records[i].timestamp for i in starts]
-        slices = [
-            (starts[k], starts[k + 1] if k + 1 < len(starts) else len(log.records))
-            for k in range(len(starts))
-        ]
+        start_times = [records[i].timestamp for i in starts]
     else:
-        bounds = sorted(boundaries)
-        slices = []
-        start_times = []
-        for k, b in enumerate(bounds):
-            hi = bounds[k + 1] if k + 1 < len(bounds) else None
-            lo_i = next(
-                (i for i, r in enumerate(log.records) if r.timestamp >= b), len(log.records)
-            )
-            hi_i = (
-                next((i for i, r in enumerate(log.records) if r.timestamp >= hi), len(log.records))
-                if hi is not None
-                else len(log.records)
-            )
-            slices.append((lo_i, hi_i))
-            start_times.append(b)
+        # a linear scan, not bisect: timestamps may decrease (EventLog warns)
+        start_times = sorted(boundaries)
+        starts = [
+            next((i for i, r in enumerate(records) if r.timestamp >= b), n)
+            for b in start_times
+        ]
 
     cycles = []
-    index = 0
-    for k, (lo, hi) in enumerate(slices):
-        recs = log.records[lo:hi]
+    for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
+        recs = records[lo:hi]
         if not recs:
             continue
-        if k + 1 < len(slices):
-            ct = (start_times[k + 1] - start_times[k]).total_seconds()
-        else:
-            ct = (recs[-1].timestamp - start_times[k]).total_seconds()
-        index += 1
-        cycles.append(Cycle(index=index, records=tuple(recs), cycle_time=ct))
+        end = start_times[k + 1] if k + 1 < len(starts) else recs[-1].timestamp
+        cycles.append(Cycle(len(cycles) + 1, recs, (end - start_times[k]).total_seconds()))
     return cycles
 
 
@@ -370,18 +346,16 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     if lane_key not in ("location", "entity"):
         raise DataError(f"lane_key must be 'location' or 'entity', got {lane_key!r}")
 
-    def entity_key(g: Group, e: Entity) -> str:
-        return e.prop or e.entity_id
-
     ticks = []  # (lane, class, seconds)
     for r in log.records:
         t = to_seconds(r.timestamp)
         for g in r.groups:
             for e in g.entities:
-                lane = g.location_id if lane_key == "location" else entity_key(g, e)
-                ticks.append((lane, entity_key(g, e), t))
+                cls = e.prop or e.entity_id
+                ticks.append((g.location_id if lane_key == "location" else cls, cls, t))
 
     lanes = sorted({lane for lane, _, _ in ticks})
+    rows = {lane: i for i, lane in enumerate(lanes)}
     classes = sorted({cls for _, cls, _ in ticks})
     colors = {cls: _PALETTE[i % len(_PALETTE)] for i, cls in enumerate(classes)}
 
@@ -405,7 +379,8 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     for i, lane in enumerate(lanes):
         y = margin_t + i * lane_h
         out.append(
-            f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">{lane}</text>'
+            f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
+            f"{html.escape(lane)}</text>"
         )
         out.append(
             f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
@@ -423,8 +398,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
             f'<text x="{sx(t):.1f}" y="{axis_y + 16}" text-anchor="middle">{label}</text>'
         )
     for lane, cls, t in sorted(ticks):
-        i = lanes.index(lane)
-        y = margin_t + i * lane_h
+        y = margin_t + rows[lane] * lane_h
         out.append(
             f'<line class="tick" x1="{sx(t):.1f}" y1="{y + 4:.1f}" x2="{sx(t):.1f}" '
             f'y2="{y + lane_h - 4:.1f}" stroke="{colors[cls]}" stroke-width="3"/>'
@@ -433,7 +407,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     for i, cls in enumerate(classes):
         y = ly + 20 * i
         out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
-        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{cls}</text>')
+        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{html.escape(cls)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -455,23 +429,19 @@ def precision(
     if match_window < 0:
         raise DataError("match_window must be >= 0")
     detected = sorted(detected)
-    truth = sorted(truth)
     if not detected:
         return 1.0
+    # per (location, class): the truth start times not yet matched or passed
+    queues: defaultdict[tuple[str, str], deque[float]] = defaultdict(deque)
+    for t in sorted(truth, key=attrgetter("start_time")):
+        queues[t.location_id, t.entity_class].append(t.start_time)
     matched = 0
-    used = [False] * len(truth)
     for d in detected:
-        for i, t in enumerate(truth):
-            if used[i]:
-                continue
-            if t.start_time > d.start_time + match_window:
-                break
-            if (
-                t.location_id == d.location_id
-                and t.entity_class == d.entity_class
-                and abs(t.start_time - d.start_time) <= match_window
-            ):
-                used[i] = True
-                matched += 1
-                break
+        q = queues[d.location_id, d.entity_class]
+        # too early for this detection, so too early for every later one
+        while q and d.start_time - q[0] > match_window:
+            q.popleft()
+        if q and q[0] <= d.start_time + match_window and abs(q[0] - d.start_time) <= match_window:
+            q.popleft()
+            matched += 1
     return matched / len(detected)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
 
@@ -39,7 +40,7 @@ class DetectionSample:
     camera_id: str
     time: float  # seconds
     entity_class: str
-    track_id: str | None
+    track_id: str  # "" when untracked
     box: Rect
 
 
@@ -78,7 +79,7 @@ class Occurrence:
     start_time: float
     location_id: str
     entity_class: str
-    track_id: str | None = None
+    track_id: str = ""  # "" when untracked
 
     @property
     def key(self) -> tuple:
@@ -233,14 +234,16 @@ def parse_time(text: str) -> float:
     """Seconds-as-decimal or YYYY/MM/DD/hh:mm:ss -> epoch seconds."""
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        dt = datetime.strptime(text, TIMESTAMP_FMT)
-    except ValueError as exc:
-        raise DataError(f"unparseable time {text!r}: {exc}") from None
-    return (dt - datetime(1970, 1, 1)).total_seconds()
+        try:
+            dt = datetime.strptime(text, TIMESTAMP_FMT)
+        except ValueError as exc:
+            raise DataError(f"unparseable time {text!r}: {exc}") from None
+        return (dt - datetime(1970, 1, 1)).total_seconds()
+    if not math.isfinite(value):
+        raise DataError(f"time {text!r} is not finite")
+    return value
 
 
 def load_tracks_csv(path) -> list[DetectionSample]:
@@ -261,7 +264,7 @@ def load_tracks_csv(path) -> list[DetectionSample]:
                         camera_id=row["camera_id"],
                         time=parse_time(row["time"]),
                         entity_class=row["entity_class"],
-                        track_id=row["track_id"] or None,
+                        track_id=row["track_id"],
                         box=Rect(
                             float(row["x"]), float(row["y"]),
                             float(row["w"]), float(row["h"]),
@@ -307,7 +310,7 @@ def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
         writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
         for occ in occurrences:
             writer.writerow(
-                [occ.location_id, occ.entity_class, occ.track_id or "", repr(occ.start_time)]
+                [occ.location_id, occ.entity_class, occ.track_id, repr(occ.start_time)]
             )
 
 
@@ -325,7 +328,7 @@ def load_occurrences_csv(path) -> list[Occurrence]:
                         start_time=parse_time(row["start_time"]),
                         location_id=row["location_id"],
                         entity_class=row["entity_class"],
-                        track_id=row["track_id"] or None,
+                        track_id=row["track_id"],
                     )
                 )
             except (ValueError, DataError) as exc:

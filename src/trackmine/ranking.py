@@ -163,15 +163,15 @@ def _power_iteration(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, floa
     )
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in ("squared", "raw"):
+        raise DataError(f"unknown convention {convention!r}")
+
+
 def _as_result(
     lm: LinkMatrix, algorithm, matrix_kind, alpha, convention, vec, it, res
 ) -> RankingResult:
-    if convention == "squared":
-        values = vec**2
-    elif convention == "raw":
-        values = vec
-    else:
-        raise DataError(f"unknown convention {convention!r}")
+    values = vec**2 if convention == "squared" else vec
     return RankingResult(
         algorithm=algorithm,
         matrix_kind=matrix_kind,
@@ -193,6 +193,7 @@ def hits_pm_norm(
     """Power method on the primitivity-adjusted authority or hub matrix."""
     if not 0.0 < alpha <= 1.0:
         raise DataError(f"alpha must be in (0, 1], got {alpha}")
+    _check_convention(convention)
     base = _base_matrix(lm, kind)
     n = base.shape[0]
     M = alpha * base + (1.0 - alpha) / n * np.ones((n, n))
@@ -220,6 +221,7 @@ def pagerank_norm(
     Perron vector; squared scores form a probability distribution."""
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    _check_convention(convention)
     G = stochastic_matrix(lm, alpha)
     vec, _, res, it = _power_iteration(G, tol)
     return _as_result(lm, "pagerank_norm", "stochastic", alpha, convention, vec, it, res)
@@ -228,6 +230,7 @@ def pagerank_norm(
 def gradient_ranking(
     lm: LinkMatrix, kind: str = "authority", tol: float = 1e-10, convention: str = "squared"
 ) -> RankingResult:
+    _check_convention(convention)
     base = _base_matrix(lm, kind)
     vec, lam, it = grad_dominant_eigvec(base, tol)
     res = float(np.linalg.norm(base @ vec - lam * vec))

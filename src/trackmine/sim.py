@@ -8,7 +8,7 @@ and the ground-truth occurrence stream the detector should recover.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,6 +5,8 @@ These deliberately avoid the library's own code paths.
 
 import numpy as np
 
+from trackmine.errors import DataError
+
 
 def power_iteration_oracle(A, iters=200_000, tol=1e-14):
     """Plain power method; reference dominant eigenpair of a symmetric
@@ -61,3 +63,31 @@ def stochastic_columns_loop(L):
         col = L[:, j].sum()
         S[:, j] = 1.0 / n if col == 0 else L[:, j] / col
     return S
+
+
+def precision_scan(detected, truth, match_window):
+    """Reference precision: for each detection in order, scan the sorted
+    truth list from its start for the first unused match."""
+    if match_window < 0:
+        raise DataError("match_window must be >= 0")
+    detected = sorted(detected)
+    truth = sorted(truth)
+    if not detected:
+        return 1.0
+    matched = 0
+    used = [False] * len(truth)
+    for d in detected:
+        for i, t in enumerate(truth):
+            if used[i]:
+                continue
+            if t.start_time > d.start_time + match_window:
+                break
+            if (
+                t.location_id == d.location_id
+                and t.entity_class == d.entity_class
+                and abs(t.start_time - d.start_time) <= match_window
+            ):
+                used[i] = True
+                matched += 1
+                break
+    return matched / len(detected)

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -156,8 +157,12 @@ class TestExitCodes:
             main("rank --matrix L.csv --convention l1".split())
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("text", ['["RP_s11", ', '{"scores": [{"value": 0.5}]}'],
-                             ids=["malformed_json", "score_without_node"])
+    @pytest.mark.parametrize(
+        "text",
+        ['["RP_s11", ', '{"scores": [{"value": 0.5}]}', '{"top": ["RP_s11"], "k": 1}',
+         '"RP_s11"'],
+        ids=["malformed_json", "score_without_node", "dict_without_scores", "json_string"],
+    )
     def test_bad_node_list_is_data_error(self, tmp_path, capsys, text):
         a = tmp_path / "a.json"
         a.write_text(text)
@@ -167,3 +172,71 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("trackmine compare: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "rank --algorithm gradient",
+        "rank --matrix L.csv --log el.log",
+        "cycles --log el.log --anchor ^s11$ --boundaries 0",
+        "dfg --log el.log --anchor ^s11$ --boundaries 0",
+        "rank --log el.log --anchor ^s11$ --boundaries 0",
+    ], ids=["rank_no_source", "rank_two_sources", "cycles_anchor_and_boundaries",
+            "dfg_anchor_and_boundaries", "rank_anchor_and_boundaries"])
+    def test_conflicting_or_missing_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["cycles", "dfg", "rank"])
+    def test_no_split_is_data_error(self, log_file, capsys, command):
+        rc = main([command, "--log", str(log_file)])
+        assert rc == 3
+        assert "--anchor or --boundaries" in capsys.readouterr().err
+
+    def test_missing_cycle_is_data_error(self, log_file, capsys):
+        rc = main(["rank", "--log", str(log_file), "--anchor", "^s11$", "--cycle", "3"])
+        assert rc == 3
+        assert "no cycle with index 3; found 2 cycles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_time_is_data_error(self, tmp_path, capsys, value):
+        csv = tmp_path / "occ.csv"
+        csv.write_text(f"location_id,entity_class,track_id,start_time\ns1,h,T1,{value}\n")
+        rc = main(["precision", "--detected", str(csv), "--truth", str(csv)])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+
+
+MIXED_TRACKS_CSV = """\
+location_id,entity_class,track_id,start_time
+s1,h,,5.0
+s1,h,T1,5.0
+"""
+
+
+class TestUntracked:
+    @pytest.fixture
+    def occ_file(self, tmp_path):
+        path = tmp_path / "occ.csv"
+        path.write_text(MIXED_TRACKS_CSV)
+        return path
+
+    def test_precision(self, occ_file, capsys):
+        rc, out = run(capsys, "precision", "--detected", occ_file, "--truth", occ_file)
+        assert rc == 0
+        assert json.loads(out)["precision"] == 1.0
+
+    def test_merge(self, tmp_path, occ_file, capsys):
+        merged = tmp_path / "merged.csv"
+        rc, _ = run(capsys, "merge", occ_file, occ_file, "--out", merged)
+        assert rc == 0
+        assert merged.read_text() == MIXED_TRACKS_CSV
+
+
+def test_gantt_escapes_labels(tmp_path, capsys):
+    log = tmp_path / "el.log"
+    log.write_text("EL1: {s<1&, (E1,RP), 2024/08/15/10:00:00}\n")
+    svg = tmp_path / "chart.svg"
+    rc, out = run(capsys, "gantt", "--log", log, "--out", svg, "--json")
+    assert rc == 0
+    assert json.loads(out)["lanes"] == 1
+    ET.parse(svg)

@@ -1,7 +1,8 @@
+import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackmine.errors import DataError
@@ -23,6 +24,8 @@ from trackmine.eventlog import (
     to_datetime,
 )
 from trackmine.events import Occurrence
+
+from _oracles import precision_scan
 
 
 def rec(ts, *groups):
@@ -169,6 +172,12 @@ class TestCycles:
         with pytest.raises(DataError, match="s11"):
             segment_cycles(log, anchor="nothing-matches-this")
 
+    def test_anchor_timestamps_as_boundaries(self):
+        log = self.three_cycle_log()
+        by_anchor = segment_cycles(log, anchor=r"^s11$")
+        bounds = [c.records[0].timestamp for c in by_anchor]
+        assert segment_cycles(log, boundaries=bounds) == by_anchor
+
     def test_translation_invariance(self):
         log = self.three_cycle_log()
         shifted = EventLog(
@@ -214,6 +223,14 @@ class TestGantt:
     def test_deterministic(self):
         assert gantt(self.log3()) == gantt(self.log3())
 
+    @pytest.mark.parametrize("lane_key", ["location", "entity"])
+    def test_labels_escaped(self, lane_key):
+        log = EventLog(records=(rec(T0, ("s<1&", [("E1", "v<&>")])),))
+        root = ET.fromstring(gantt(log, lane_key=lane_key))
+        texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert "v<&>" in texts
+        assert ("s<1&" in texts) == (lane_key == "location")
+
 
 class TestPrecision:
     def occ(self, t, loc="s1", cls="h1"):
@@ -251,6 +268,40 @@ class TestPrecision:
         detected = [self.occ(x) for x in sorted(d)]
         truth = [self.occ(x) for x in sorted(t)]
         assert precision(detected, truth, lo) <= precision(detected, truth, hi) + 1e-12
+
+
+_TIMES = st.one_of(
+    st.integers(0, 8).map(lambda k: k / 2),  # repeats and exact window edges
+    st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2]),
+    st.floats(-5, 5),
+)
+_OCCURRENCES = st.lists(
+    st.builds(
+        Occurrence,
+        start_time=_TIMES,
+        location_id=st.sampled_from(["s1", "s2", "s3"]),
+        entity_class=st.sampled_from(["h", "v"]),
+        track_id=st.sampled_from(["", "T1", "T2"]),
+    ),
+    max_size=15,
+)
+
+
+@given(
+    detected=_OCCURRENCES,
+    truth=_OCCURRENCES,
+    window=st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.5, 1.0]), st.floats(0, 3)),
+)
+@example(  # within the window by abs(), yet after the rounded d + window
+    detected=[Occurrence(-1.0547053390315764, "s1", "h")],
+    truth=[Occurrence(0.1290868856916141, "s1", "h")],
+    window=1.1837922247231905,
+)
+@settings(max_examples=300, deadline=None)
+def test_precision_matches_scan_oracle(detected, truth, window):
+    assert repr(precision(detected, truth, window)) == repr(
+        precision_scan(detected, truth, window)
+    )
 
 
 def test_occurrences_to_log_groups_simultaneous():

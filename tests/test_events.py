@@ -218,3 +218,9 @@ def test_parse_time_formats():
     assert parse_time("1970/01/01/00:01:00") == 60.0
     with pytest.raises(DataError):
         parse_time("yesterday")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", " NaN "])
+def test_parse_time_rejects_non_finite(text):
+    with pytest.raises(DataError, match="not finite"):
+        parse_time(text)

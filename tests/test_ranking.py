@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trackmine import ranking
 from trackmine.errors import ConvergenceError, DataError
 from trackmine.procnet import LinkMatrix, NodeLabel
 from trackmine.ranking import (
@@ -251,6 +252,16 @@ class TestRankNodes:
     def test_raw_convention_squares_sum_to_one(self):
         _, result, _ = rank_nodes(LM1, algorithm="gradient", convention="raw", k=4)
         assert sum(v**2 for v in result.scores.values()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
+    def test_bad_convention_rejected_before_solve(self, monkeypatch, algorithm):
+        def solver_called(*args, **kwargs):
+            raise AssertionError("solver ran before the convention was checked")
+
+        monkeypatch.setattr(ranking, "_power_iteration", solver_called)
+        monkeypatch.setattr(ranking, "grad_dominant_eigvec", solver_called)
+        with pytest.raises(DataError, match="convention"):
+            rank_nodes(LM1, algorithm=algorithm, convention="bogus")
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
