@@ -244,7 +244,7 @@ def log_from_jsonl(text: str, label: str = "") -> EventLog:
                 for g in obj["locations"]
             )
             ts = datetime.strptime(obj["ts"], TIMESTAMP_FMT)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"line {lineno}: {exc}") from None
         records.append(EventRecord(groups=groups, timestamp=ts))
     return EventLog(records=tuple(records), label=label)

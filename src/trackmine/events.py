@@ -12,7 +12,10 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -31,6 +34,10 @@ class Rect:
     @property
     def area(self) -> float:
         return self.w * self.h
+
+    @property
+    def finite(self) -> bool:
+        return all(map(math.isfinite, (self.x, self.y, self.w, self.h)))
 
 
 @dataclass(frozen=True)
@@ -86,31 +93,38 @@ class Occurrence:
         return (self.location_id, self.entity_class, self.track_id)
 
 
+def _box_problem(box: Rect) -> str | None:
+    if not box.finite:
+        return "has a non-finite coordinate"
+    if box.area <= 0:
+        return "has non-positive area"
+    return None
+
+
+def _check_box(name: str, box: Rect) -> None:
+    problem = _box_problem(box)
+    if problem:
+        raise DataError(f"{name} {problem}: {box}")
+
+
+def _overlap(ex, ey, ew, eh, zx, zy, zw, zh):
+    """Overlap-ratio kernel on float64 scalars or arrays (elementwise)."""
+    ix = np.minimum(ex + ew, zx + zw) - np.maximum(ex, zx)
+    iy = np.minimum(ey + eh, zy + zh) - np.maximum(ey, zy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where((ix > 0) & (iy > 0), (ix * iy) / (ew * eh), 0.0)
+
+
 def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
     """Fraction of the entity box covered by the zone.
 
     The denominator is the entity box area, so a small entity fully inside
     a large zone scores 1.0.
     """
-    for name, box in (("entity_box", entity_box), ("zone_box", zone_box)):
-        if box.area <= 0:
-            raise DataError(f"{name} has non-positive area: {box}")
-    ix = min(entity_box.x + entity_box.w, zone_box.x + zone_box.w) - max(
-        entity_box.x, zone_box.x
-    )
-    iy = min(entity_box.y + entity_box.h, zone_box.y + zone_box.h) - max(
-        entity_box.y, zone_box.y
-    )
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    return (ix * iy) / entity_box.area
-
-
-@dataclass
-class _Run:
-    start: float
-    last: float
-    emitted: bool = False
+    _check_box("entity_box", entity_box)
+    _check_box("zone_box", zone_box)
+    e, z = entity_box, zone_box
+    return float(_overlap(*np.array([e.x, e.y, e.w, e.h, z.x, z.y, z.w, z.h], dtype=float)))
 
 
 def detect_events(
@@ -125,6 +139,12 @@ def detect_events(
     one missing sample between qualifying samples.  The start time is the
     first sample of the qualifying run; a new occurrence for the same pair
     requires the overlap to first drop below threshold.
+
+    A run is a block of consecutive qualifying samples of one
+    (camera, track, class) stream with no step longer than
+    2 * cfg.sample_period; it emits when its last time minus its first is
+    at least cfg.min_duration.  Each zone is one array pass over its
+    camera's samples, O(N) numpy work per zone.
     """
     samples = list(samples)
 
@@ -134,59 +154,111 @@ def detect_events(
         if key in seen:
             raise ConfigError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
         seen[key] = loc
-    if samples:
-        cameras = {s.camera_id for s in samples}
-        for loc in zones:
-            if loc.camera_id not in cameras:
-                raise ConfigError(
-                    f"zone {loc.location_id!r} references camera {loc.camera_id!r} "
-                    f"absent from the sample stream"
-                )
+    if not samples:
+        return []
 
-    last_time: dict[tuple, float] = {}
-    for pos, s in enumerate(samples):
-        stream = (s.camera_id, s.track_id)
-        if stream in last_time and s.time < last_time[stream]:
-            raise DataError(
-                f"samples not time-sorted: inversion at position {pos} "
-                f"(camera {s.camera_id!r}, track {s.track_id!r}, "
-                f"{s.time} < {last_time[stream]})"
-            )
-        last_time[stream] = s.time
+    # Stream ids numbered in sorted (camera, track, class) order, so one
+    # stable argsort lays out each camera as one slice and each stream as
+    # a contiguous block in input order.
+    ids: dict[tuple, int] = {}
+    sid = [ids.setdefault((s.camera_id, s.track_id, s.entity_class), len(ids)) for s in samples]
+    keys = sorted(ids)
+    remap = np.empty(len(keys), dtype=np.intp)
+    remap[[ids[k] for k in keys]] = np.arange(len(keys))
+    sid = remap[sid]
+    cam_ids: dict[str, int] = {}
+    ct_ids: dict[tuple, int] = {}
+    stream_cam = np.array([cam_ids.setdefault(k[0], len(cam_ids)) for k in keys])
+    stream_ct = np.array([ct_ids.setdefault(k[:2], len(ct_ids)) for k in keys])
 
-    by_camera: dict[str, list[ZoneSpec]] = {}
     for loc in zones:
-        by_camera.setdefault(loc.camera_id, []).append(loc)
+        if loc.camera_id not in cam_ids:
+            raise ConfigError(
+                f"zone {loc.location_id!r} references camera {loc.camera_id!r} "
+                f"absent from the sample stream"
+            )
+    t = np.fromiter(map(attrgetter("time"), samples), float, len(samples))
+    boxes = list(map(attrgetter("box"), samples))
+    x, y, w, h = (np.fromiter(map(attrgetter(f), boxes), float, len(boxes)) for f in "xywh")
+    if not np.isfinite(t).all():
+        pos = int(np.argmin(np.isfinite(t)))
+        raise DataError(f"sample at position {pos} has a non-finite time {samples[pos].time}")
 
-    # One run state per (track stream, zone); a gap longer than one missing
-    # sample (delta > 2 * sample_period) closes the run.
-    max_delta = 2.0 * cfg.sample_period
-    runs: dict[tuple, _Run] = {}
-    out: list[Occurrence] = []
-    for s in samples:
-        for loc in by_camera.get(s.camera_id, ()):
-            key = (s.camera_id, s.track_id, s.entity_class, loc.location_id)
-            ratio = overlap_ratio(s.box, loc.box)
-            run = runs.get(key)
-            if ratio >= cfg.min_overlap_ratio:
-                if run is None or s.time - run.last > max_delta:
-                    run = _Run(start=s.time, last=s.time)
-                    runs[key] = run
-                else:
-                    run.last = s.time
-                if not run.emitted and run.last - run.start >= cfg.min_duration:
-                    out.append(
-                        Occurrence(
-                            start_time=run.start,
-                            location_id=loc.location_id,
-                            entity_class=s.entity_class,
-                            track_id=s.track_id,
-                        )
-                    )
-                    run.emitted = True
-            else:
-                runs.pop(key, None)
-    out.sort()
+    # time order per (camera, track), in input order within each
+    ct = stream_ct[sid]
+    by_ct = np.argsort(ct, kind="stable")
+    inv = (ct[by_ct[1:]] == ct[by_ct[:-1]]) & (t[by_ct[1:]] < t[by_ct[:-1]])
+    if inv.any():
+        k = np.flatnonzero(inv)
+        k = k[np.argmin(by_ct[k + 1])]
+        s, prev = samples[by_ct[k + 1]], samples[by_ct[k]]
+        raise DataError(
+            f"samples not time-sorted: inversion at position {by_ct[k + 1]} "
+            f"(camera {s.camera_id!r}, track {s.track_id!r}, "
+            f"{s.time} < {prev.time})"
+        )
+
+    by_camera: dict[int, list[tuple[int, ZoneSpec]]] = {}
+    for j, loc in enumerate(zones):
+        by_camera.setdefault(cam_ids[loc.camera_id], []).append((j, loc))
+
+    # The first sample (in input order) on a camera with zones whose box, or
+    # one of whose camera's zone boxes, is invalid raises, entity box first.
+    cam = stream_cam[sid]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(np.isfinite([x, y, w, h]).all(axis=0) & (w * h > 0))
+    zoned = np.zeros(len(cam_ids), dtype=bool)
+    zoned[list(by_camera)] = True
+    bad_zone = np.zeros(len(cam_ids), dtype=bool)
+    for c, cam_zones in by_camera.items():
+        bad_zone[c] = any(_box_problem(z.box) for _, z in cam_zones)
+    hit = zoned[cam] & (bad | bad_zone[cam])
+    if hit.any():
+        i = int(np.argmax(hit))
+        _check_box("entity_box", samples[i].box)
+        for _, loc in by_camera[cam[i]]:
+            _check_box("zone_box", loc.box)
+
+    order = np.argsort(sid, kind="stable")
+    t, x, y, w, h, sid, cam = (a[order] for a in (t, x, y, w, h, sid, cam))
+    # a run cannot continue across a stream boundary or a gap longer than
+    # one missing sample
+    brk = np.ones(len(t), dtype=bool)
+    brk[1:] = (sid[1:] != sid[:-1]) | (t[1:] - t[:-1] > 2.0 * cfg.sample_period)
+    bounds = np.searchsorted(cam, np.arange(len(cam_ids) + 1))
+
+    parts = []  # (emitting sample, run's first sample, zone index) per zone
+    for c, cam_zones in by_camera.items():
+        lo, hi = bounds[c], bounds[c + 1]
+        tc = t[lo:hi]
+        for j, loc in cam_zones:
+            z = loc.box
+            ratio = _overlap(x[lo:hi], y[lo:hi], w[lo:hi], h[lo:hi],
+                             float(z.x), float(z.y), float(z.w), float(z.h))
+            qi = np.flatnonzero(ratio >= cfg.min_overlap_ratio)
+            if not len(qi):
+                continue
+            starts = np.ones(len(qi), dtype=bool)
+            starts[1:] = (np.diff(qi) != 1) | brk[lo + qi[1:]]
+            run = np.cumsum(starts) - 1
+            first = qi[starts][run]
+            # times never decrease within a stream, so done is monotone
+            # within a run and the run emits at its first true sample
+            done = tc[qi] - tc[first] >= cfg.min_duration
+            emit = done & (starts | ~np.concatenate(([False], done[:-1])))
+            parts.append((order[lo + qi[emit]], order[lo + first[emit]],
+                          np.full(int(emit.sum()), j)))
+    if not parts:
+        return []
+    emit_at, start_at, zone_at = (np.concatenate(a) for a in zip(*parts))
+    # build in emission order (sample, then zone), as a per-sample scan
+    # would; it decides ties such as -0.0 vs 0.0 under the stable sort
+    out = []
+    for k in np.lexsort((zone_at, emit_at)):
+        s = samples[start_at[k]]
+        out.append(Occurrence(float(s.time), zones[zone_at[k]].location_id,
+                              s.entity_class, s.track_id))
+    out.sort(key=attrgetter("start_time", "location_id", "entity_class", "track_id"))
     return out
 
 
@@ -246,30 +318,41 @@ def parse_time(text: str) -> float:
     return value
 
 
+def _csv_rows(fh, path, expected: list[str]):
+    """Yield (line number, row) for each non-blank data row of a CSV whose
+    header must be exactly `expected` and whose rows have as many fields."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if header != expected:
+        raise DataError(
+            f"{path}: expected header {','.join(expected)}, got {','.join(header)}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise DataError(
+                f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}"
+            )
+        yield reader.line_num, row
+
+
+def _parse_box(x, y, w, h) -> Rect:
+    box = Rect(float(x), float(y), float(w), float(h))
+    if not box.finite:
+        raise DataError(f"box {box} has a non-finite coordinate")
+    return box
+
+
 def load_tracks_csv(path) -> list[DetectionSample]:
     """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h."""
     expected = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
     samples = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != expected:
-            raise DataError(
-                f"{path}: expected header {','.join(expected)}, got "
-                f"{','.join(reader.fieldnames or [])}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, expected):
             try:
                 samples.append(
-                    DetectionSample(
-                        camera_id=row["camera_id"],
-                        time=parse_time(row["time"]),
-                        entity_class=row["entity_class"],
-                        track_id=row["track_id"],
-                        box=Rect(
-                            float(row["x"]), float(row["y"]),
-                            float(row["w"]), float(row["h"]),
-                        ),
-                    )
+                    DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
                 )
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
@@ -292,14 +375,11 @@ def load_zones_json(path) -> list[ZoneSpec]:
                 ZoneSpec(
                     location_id=str(item["location_id"]),
                     camera_id=str(item["camera_id"]),
-                    box=Rect(
-                        float(item["x"]), float(item["y"]),
-                        float(item["w"]), float(item["h"]),
-                    ),
+                    box=_parse_box(item["x"], item["y"], item["w"], item["h"]),
                     category=str(item.get("category", "")),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: zone #{i}: {exc}") from None
     return zones
 
@@ -315,22 +395,12 @@ def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
 
 
 def load_occurrences_csv(path) -> list[Occurrence]:
+    expected = ["location_id", "entity_class", "track_id", "start_time"]
     occurrences = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["location_id", "entity_class", "track_id", "start_time"]
-        if reader.fieldnames != expected:
-            raise DataError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, (location, cls, track, start) in _csv_rows(fh, path, expected):
             try:
-                occurrences.append(
-                    Occurrence(
-                        start_time=parse_time(row["start_time"]),
-                        location_id=row["location_id"],
-                        entity_class=row["entity_class"],
-                        track_id=row["track_id"],
-                    )
-                )
-            except (ValueError, DataError) as exc:
+                occurrences.append(Occurrence(parse_time(start), location, cls, track))
+            except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return occurrences

@@ -3,9 +3,19 @@
 These deliberately avoid the library's own code paths.
 """
 
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
 import numpy as np
 
-from trackmine.errors import DataError
+from trackmine.errors import ConfigError, DataError
+from trackmine.events import (
+    DetectionConfig,
+    DetectionSample,
+    Occurrence,
+    Rect,
+    ZoneSpec,
+)
 
 
 def power_iteration_oracle(A, iters=200_000, tol=1e-14):
@@ -91,3 +101,107 @@ def precision_scan(detected, truth, match_window):
                 matched += 1
                 break
     return matched / len(detected)
+
+
+def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
+    """Fraction of the entity box covered by the zone.
+
+    The denominator is the entity box area, so a small entity fully inside
+    a large zone scores 1.0.
+    """
+    for name, box in (("entity_box", entity_box), ("zone_box", zone_box)):
+        if box.area <= 0:
+            raise DataError(f"{name} has non-positive area: {box}")
+    ix = min(entity_box.x + entity_box.w, zone_box.x + zone_box.w) - max(
+        entity_box.x, zone_box.x
+    )
+    iy = min(entity_box.y + entity_box.h, zone_box.y + zone_box.h) - max(
+        entity_box.y, zone_box.y
+    )
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    return (ix * iy) / entity_box.area
+
+
+@dataclass
+class _Run:
+    start: float
+    last: float
+    emitted: bool = False
+
+
+def detect_events_loop(
+    samples: Iterable[DetectionSample],
+    zones: Sequence[ZoneSpec],
+    cfg: DetectionConfig,
+) -> list[Occurrence]:
+    """Lift a detection stream to event occurrences.
+
+    An occurrence is emitted when a (track, zone) pair keeps an overlap
+    ratio >= cfg.min_overlap_ratio for at least cfg.min_duration, allowing
+    one missing sample between qualifying samples.  The start time is the
+    first sample of the qualifying run; a new occurrence for the same pair
+    requires the overlap to first drop below threshold.
+    """
+    samples = list(samples)
+
+    seen = {}
+    for loc in zones:
+        key = (loc.camera_id, loc.location_id)
+        if key in seen:
+            raise ConfigError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
+        seen[key] = loc
+    if samples:
+        cameras = {s.camera_id for s in samples}
+        for loc in zones:
+            if loc.camera_id not in cameras:
+                raise ConfigError(
+                    f"zone {loc.location_id!r} references camera {loc.camera_id!r} "
+                    f"absent from the sample stream"
+                )
+
+    last_time: dict[tuple, float] = {}
+    for pos, s in enumerate(samples):
+        stream = (s.camera_id, s.track_id)
+        if stream in last_time and s.time < last_time[stream]:
+            raise DataError(
+                f"samples not time-sorted: inversion at position {pos} "
+                f"(camera {s.camera_id!r}, track {s.track_id!r}, "
+                f"{s.time} < {last_time[stream]})"
+            )
+        last_time[stream] = s.time
+
+    by_camera: dict[str, list[ZoneSpec]] = {}
+    for loc in zones:
+        by_camera.setdefault(loc.camera_id, []).append(loc)
+
+    # One run state per (track stream, zone); a gap longer than one missing
+    # sample (delta > 2 * sample_period) closes the run.
+    max_delta = 2.0 * cfg.sample_period
+    runs: dict[tuple, _Run] = {}
+    out: list[Occurrence] = []
+    for s in samples:
+        for loc in by_camera.get(s.camera_id, ()):
+            key = (s.camera_id, s.track_id, s.entity_class, loc.location_id)
+            ratio = overlap_ratio(s.box, loc.box)
+            run = runs.get(key)
+            if ratio >= cfg.min_overlap_ratio:
+                if run is None or s.time - run.last > max_delta:
+                    run = _Run(start=s.time, last=s.time)
+                    runs[key] = run
+                else:
+                    run.last = s.time
+                if not run.emitted and run.last - run.start >= cfg.min_duration:
+                    out.append(
+                        Occurrence(
+                            start_time=run.start,
+                            location_id=loc.location_id,
+                            entity_class=s.entity_class,
+                            track_id=s.track_id,
+                        )
+                    )
+                    run.emitted = True
+            else:
+                runs.pop(key, None)
+    out.sort()
+    return out

@@ -137,6 +137,10 @@ class TestTables:
         assert out1 == out2
 
 
+TRACKS_HEADER = "camera_id,time,entity_class,track_id,x,y,w,h\n"
+ZONE = {"location_id": "s1", "camera_id": "cam1", "x": 0, "y": 0, "w": 100, "h": 100}
+
+
 class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         rc = main(["gantt", "--log", str(tmp_path / "nope.log"),
@@ -204,6 +208,68 @@ class TestExitCodes:
         rc = main(["precision", "--detected", str(csv), "--truth", str(csv)])
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        "s1,h,T1",
+        "s1,h,T1,5.0,extra",
+    ], ids=["short", "long"])
+    def test_occurrence_row_width_is_data_error(self, tmp_path, capsys, row):
+        csv = tmp_path / "occ.csv"
+        csv.write_text(f"location_id,entity_class,track_id,start_time\ns1,h,T1,1.0\n{row}\n")
+        rc = main(["precision", "--detected", str(csv), "--truth", str(csv)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"occ.csv:3: expected 4 fields, got {row.count(',') + 1}" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("row, message", [
+        ("cam1,2,h,T1,0,0,10", "expected 8 fields, got 7"),
+        ("cam1,2,h,T1,0,0,10,10,10", "expected 8 fields, got 9"),
+        ("cam1,2,h,T1,nan,0,10,10", "non-finite coordinate"),
+        ("cam1,2,h,T1,0,0,inf,10", "non-finite coordinate"),
+    ], ids=["short", "long", "nan_x", "inf_w"])
+    def test_bad_track_row_is_data_error(self, tmp_path, capsys, row, message):
+        # a 6-sample dwell whose sample at t=2 is malformed
+        rows = [f"cam1,{t},h,T1,0,0,10,10" for t in range(6)]
+        rows[2] = row
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "\n".join(rows) + "\n")
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([ZONE]))
+        rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones),
+                   "--out", str(tmp_path / "d.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "tracks.csv:4: " in err and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_zone_is_data_error(self, tmp_path, capsys, value):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(6)))
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([dict(ZONE, x=value)]))
+        rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones),
+                   "--out", str(tmp_path / "d.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "zone #0: " in err and "non-finite coordinate" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", [
+        '{"locations": 5, "ts": "2024/08/15/10:00:00"}',
+        "[1, 2]",
+        '{"locations": [5], "ts": "2024/08/15/10:00:00"}',
+        '{"locations": [], "ts": 5}',
+    ], ids=["locations_int", "list", "location_int", "ts_int"])
+    def test_malformed_jsonl_is_data_error(self, tmp_path, capsys, line):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(line + "\n")
+        rc = main(["gantt", "--log", str(log), "--out", str(tmp_path / "o.svg")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("trackmine gantt: line 1: ") and err.count("\n") == 1
 
 
 MIXED_TRACKS_CSV = """\

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from trackmine.errors import ConfigError, DataError
 from trackmine.events import (
     DetectionConfig,
@@ -50,6 +53,16 @@ class TestOverlapRatio:
         with pytest.raises(DataError, match="zone_box"):
             overlap_ratio(Rect(0, 0, 10, 10), Rect(0, 0, 10, 0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_rejected(self, bad, field):
+        coords = [0.0, 0.0, 10.0, 10.0]
+        coords[field] = bad
+        with pytest.raises(DataError, match="entity_box has a non-finite"):
+            overlap_ratio(Rect(*coords), Rect(0, 0, 10, 10))
+        with pytest.raises(DataError, match="zone_box has a non-finite"):
+            overlap_ratio(Rect(0, 0, 10, 10), Rect(*coords))
+
     @given(
         x=st.floats(-50, 50), y=st.floats(-50, 50),
         w=st.floats(1, 40), h=st.floats(1, 40),
@@ -57,6 +70,17 @@ class TestOverlapRatio:
     def test_always_a_fraction(self, x, y, w, h):
         r = overlap_ratio(Rect(x, y, w, h), Rect(0, 0, 30, 30))
         assert 0.0 <= r <= 1.0 + 1e-12
+
+    @given(
+        entity=st.tuples(st.floats(-50, 50), st.floats(-50, 50),
+                         st.floats(1e-3, 40), st.floats(1e-3, 40)),
+        zone=st.tuples(st.floats(-50, 50), st.floats(-50, 50),
+                       st.floats(1e-3, 40), st.floats(1e-3, 40)),
+    )
+    def test_matches_scalar_oracle(self, entity, zone):
+        got = overlap_ratio(Rect(*entity), Rect(*zone))
+        assert type(got) is float
+        assert repr(got) == repr(_oracles.overlap_ratio(Rect(*entity), Rect(*zone)))
 
 
 class TestDetectEvents:
@@ -115,7 +139,129 @@ class TestDetectEvents:
         samples = track([0.5, 1.5, 2.5, 3.5, 4.5], inside)
         out = detect_events(samples, [ZONE], DetectionConfig())
         times = {s.time for s in samples}
+        assert out
         assert all(o.start_time in times for o in out)
+        assert all(type(o.start_time) is float for o in out)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_box_rejected(self, bad):
+        samples = track([0, 1, 2, 3, 4, 5], Rect(10, 10, 40, 40))
+        samples[2] = DetectionSample("cam1", 2, "worker-right", "T1", Rect(bad, 10, 40, 40))
+        with pytest.raises(DataError, match="entity_box has a non-finite"):
+            detect_events(samples, [ZONE], DetectionConfig())
+        zone = ZoneSpec("s1", "cam1", Rect(0, 0, bad, 100))
+        with pytest.raises(DataError, match="zone_box has a non-finite"):
+            detect_events(samples[:2], [zone], DetectionConfig())
+
+    def test_non_finite_time_rejected(self):
+        samples = track([0, 1, math.nan, 3], Rect(10, 10, 40, 40))
+        with pytest.raises(DataError, match="position 2 has a non-finite time"):
+            detect_events(samples, [ZONE], DetectionConfig())
+
+    def test_emission_order_breaks_signed_zero_ties(self):
+        # two cameras see location s1; the run starting at -0.0 emits after
+        # the one starting at 0.0, and the equal-comparing occurrences keep
+        # that order through the final sort
+        zones = [ZONE, ZoneSpec("s1", "cam2", Rect(0, 0, 100, 100))]
+        inside = Rect(10, 10, 40, 40)
+        samples = [
+            DetectionSample("cam1", -0.0, "a", "T1", inside),
+            DetectionSample("cam2", 0.0, "a", "T1", inside),
+            DetectionSample("cam2", 1.0, "a", "T1", inside),
+            DetectionSample("cam1", 1.0, "a", "T1", inside),
+        ]
+        cfg = DetectionConfig(min_duration=1.0)
+        out = detect_events(samples, zones, cfg)
+        assert [repr(o.start_time) for o in out] == ["0.0", "-0.0"]
+        assert repr(out) == repr(_oracles.detect_events_loop(samples, zones, cfg))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ConfigError, DataError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Steps whose float sums give 0.1 + 0.2-style times, repeats (0.0) and gaps
+# of exactly 2 * sample_period for both periods drawn below.
+_STEPS = [0.0, 0.1, 0.2, 0.5, 1.0, 1.0, 1.0, 2.0, 3.0]
+_COORDS = [-10.0, 0.0, 0.1, 5.0, 10.0, 25.0, 60.0]
+_SIZE = st.sampled_from([0.2, 5.0, 10.0, 10.0, 40.0, 100.0] * 16 + [0.0])
+_RARE = st.sampled_from([False] * 19 + [True])
+_BOX = st.builds(Rect, st.sampled_from(_COORDS), st.sampled_from(_COORDS), _SIZE, _SIZE)
+_ZONE_SIZE = st.sampled_from([5.0, 40.0, 100.0] * 32 + [0.0])
+_ZONE_BOX = st.builds(Rect, st.sampled_from(_COORDS), st.sampled_from(_COORDS),
+                      _ZONE_SIZE, _ZONE_SIZE)
+
+
+@st.composite
+def _detection_case(draw):
+    """Tracks that dwell on a box and sometimes jump, on one or two cameras,
+    with rare zero-area boxes, duplicate zones and swapped samples."""
+    cameras = ["c1", "c2"][: draw(st.integers(1, 2))]
+    streams = draw(st.lists(
+        st.tuples(st.sampled_from(cameras), st.sampled_from(["", "T1", "T2"]),
+                  st.sampled_from(["a", "b"])),
+        min_size=1, max_size=4,
+    ))
+    t0 = draw(st.sampled_from([-0.0, 0.0, 0.1, -1.5]))
+    clock = {key[:2]: t0 for key in streams}  # the sort check is per (camera, track)
+    box = {key: draw(_BOX) for key in streams}
+    samples = []
+    for _ in range(draw(st.integers(0, 30))):
+        cam, tid, cls = key = draw(st.sampled_from(streams))
+        clock[cam, tid] += draw(st.sampled_from(_STEPS))
+        if draw(st.integers(0, 3)) == 0:
+            box[key] = draw(_BOX)
+        samples.append(DetectionSample(cam, clock[cam, tid], cls, tid, box[key]))
+    if samples and draw(_RARE):
+        i, j = (draw(st.integers(0, len(samples) - 1)) for _ in range(2))
+        samples[i], samples[j] = samples[j], samples[i]
+    zones = draw(st.lists(
+        st.builds(ZoneSpec, st.sampled_from(["L1", "L2", "L3"]),
+                  st.sampled_from(cameras), _ZONE_BOX),
+        min_size=1, max_size=3, unique_by=lambda z: (z.camera_id, z.location_id),
+    ))
+    if zones and draw(_RARE):
+        zones.append(zones[0])
+    cfg = DetectionConfig(
+        min_duration=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+        min_overlap_ratio=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])),
+        sample_period=draw(st.sampled_from([0.5, 1.0])),
+    )
+    return samples, zones, cfg
+
+
+@given(_detection_case())
+@settings(max_examples=400, deadline=None)
+def test_detect_events_matches_loop_oracle(case):
+    samples, zones, cfg = case
+    assert _outcome(detect_events, samples, zones, cfg) == _outcome(
+        _oracles.detect_events_loop, samples, zones, cfg
+    )
+
+
+_INSIDE = Rect(10, 10, 40, 40)
+
+
+@pytest.mark.parametrize("samples, zones, message", [
+    # T2 sorts after T1 but its inversion comes first in the input
+    (track([0, 2, 1], _INSIDE, tid="T2") + track([0, 2, 1], _INSIDE),
+     [ZONE], "position 2 (camera 'cam1', track 'T2', 1 < 2)"),
+    # the first of the camera's bad zones is named
+    (track([0, 1], _INSIDE),
+     [ZoneSpec("s1", "cam1", Rect(0, 0, 0, 5)), ZoneSpec("s2", "cam1", Rect(0, 0, 5, -1))],
+     "zone_box has non-positive area: Rect(x=0, y=0, w=0, h=5)"),
+    # a bad entity box on a camera without zones is never looked at
+    ([DetectionSample("cam2", 0, "a", "T1", Rect(0, 0, 0, 0))] + track([0, 1], _INSIDE),
+     [ZONE], None),
+], ids=["first_inversion_in_input_order", "first_bad_zone", "unzoned_camera"])
+def test_detect_events_errors_match_loop_oracle(samples, zones, message):
+    cfg = DetectionConfig()
+    got = _outcome(detect_events, samples, zones, cfg)
+    assert got == _outcome(_oracles.detect_events_loop, samples, zones, cfg)
+    assert message is None or got.endswith(message)
 
 
 def _random_tracks(rng, n_tracks=100):
