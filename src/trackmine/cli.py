@@ -121,6 +121,7 @@ def _report_json(ranked, result, stats):
         "entropy": stats.shannon_entropy,
         "participation_ratio": stats.participation_ratio,
         "iterations": result.iterations,
+        "residual": result.residual,
     }
 
 

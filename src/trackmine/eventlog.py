@@ -108,10 +108,13 @@ _ISO_RE = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}$")
 
 def _parse_timestamp(token: str, lineno: int) -> datetime:
     token = token.strip()
-    if _TS_RE.match(token):
-        return datetime.strptime(token, TIMESTAMP_FMT)
-    if _ISO_RE.match(token):
-        return datetime.strptime(token.replace(" ", "T"), "%Y-%m-%dT%H:%M:%S")
+    try:
+        if _TS_RE.match(token):
+            return datetime.strptime(token, TIMESTAMP_FMT)
+        if _ISO_RE.match(token):
+            return datetime.strptime(token.replace(" ", "T"), "%Y-%m-%dT%H:%M:%S")
+    except ValueError:  # the right shape but out of range, e.g. month 13
+        pass
     raise DataError(f"line {lineno}: unparseable timestamp {token!r}")
 
 

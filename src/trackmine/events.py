@@ -98,6 +98,8 @@ def _box_problem(box: Rect) -> str | None:
         return "has a non-finite coordinate"
     if box.area <= 0:
         return "has non-positive area"
+    if box.w < 0 or box.h < 0:
+        return "has a negative width or height"
     return None
 
 
@@ -204,9 +206,10 @@ def detect_events(
 
     # The first sample (in input order) on a camera with zones whose box, or
     # one of whose camera's zone boxes, is invalid raises, entity box first.
+    # A valid box is finite with positive area and width (so positive height).
     cam = stream_cam[sid]
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~(np.isfinite([x, y, w, h]).all(axis=0) & (w * h > 0))
+        bad = ~(np.isfinite([x, y, w, h]).all(axis=0) & (w * h > 0) & (w > 0))
     zoned = np.zeros(len(cam_ids), dtype=bool)
     zoned[list(by_camera)] = True
     bad_zone = np.zeros(len(cam_ids), dtype=bool)

@@ -68,6 +68,12 @@ def _base_matrix(lm: LinkMatrix, kind: str) -> np.ndarray:
     raise DataError(f"kind must be 'authority' or 'hub', got {kind!r}")
 
 
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D float vector, without its
+    # argument handling
+    return math.sqrt(v.dot(v))
+
+
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
@@ -96,28 +102,35 @@ def grad_dominant_eigvec(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray,
         return np.array([1.0]), float(A[0, 0]), 0
 
     x = _start_vector(n)
+    # work vectors, overwritten each step; same operations, same order as
+    # the expressions in the comments
+    y, r, u, Au = (np.empty(n) for _ in range(4))
     for it in range(1, MAX_ITERATIONS + 1):
-        y = A @ x
-        rho = float(x @ y)
-        r = y - rho * x  # sphere gradient of the Rayleigh quotient
-        rnorm = float(np.linalg.norm(r))
+        A.dot(x, out=y)  # y = A @ x
+        rho = float(x.dot(y))
+        np.multiply(x, rho, out=r)
+        np.subtract(y, r, out=r)  # r = y - rho * x: sphere gradient of the Rayleigh quotient
+        rnorm = _norm(r)
         if rnorm <= tol:
             return _fix_sign(x), rho, it
-        r -= (x @ r) * x  # re-orthogonalize; rounding in r leaks along x
-        rn2 = float(np.linalg.norm(r))
+        np.multiply(x, x.dot(r), out=u)
+        r -= u  # r -= (x @ r) * x: re-orthogonalize; rounding in r leaks along x
+        rn2 = _norm(r)
         if rn2 == 0.0:
             return _fix_sign(x), rho, it
-        u = r / rn2
+        np.divide(r, rn2, out=u)
         # exact step: dominant eigenvector of A restricted to span{x, u}
         a = rho
-        b = float(u @ y)
-        d = float(u @ (A @ u))
+        b = float(u.dot(y))
+        d = float(u.dot(A.dot(u, out=Au)))
         theta = 0.5 * math.atan2(2.0 * b, a - d)
         c, s = math.cos(theta), math.sin(theta)
         if c * c * a + 2 * c * s * b + s * s * d < s * s * a - 2 * c * s * b + c * c * d:
             c, s = -s, c
-        x = c * x + s * u
-        x /= np.linalg.norm(x)
+        x *= c
+        u *= s
+        x += u  # x = c * x + s * u
+        x /= _norm(x)
     raise ConvergenceError(
         f"gradient eigensolver did not reach tol={tol} in {MAX_ITERATIONS} iterations "
         f"(residual {rnorm:.3e})",
@@ -142,18 +155,22 @@ def _power_iteration(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, floa
     <= tol.  The one mat-vec per step serves lam, the residual and the
     next step.
     """
-    x = _start_vector(M.shape[0])
+    n = M.shape[0]
+    x = _start_vector(n)
     y = M @ x
+    # work vectors, overwritten each step; x and x_new swap roles
+    x_new, diff = np.empty(n), np.empty(n)
     for it in range(1, MAX_ITERATIONS + 1):
-        norm = float(np.linalg.norm(y))
+        norm = _norm(y)
         if norm == 0.0:
             raise ConvergenceError("power iteration collapsed to zero", residual=math.inf)
-        x_new = y / norm
-        y = M @ x_new
-        lam = float(x_new @ y)
-        res = float(np.linalg.norm(y - lam * x_new))
-        stalled = float(np.linalg.norm(x_new - x)) <= 1e-12
-        x = x_new
+        np.divide(y, norm, out=x_new)
+        M.dot(x_new, out=y)
+        lam = float(x_new.dot(y))
+        np.multiply(x_new, lam, out=diff)
+        res = _norm(np.subtract(y, diff, out=diff))  # ||y - lam * x_new||
+        stalled = _norm(np.subtract(x_new, x, out=diff)) <= 1e-12
+        x, x_new = x_new, x
         if stalled or res <= tol:
             return _fix_sign(x), lam, res, it
     raise ConvergenceError(

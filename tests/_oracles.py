@@ -3,12 +3,13 @@
 These deliberately avoid the library's own code paths.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from trackmine.errors import ConfigError, DataError
+from trackmine.errors import ConfigError, ConvergenceError, DataError
 from trackmine.events import (
     DetectionConfig,
     DetectionSample,
@@ -16,6 +17,7 @@ from trackmine.events import (
     Rect,
     ZoneSpec,
 )
+from trackmine.ranking import MAX_ITERATIONS, SYMMETRY_TOL, _fix_sign, _start_vector
 
 
 def power_iteration_oracle(A, iters=200_000, tol=1e-14):
@@ -38,6 +40,95 @@ def power_iteration_oracle(A, iters=200_000, tol=1e-14):
     if x[i] < 0:
         x = -x
     return x, lam
+
+
+# The two ranking solvers as one expression per step, each allocating its
+# result; the library runs the same operations in preallocated vectors.
+# They share the library's start vector and sign rule, which are not part
+# of the loops.  MAX_ITERATIONS is this module's own copy, so a test can
+# patch both.
+
+def grad_dominant_eigvec_loop(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, int]:
+    """Dominant eigenpair of a symmetric PSD matrix by Rayleigh-quotient
+    ascent with exact line search.
+
+    Each step maximizes the Rayleigh quotient over span{x, gradient},
+    which reduces to a closed-form 2x2 symmetric eigenproblem; no step
+    size or damping parameter is involved.  Returns (unit vector,
+    eigenvalue, iterations) with ``||S v - lam v|| <= tol``; the
+    largest-magnitude component of v is positive.
+    """
+    if tol <= 0:
+        raise DataError("tol must be > 0")
+    A = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DataError("symmetric matrix must be square")
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    if np.abs(A - A.T).max(initial=0.0) > SYMMETRY_TOL * scale:
+        raise DataError("matrix is not symmetric")
+    n = A.shape[0]
+    if n == 1:
+        return np.array([1.0]), float(A[0, 0]), 0
+
+    x = _start_vector(n)
+    for it in range(1, MAX_ITERATIONS + 1):
+        y = A @ x
+        rho = float(x @ y)
+        r = y - rho * x  # sphere gradient of the Rayleigh quotient
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol:
+            return _fix_sign(x), rho, it
+        r -= (x @ r) * x  # re-orthogonalize; rounding in r leaks along x
+        rn2 = float(np.linalg.norm(r))
+        if rn2 == 0.0:
+            return _fix_sign(x), rho, it
+        u = r / rn2
+        # exact step: dominant eigenvector of A restricted to span{x, u}
+        a = rho
+        b = float(u @ y)
+        d = float(u @ (A @ u))
+        theta = 0.5 * math.atan2(2.0 * b, a - d)
+        c, s = math.cos(theta), math.sin(theta)
+        if c * c * a + 2 * c * s * b + s * s * d < s * s * a - 2 * c * s * b + c * c * d:
+            c, s = -s, c
+        x = c * x + s * u
+        x /= np.linalg.norm(x)
+    raise ConvergenceError(
+        f"gradient eigensolver did not reach tol={tol} in {MAX_ITERATIONS} iterations "
+        f"(residual {rnorm:.3e})",
+        residual=rnorm,
+        iterations=MAX_ITERATIONS,
+    )
+
+
+def power_iteration_loop(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, float, int]:
+    """Power method with L2 renormalization each step.
+
+    Returns (unit vector, Rayleigh quotient lam, residual ||M v - lam v||,
+    iterations); the largest-magnitude component of v is positive.  Stops
+    once a step moves the vector by at most 1e-12 or the residual is
+    <= tol.  The one mat-vec per step serves lam, the residual and the
+    next step.
+    """
+    x = _start_vector(M.shape[0])
+    y = M @ x
+    for it in range(1, MAX_ITERATIONS + 1):
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            raise ConvergenceError("power iteration collapsed to zero", residual=math.inf)
+        x_new = y / norm
+        y = M @ x_new
+        lam = float(x_new @ y)
+        res = float(np.linalg.norm(y - lam * x_new))
+        stalled = float(np.linalg.norm(x_new - x)) <= 1e-12
+        x = x_new
+        if stalled or res <= tol:
+            return _fix_sign(x), lam, res, it
+    raise ConvergenceError(
+        f"power iteration did not converge in {MAX_ITERATIONS} iterations",
+        residual=res,
+        iterations=MAX_ITERATIONS,
+    )
 
 
 def brute_force_dfg(labels):

@@ -109,6 +109,13 @@ class TestAnalysis:
         for key in ("entropy", "participation_ratio", "iterations"):
             assert key in report
 
+    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
+    def test_rank_reports_residual(self, log_file, capsys, algorithm):
+        rc, out = run(capsys, "rank", "--log", log_file, "--anchor", "^s11$",
+                      "--algorithm", algorithm, "--json")
+        assert rc == 0
+        assert 0.0 <= json.loads(out)["residual"] <= 1e-10
+
     def test_compare(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -256,6 +263,30 @@ class TestExitCodes:
         assert rc == 3
         assert "zone #0: " in err and "non-finite coordinate" in err
         assert err.count("\n") == 1
+
+    def test_negative_zone_box_is_data_error(self, tmp_path, capsys):
+        # the square that ZONE covers, spelled with a negative width and height
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(6)))
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([dict(ZONE, x=100, y=100, w=-100, h=-100)]))
+        rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones),
+                   "--out", str(tmp_path / "d.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "zone_box has a negative width or height" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("ts", ["2024/13/15/10:00:00", "2024-02-30T10:00:00"],
+                             ids=["month_13", "feb_30_iso"])
+    def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys, ts):
+        log = tmp_path / "f.log"
+        log.write_text(LOG_TEXT + f"EL1: {{s1, (a,b), {ts}}}\n")
+        rc = main(["cycles", "--log", str(log), "--anchor", "s1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"trackmine cycles: line 6: unparseable timestamp {ts!r}\n"
 
     @pytest.mark.parametrize("line", [
         '{"locations": 5, "ts": "2024/08/15/10:00:00"}',

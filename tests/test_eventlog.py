@@ -72,6 +72,13 @@ class TestParse:
         with pytest.raises(DataError, match="line 3"):
             parse_log("{s1, (E1,v1), 2024/08/15/17:40:50}\n\n{oops}\n")
 
+    @pytest.mark.parametrize("ts", ["2024/13/15/10:00:00", "2024-02-30T10:00:00",
+                                    "2024/08/15/24:00:00"])
+    def test_out_of_range_timestamp_rejected(self, ts):
+        with pytest.raises(DataError) as exc:
+            parse_record(f"{{s1, (a,b), {ts}}}", lineno=4)
+        assert str(exc.value) == f"line 4: unparseable timestamp {ts!r}"
+
     def test_decreasing_timestamps_warn_not_raise(self):
         text = (
             "{s1, (E1,v1), 2024/08/15/17:40:50}\n"

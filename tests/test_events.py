@@ -93,6 +93,14 @@ class TestDetectEvents:
                        track_id="T1")
         ]
 
+    @pytest.mark.parametrize("which", ["zone", "entity"])
+    def test_negative_width_and_height_rejected(self, which):
+        flipped = Rect(100, 100, -100, -100)  # the square ZONE covers, spelled backwards
+        samples = track(range(6), flipped if which == "entity" else Rect(25, 0, 50, 100))
+        zone = ZoneSpec("s1", ZONE.camera_id, flipped) if which == "zone" else ZONE
+        with pytest.raises(DataError, match=f"{which}_box has a negative width or height"):
+            detect_events(samples, [zone], DetectionConfig())
+
     def test_short_crossing_not_logged(self):
         samples = track([0, 1], Rect(25, 0, 50, 100))
         assert detect_events(samples, [ZONE], DetectionConfig()) == []
