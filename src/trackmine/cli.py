@@ -122,6 +122,7 @@ def _report_json(ranked, result, stats):
         "participation_ratio": stats.participation_ratio,
         "iterations": result.iterations,
         "residual": result.residual,
+        "multiplicity": result.multiplicity,
     }
 
 

@@ -14,7 +14,7 @@ class ConfigError(TrackmineError):
 
 
 class ConvergenceError(TrackmineError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver could not certify its answer within the requested tolerance."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

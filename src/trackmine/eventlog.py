@@ -444,7 +444,8 @@ def precision(
         # too early for this detection, so too early for every later one
         while q and d.start_time - q[0] > match_window:
             q.popleft()
-        if q and q[0] <= d.start_time + match_window and abs(q[0] - d.start_time) <= match_window:
+        # the head is not too early, so this is abs(q[0] - d) <= match_window
+        if q and q[0] - d.start_time <= match_window:
             q.popleft()
             matched += 1
     return matched / len(detected)

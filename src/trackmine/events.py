@@ -362,8 +362,20 @@ def load_tracks_csv(path) -> list[DetectionSample]:
     return samples
 
 
+def zone_from_json(item) -> ZoneSpec:
+    """One zone from its JSON object {location_id, camera_id, x, y, w, h, category};
+    the caller adds its prefix to the KeyError, TypeError, ValueError or
+    DataError (non-finite coordinate) this raises on a bad item."""
+    return ZoneSpec(
+        location_id=str(item["location_id"]),
+        camera_id=str(item["camera_id"]),
+        box=_parse_box(item["x"], item["y"], item["w"], item["h"]),
+        category=str(item.get("category", "")),
+    )
+
+
 def load_zones_json(path) -> list[ZoneSpec]:
-    """Read zones from a JSON array of {location_id, camera_id, x, y, w, h, category}."""
+    """Read zones from a JSON array of zone objects (see ``zone_from_json``)."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -374,14 +386,7 @@ def load_zones_json(path) -> list[ZoneSpec]:
     zones = []
     for i, item in enumerate(raw):
         try:
-            zones.append(
-                ZoneSpec(
-                    location_id=str(item["location_id"]),
-                    camera_id=str(item["camera_id"]),
-                    box=_parse_box(item["x"], item["y"], item["w"], item["h"]),
-                    category=str(item.get("category", "")),
-                )
-            )
+            zones.append(zone_from_json(item))
         except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: zone #{i}: {exc}") from None
     return zones

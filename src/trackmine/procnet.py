@@ -77,6 +77,13 @@ class LinkMatrix:
             raise DataError(
                 f"link matrix shape {self.values.shape} does not match {n} labels"
             )
+        bad = np.argwhere(~np.isfinite(self.values) | (self.values < 0))
+        if len(bad):
+            i, j = bad[0]
+            raise DataError(
+                f"link matrix entry ({self.labels[i].render()}, {self.labels[j].render()}) "
+                f"is {float(self.values[i, j])!r}; entries must be finite and >= 0"
+            )
 
 
 def build_dfg(

@@ -2,23 +2,28 @@
 
 Three solvers share one contract: score every node by the dominant
 eigenvector of a matrix derived from the weighted directly-follows
-network.
+network.  Each is one dense direct solve:
 
-* ``grad_dominant_eigvec`` — Rayleigh-quotient ascent on the unit sphere
-  with an exact closed-form step (no tunable parameter), applied to the
-  authority matrix ``L.T @ L`` or hub matrix ``L @ L.T``.
-* ``hits_pm_norm`` — power method on the primitivity-adjusted symmetric
+* ``gradient`` — ``np.linalg.eigh`` of the authority matrix ``L.T @ L``
+  or hub matrix ``L @ L.T`` (``grad_dominant_eigvec``).
+* ``hits_pm_norm`` — ``eigh`` of the primitivity-adjusted symmetric
   matrix ``alpha * L.T @ L + (1 - alpha) / n * ones``.
-* ``pagerank_norm`` — power method on the teleport-adjusted
-  column-stochastic matrix built from ``L``.
+* ``pagerank_norm`` — the linear solve ``(I - alpha * S) x = (1 - alpha) / n``
+  for the column-stochastic ``S`` of ``L``.
 
-Scores are reported as components of the converged unit vector, either
-raw (squares sum to 1) or squared (sum to 1).
+When eigenvalues within ``tol`` of the largest make the dominant vector
+non-unique, the solvers take the uniform vector projected onto their
+eigenspace, so relabelling the nodes permutes the scores.  The unit vector
+v is certified, ``||M v - lam v|| <= tol``, or ``ConvergenceError`` is
+raised (exit 4 of ``trackmine rank``).  ``rank --json`` reports that
+``residual`` and the eigenspace's ``multiplicity``; ``iterations`` is 0.
+
+Scores are reported as components of the unit vector, either raw
+(squares sum to 1) or squared (sum to 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +31,6 @@ import numpy as np
 from .errors import ConvergenceError, DataError
 from .procnet import LinkMatrix, NodeLabel, ProcessNetwork, link_matrix
 
-MAX_ITERATIONS = 100_000
 SYMMETRY_TOL = 1e-12
 
 
@@ -44,8 +48,9 @@ class RankingResult:
     alpha: float | None
     convention: str  # squared | raw
     scores: dict[NodeLabel, float]
-    iterations: int
+    iterations: int  # 0: every solve is direct
     residual: float
+    multiplicity: int = 1  # dimension of the top eigenspace the vector came from
 
 
 def authority_matrix(lm: LinkMatrix) -> np.ndarray:
@@ -68,116 +73,56 @@ def _base_matrix(lm: LinkMatrix, kind: str) -> np.ndarray:
     raise DataError(f"kind must be 'authority' or 'hub', got {kind!r}")
 
 
-def _norm(v: np.ndarray) -> float:
-    # what np.linalg.norm computes for a 1-D float vector, without its
-    # argument handling
-    return math.sqrt(v.dot(v))
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
 
 
-def grad_dominant_eigvec(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, int]:
-    """Dominant eigenpair of a symmetric PSD matrix by Rayleigh-quotient
-    ascent with exact line search.
+def _certify(M: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, float]:
+    """Rayleigh quotient lam of the unit vector v and the residual
+    ||M v - lam v||; raises ConvergenceError unless the residual is <= tol."""
+    Mv = M @ v
+    lam = float(v @ Mv)
+    res = float(np.linalg.norm(Mv - lam * v))
+    if not res <= tol:  # a nan residual fails too
+        raise ConvergenceError(f"dominant eigenvector residual {res:.3e} exceeds tol={tol}",
+                               residual=res, iterations=0)
+    return lam, res
 
-    Each step maximizes the Rayleigh quotient over span{x, gradient},
-    which reduces to a closed-form 2x2 symmetric eigenproblem; no step
-    size or damping parameter is involved.  Returns (unit vector,
-    eigenvalue, iterations) with ``||S v - lam v|| <= tol``; the
-    largest-magnitude component of v is positive.
-    """
+
+def _dominant_eigvec(S: np.ndarray, tol: float) -> tuple[np.ndarray, float, float, int]:
+    """(unit vector, eigenvalue, residual, multiplicity) of a symmetric
+    matrix; see ``grad_dominant_eigvec``."""
     if tol <= 0:
         raise DataError("tol must be > 0")
     A = np.asarray(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DataError("symmetric matrix must be square")
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-    if np.abs(A - A.T).max(initial=0.0) > SYMMETRY_TOL * scale:
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DataError("symmetric matrix must be square and non-empty")
+    if not np.isfinite(A).all():
+        raise DataError("matrix has a non-finite entry")
+    scale = max(1.0, float(np.abs(A).max()))
+    if np.abs(A - A.T).max() > SYMMETRY_TOL * scale:
         raise DataError("matrix is not symmetric")
-    n = A.shape[0]
-    if n == 1:
-        return np.array([1.0]), float(A[0, 0]), 0
-
-    x = _start_vector(n)
-    # work vectors, overwritten each step; same operations, same order as
-    # the expressions in the comments
-    y, r, u, Au = (np.empty(n) for _ in range(4))
-    for it in range(1, MAX_ITERATIONS + 1):
-        A.dot(x, out=y)  # y = A @ x
-        rho = float(x.dot(y))
-        np.multiply(x, rho, out=r)
-        np.subtract(y, r, out=r)  # r = y - rho * x: sphere gradient of the Rayleigh quotient
-        rnorm = _norm(r)
-        if rnorm <= tol:
-            return _fix_sign(x), rho, it
-        np.multiply(x, x.dot(r), out=u)
-        r -= u  # r -= (x @ r) * x: re-orthogonalize; rounding in r leaks along x
-        rn2 = _norm(r)
-        if rn2 == 0.0:
-            return _fix_sign(x), rho, it
-        np.divide(r, rn2, out=u)
-        # exact step: dominant eigenvector of A restricted to span{x, u}
-        a = rho
-        b = float(u.dot(y))
-        d = float(u.dot(A.dot(u, out=Au)))
-        theta = 0.5 * math.atan2(2.0 * b, a - d)
-        c, s = math.cos(theta), math.sin(theta)
-        if c * c * a + 2 * c * s * b + s * s * d < s * s * a - 2 * c * s * b + c * c * d:
-            c, s = -s, c
-        x *= c
-        u *= s
-        x += u  # x = c * x + s * u
-        x /= _norm(x)
-    raise ConvergenceError(
-        f"gradient eigensolver did not reach tol={tol} in {MAX_ITERATIONS} iterations "
-        f"(residual {rnorm:.3e})",
-        residual=rnorm,
-        iterations=MAX_ITERATIONS,
-    )
+    vals, vecs = np.linalg.eigh(A)
+    top = vecs[:, vals >= vals[-1] - tol]
+    v = top @ top.sum(axis=0)  # the all-ones vector projected onto the top eigenspace
+    norm = float(np.linalg.norm(v))
+    # the projection is nonzero when A is non-negative (Perron-Frobenius);
+    # otherwise eigh's own top vector stands in
+    v = _fix_sign(v / norm if norm > 0 else top[:, -1])
+    lam, res = _certify(A, v, tol)
+    return v, lam, res, top.shape[1]
 
 
-def _start_vector(n: int) -> np.ndarray:
-    # near-uniform with a deterministic ramp so the start is never exactly
-    # orthogonal to a structured dominant eigenvector
-    x = 1.0 + 1e-6 * np.arange(1, n + 1)
-    return x / np.linalg.norm(x)
-
-
-def _power_iteration(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, float, int]:
-    """Power method with L2 renormalization each step.
-
-    Returns (unit vector, Rayleigh quotient lam, residual ||M v - lam v||,
-    iterations); the largest-magnitude component of v is positive.  Stops
-    once a step moves the vector by at most 1e-12 or the residual is
-    <= tol.  The one mat-vec per step serves lam, the residual and the
-    next step.
+def grad_dominant_eigvec(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, int]:
+    """Dominant eigenpair of a symmetric matrix from one ``np.linalg.eigh``:
+    the uniform vector projected onto the eigenspace of every eigenvalue
+    within ``tol`` of the largest.  Returns (unit vector, eigenvalue,
+    iterations=0) with ``||S v - lam v|| <= tol``, or raises
+    ``ConvergenceError``; the largest-magnitude component of v is positive.
     """
-    n = M.shape[0]
-    x = _start_vector(n)
-    y = M @ x
-    # work vectors, overwritten each step; x and x_new swap roles
-    x_new, diff = np.empty(n), np.empty(n)
-    for it in range(1, MAX_ITERATIONS + 1):
-        norm = _norm(y)
-        if norm == 0.0:
-            raise ConvergenceError("power iteration collapsed to zero", residual=math.inf)
-        np.divide(y, norm, out=x_new)
-        M.dot(x_new, out=y)
-        lam = float(x_new.dot(y))
-        np.multiply(x_new, lam, out=diff)
-        res = _norm(np.subtract(y, diff, out=diff))  # ||y - lam * x_new||
-        stalled = _norm(np.subtract(x_new, x, out=diff)) <= 1e-12
-        x, x_new = x_new, x
-        if stalled or res <= tol:
-            return _fix_sign(x), lam, res, it
-    raise ConvergenceError(
-        f"power iteration did not converge in {MAX_ITERATIONS} iterations",
-        residual=res,
-        iterations=MAX_ITERATIONS,
-    )
+    vec, lam, _, _ = _dominant_eigvec(S, tol)
+    return vec, lam, 0
 
 
 def _check_convention(convention: str) -> None:
@@ -186,18 +131,12 @@ def _check_convention(convention: str) -> None:
 
 
 def _as_result(
-    lm: LinkMatrix, algorithm, matrix_kind, alpha, convention, vec, it, res
+    lm: LinkMatrix, algorithm, matrix_kind, alpha, convention, vec, residual, multiplicity=1
 ) -> RankingResult:
     values = vec**2 if convention == "squared" else vec
-    return RankingResult(
-        algorithm=algorithm,
-        matrix_kind=matrix_kind,
-        alpha=alpha,
-        convention=convention,
-        scores={lbl: float(values[i]) for i, lbl in enumerate(lm.labels)},
-        iterations=it,
-        residual=res,
-    )
+    scores = {lbl: float(values[i]) for i, lbl in enumerate(lm.labels)}
+    return RankingResult(algorithm, matrix_kind, alpha, convention, scores, 0, residual,
+                         multiplicity)
 
 
 def hits_pm_norm(
@@ -207,15 +146,15 @@ def hits_pm_norm(
     tol: float = 1e-10,
     convention: str = "squared",
 ) -> RankingResult:
-    """Power method on the primitivity-adjusted authority or hub matrix."""
+    """Dominant eigenvector of the primitivity-adjusted authority or hub
+    matrix."""
     if not 0.0 < alpha <= 1.0:
         raise DataError(f"alpha must be in (0, 1], got {alpha}")
     _check_convention(convention)
     base = _base_matrix(lm, kind)
-    n = base.shape[0]
-    M = alpha * base + (1.0 - alpha) / n * np.ones((n, n))
-    vec, _, res, it = _power_iteration(M, tol)
-    return _as_result(lm, "hits_pm_norm", kind, alpha, convention, vec, it, res)
+    M = alpha * base + (1.0 - alpha) / base.shape[0]
+    vec, _, res, multiplicity = _dominant_eigvec(M, tol)
+    return _as_result(lm, "hits_pm_norm", kind, alpha, convention, vec, res, multiplicity)
 
 
 def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
@@ -226,32 +165,35 @@ def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
     col_sums = L.sum(axis=0)
     zero = col_sums == 0
     S = np.where(zero, 1.0 / n, L / np.where(zero, 1.0, col_sums))
-    return alpha * S + (1.0 - alpha) / n * np.ones((n, n))
+    return alpha * S + (1.0 - alpha) / n
 
 
 def pagerank_norm(
     lm: LinkMatrix, alpha: float = 0.8, tol: float = 1e-10, convention: str = "squared"
 ) -> RankingResult:
-    """Power method with L2 renormalization on the teleport-adjusted
-    column-stochastic matrix.  The matrix is positive, so the iterates
-    from the positive start vector stay positive and converge to its
-    Perron vector; squared scores form a probability distribution."""
+    """Perron vector of the teleport-adjusted column-stochastic matrix
+    ``G = alpha * S + (1 - alpha) / n * ones``, L2-normalised.  G is
+    positive, so the vector is positive and unique; squared scores form a
+    probability distribution."""
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     _check_convention(convention)
     G = stochastic_matrix(lm, alpha)
-    vec, _, res, it = _power_iteration(G, tol)
-    return _as_result(lm, "pagerank_norm", "stochastic", alpha, convention, vec, it, res)
+    n = G.shape[0]
+    teleport = (1.0 - alpha) / n
+    # G x = x with sum(x) = 1 is (I - alpha * S) x = teleport * ones(n)
+    x = np.linalg.solve(np.eye(n) - (G - teleport), np.full(n, teleport))
+    vec = x / np.linalg.norm(x)
+    _, res = _certify(G, vec, tol)
+    return _as_result(lm, "pagerank_norm", "stochastic", alpha, convention, vec, res)
 
 
 def gradient_ranking(
     lm: LinkMatrix, kind: str = "authority", tol: float = 1e-10, convention: str = "squared"
 ) -> RankingResult:
     _check_convention(convention)
-    base = _base_matrix(lm, kind)
-    vec, lam, it = grad_dominant_eigvec(base, tol)
-    res = float(np.linalg.norm(base @ vec - lam * vec))
-    return _as_result(lm, "gradient", kind, None, convention, vec, it, res)
+    vec, _, res, multiplicity = _dominant_eigvec(_base_matrix(lm, kind), tol)
+    return _as_result(lm, "gradient", kind, None, convention, vec, res, multiplicity)
 
 
 def rank_nodes(

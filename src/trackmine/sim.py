@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import DetectionSample, Occurrence, Rect, ZoneSpec
+from .events import DetectionSample, Occurrence, Rect, ZoneSpec, zone_from_json
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 
@@ -189,15 +189,7 @@ def scenario_from_json(path) -> Scenario:
         if raw.get("layout") == "cell19":
             zones = cell_layout()
         else:
-            zones = [
-                ZoneSpec(
-                    location_id=str(z["location_id"]),
-                    camera_id=str(z["camera_id"]),
-                    box=Rect(float(z["x"]), float(z["y"]), float(z["w"]), float(z["h"])),
-                    category=str(z.get("category", "")),
-                )
-                for z in raw["zones"]
-            ]
+            zones = [zone_from_json(z) for z in raw["zones"]]
         actors = [
             Actor(
                 entity_class=str(a["entity_class"]),
@@ -215,5 +207,5 @@ def scenario_from_json(path) -> Scenario:
             sample_period=float(raw.get("sample_period", 1.0)),
             seed=int(raw.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path}: bad scenario: {exc}") from None

@@ -17,7 +17,7 @@ from trackmine.events import (
     Rect,
     ZoneSpec,
 )
-from trackmine.ranking import MAX_ITERATIONS, SYMMETRY_TOL, _fix_sign, _start_vector
+from trackmine.ranking import SYMMETRY_TOL, _fix_sign
 
 
 def power_iteration_oracle(A, iters=200_000, tol=1e-14):
@@ -42,11 +42,21 @@ def power_iteration_oracle(A, iters=200_000, tol=1e-14):
     return x, lam
 
 
-# The two ranking solvers as one expression per step, each allocating its
-# result; the library runs the same operations in preallocated vectors.
-# They share the library's start vector and sign rule, which are not part
-# of the loops.  MAX_ITERATIONS is this module's own copy, so a test can
-# patch both.
+# The two iterative solvers the library ranked with before it took one
+# dense solve per ranking: Rayleigh-quotient ascent for ``gradient`` and
+# the power method for ``hits_pm_norm`` and ``pagerank_norm``.  They share
+# the library's sign rule; the start vector and the iteration cap are
+# their own.
+
+MAX_ITERATIONS = 100_000
+
+
+def _start_vector(n: int) -> np.ndarray:
+    # near-uniform with a deterministic ramp so the start is never exactly
+    # orthogonal to a structured dominant eigenvector
+    x = 1.0 + 1e-6 * np.arange(1, n + 1)
+    return x / np.linalg.norm(x)
+
 
 def grad_dominant_eigvec_loop(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, int]:
     """Dominant eigenpair of a symmetric PSD matrix by Rayleigh-quotient
@@ -181,7 +191,7 @@ def precision_scan(detected, truth, match_window):
         for i, t in enumerate(truth):
             if used[i]:
                 continue
-            if t.start_time > d.start_time + match_window:
+            if t.start_time - d.start_time > match_window:
                 break
             if (
                 t.location_id == d.location_id

@@ -116,6 +116,17 @@ class TestAnalysis:
         assert rc == 0
         assert 0.0 <= json.loads(out)["residual"] <= 1e-10
 
+    def test_rank_reports_multiplicity(self, tmp_path, capsys):
+        # L = I2: the top eigenvalue 1 of L^T L is repeated
+        matrix = tmp_path / "I2.csv"
+        matrix.write_text(",x_1,x_2\nx_1,1.0,0.0\nx_2,0.0,1.0\n")
+        rc, out = run(capsys, "rank", "--matrix", matrix, "--json")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["multiplicity"] == 2
+        assert [s["value"] for s in report["scores"]] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert {"iterations", "residual", "entropy", "participation_ratio"} <= set(report)
+
     def test_compare(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -277,6 +288,31 @@ class TestExitCodes:
         assert "zone_box has a negative width or height" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+    def test_bad_matrix_entry_is_data_error(self, tmp_path, capsys, value):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f",x_1,x_2\nx_1,1.0,{value}\nx_2,2.0,0.0\n")
+        rc = main(["rank", "--matrix", str(matrix), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("trackmine rank: link matrix entry (x_1, x_2) is ")
+        assert captured.err.count("\n") == 1
+
+    def test_non_finite_scenario_zone_is_data_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "zones": [dict(ZONE, x="nan")],
+            "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0]]}],
+        }))
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-tracks", str(tmp_path / "t.csv"), "--out-truth", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "scenario.json: bad scenario: " in err and "non-finite coordinate" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("ts", ["2024/13/15/10:00:00", "2024-02-30T10:00:00"],
                              ids=["month_13", "feb_30_iso"])

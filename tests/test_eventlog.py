@@ -259,6 +259,12 @@ class TestPrecision:
         with pytest.raises(DataError):
             precision([], [], -1.0)
 
+    def test_window_is_one_difference(self):
+        # within the window as t - d, yet after the rounded d + window
+        d, t, w = -1.0547053390315764, 0.1290868856916141, 1.1837922247231905
+        assert t > d + w and t - d <= w
+        assert precision([self.occ(d)], [self.occ(t)], w) == 1.0
+
     def test_key_must_match(self):
         assert precision([self.occ(0, loc="s1")], [self.occ(0, loc="s2")], 5.0) == 0.0
         assert precision([self.occ(0, cls="h1")], [self.occ(0, cls="h2")], 5.0) == 0.0
@@ -299,7 +305,7 @@ _OCCURRENCES = st.lists(
     truth=_OCCURRENCES,
     window=st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.5, 1.0]), st.floats(0, 3)),
 )
-@example(  # within the window by abs(), yet after the rounded d + window
+@example(  # within the window as t - d, yet after the rounded d + window
     detected=[Occurrence(-1.0547053390315764, "s1", "h")],
     truth=[Occurrence(0.1290868856916141, "s1", "h")],
     window=1.1837922247231905,

@@ -132,11 +132,29 @@ class TestGradientSolver:
         assert np.argsort(v1**2).tolist() == np.argsort(v2**2).tolist()
 
     def test_iteration_cap(self):
-        # unreachable tolerance triggers the cap
+        # an unreachable tolerance cannot be certified
         rng = np.random.default_rng(0)
         A = random_psd(rng, 8)
         with pytest.raises(ConvergenceError):
             grad_dominant_eigvec(A, tol=1e-300)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DataError, match="non-finite"):
+            grad_dominant_eigvec(np.array([[1.0, value], [value, 1.0]]))
+
+    def test_repeated_top_eigenvalue_gives_projected_uniform(self):
+        # diag(2, 2, 1): the top eigenspace is spanned by e1 and e2
+        v, lam, it = grad_dominant_eigvec(np.diag([2.0, 2.0, 1.0]))
+        assert v.tolist() == pytest.approx([2**-0.5, 2**-0.5, 0.0], abs=1e-15)
+        assert (lam, it) == (pytest.approx(2.0, abs=1e-15), 0)
+
+    def test_uniform_orthogonal_to_top_eigenspace(self):
+        # PSD, top eigenvector (1, -1) / sqrt 2: the uniform vector projects to 0
+        v, lam, _ = grad_dominant_eigvec(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert abs(v[0]) == pytest.approx(2**-0.5, abs=1e-12)
+        assert v[0] == pytest.approx(-v[1], abs=1e-12)
+        assert lam == pytest.approx(2.0, abs=1e-12)
 
 
 class TestHitsPmNorm:
@@ -249,6 +267,20 @@ class TestRankNodes:
             for (lbl_r, v_r), (lbl_s, v_s) in zip(raw, sq):
                 assert v_r**2 == pytest.approx(v_s, abs=1e-9)
 
+    def test_multiplicity(self):
+        eye2 = lm(np.eye(2))
+        for algorithm, alpha, expected in [
+            ("gradient", 0.8, 2),
+            ("hits_pm_norm", 1.0, 2),
+            ("hits_pm_norm", 0.8, 1),  # the teleport term splits the eigenvalue
+            ("pagerank_norm", 0.8, 1),
+        ]:
+            _, result, _ = rank_nodes(eye2, algorithm=algorithm, alpha=alpha)
+            assert result.multiplicity == expected, (algorithm, alpha)
+            assert list(result.scores.values()) == pytest.approx([0.5, 0.5], abs=1e-15)
+        _, result, _ = rank_nodes(LM1, algorithm="gradient")
+        assert result.multiplicity == 1
+
     def test_raw_convention_squares_sum_to_one(self):
         _, result, _ = rank_nodes(LM1, algorithm="gradient", convention="raw", k=4)
         assert sum(v**2 for v in result.scores.values()) == pytest.approx(1.0, abs=1e-9)
@@ -258,8 +290,8 @@ class TestRankNodes:
         def solver_called(*args, **kwargs):
             raise AssertionError("solver ran before the convention was checked")
 
-        monkeypatch.setattr(ranking, "_power_iteration", solver_called)
-        monkeypatch.setattr(ranking, "grad_dominant_eigvec", solver_called)
+        monkeypatch.setattr(ranking.np.linalg, "eigh", solver_called)
+        monkeypatch.setattr(ranking.np.linalg, "solve", solver_called)
         with pytest.raises(DataError, match="convention"):
             rank_nodes(LM1, algorithm=algorithm, convention="bogus")
 
