@@ -1,11 +1,7 @@
 """Event-log model, textual format, cycle segmentation, Gantt charts, precision.
 
-The canonical record form is
-    ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
-one record per line: semicolon-separated location groups, each a location id
-followed by (entity, property) pairs, with the timestamp last.  The
-abbreviated form ``{v1_s1, 2024/08/15/17:40:50}`` fuses property and
-location into one token.
+One record per line, e.g. ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
+or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the grammar.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import DataError
-from .events import TIMESTAMP_FMT, Occurrence
+from .events import TIMESTAMP_FMT, Occurrence, parse_timestamp
 
 _EPOCH = datetime(1970, 1, 1)
 
@@ -47,6 +43,8 @@ class Group:
     entities: tuple[Entity, ...]
 
     def __post_init__(self):
+        if not self.location_id:
+            raise DataError("group has an empty location id")
         if not self.entities:
             raise DataError(f"group at {self.location_id!r} has no entities")
 
@@ -101,155 +99,129 @@ class Cycle:
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
+_RECORD_RE = re.compile(r"(?:([A-Za-z0-9_]+)\s*:\s*)?\{(?:(.*),)?(.*)\}", re.DOTALL)
+_GROUP_SEP_RE = re.compile(r";(?![^()]*\))")  # a ';' whose next paren is not ')'
+_PAIR_SEP_RE = re.compile(r",(?=\s*\()")  # a ',' before a '('
 _PAIR_RE = re.compile(r"^\(\s*([^,()]+?)\s*,\s*([^,()]*?)\s*\)$")
-_TS_RE = re.compile(r"^\d{4}/\d{2}/\d{2}/\d{2}:\d{2}:\d{2}$")
-_ISO_RE = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}$")
-
-
-def _parse_timestamp(token: str, lineno: int) -> datetime:
-    token = token.strip()
-    try:
-        if _TS_RE.match(token):
-            return datetime.strptime(token, TIMESTAMP_FMT)
-        if _ISO_RE.match(token):
-            return datetime.strptime(token.replace(" ", "T"), "%Y-%m-%dT%H:%M:%S")
-    except ValueError:  # the right shape but out of range, e.g. month 13
-        pass
-    raise DataError(f"line {lineno}: unparseable timestamp {token!r}")
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on sep outside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+_NAME_RE = re.compile(r"[^,;()]+")
 
 
 def parse_record(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
-    """Parse one record line; returns (log label or '', record)."""
-    stripped = line.strip()
-    label = ""
-    m = re.match(r"^([A-Za-z0-9_]+)\s*:\s*(\{.*)$", stripped)
-    if m:
-        label, stripped = m.group(1), m.group(2)
-    if not (stripped.startswith("{") and stripped.endswith("}")):
-        raise DataError(f"line {lineno}: record must be enclosed in braces: {line!r}")
-    body = stripped[1:-1].strip()
+    """Parse one record line; returns (log label or '', record).
 
-    parts = [p.strip() for p in _split_top(body, ",")]
-    if len(parts) < 2:
+        line  := [label ":"] "{" group (";" group)* "," timestamp "}"
+        group := location ("," "(" entity "," property ")")+ | prop "_" location
+
+    Whitespace around separators is ignored; a label is ``[A-Za-z0-9_]+``,
+    and the timestamp, after the last comma, is read by
+    ``events.parse_timestamp``.  A location id, or the fused ``prop_location``
+    token (split at its last ``_``), is non-empty with none of ``,;()``, and
+    so is the location part.  An entity id is non-empty, a property may be
+    empty, and neither holds ``,()``; both may hold ``;``.
+    """
+    m = _RECORD_RE.fullmatch(line.strip())
+    if not m:
+        raise DataError(f"line {lineno}: record must be enclosed in braces: {line!r}")
+    label, payload, ts = m.groups()
+    if payload is None:
         raise DataError(f"line {lineno}: record needs at least a label and a timestamp")
-    timestamp = _parse_timestamp(parts[-1], lineno)
-    payload = ",".join(parts[:-1])
 
     groups = []
-    for chunk in _split_top(payload, ";"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise DataError(f"line {lineno}: empty location group")
-        tokens = [t.strip() for t in _split_top(chunk, ",")]
-        head = tokens[0]
-        if head.startswith("("):
-            raise DataError(f"line {lineno}: group must start with a location id, got {head!r}")
-        if len(tokens) == 1 and "_" in head:
+    for chunk in _GROUP_SEP_RE.split(payload):
+        head, *pairs = (tok.strip() for tok in _PAIR_SEP_RE.split(chunk))
+        if not _NAME_RE.fullmatch(head):
+            raise DataError(f"line {lineno}: location id {head!r} is empty or has one of ,;()")
+        if not pairs:
+            if "_" not in head:
+                raise DataError(f"line {lineno}: location {head!r} has no entities")
             # abbreviated form: property_location fused into one token
             prop, loc = head.rsplit("_", 1)
-            groups.append(Group(location_id=loc, entities=(Entity(head, prop),)))
+            groups.append((loc, (Entity(head, prop),)))
             continue
-        if len(tokens) == 1:
-            raise DataError(f"line {lineno}: location {head!r} has no entities")
         entities = []
-        for tok in tokens[1:]:
+        for tok in pairs:
             pm = _PAIR_RE.match(tok)
             if not pm:
                 raise DataError(f"line {lineno}: malformed (entity,property) pair {tok!r}")
             entities.append(Entity(pm.group(1), pm.group(2)))
-        groups.append(Group(location_id=head, entities=tuple(entities)))
-    return label, EventRecord(groups=tuple(groups), timestamp=timestamp)
+        groups.append((head, tuple(entities)))
+    return label or "", _record(groups, ts, lineno)
+
+
+def _record(groups, ts: str, lineno: int) -> EventRecord:
+    """The record of (location id, entities) pairs at timestamp text ts;
+    its errors name the line."""
+    try:
+        return EventRecord(tuple(Group(loc, ents) for loc, ents in groups), parse_timestamp(ts))
+    except DataError as exc:
+        raise DataError(f"line {lineno}: {exc}") from None
 
 
 def parse_log(text: str) -> EventLog:
     """Parse a document with one record per line."""
-    label = ""
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rec_label, record = parse_record(line, lineno)
-        if rec_label and not label:
-            label = rec_label
-        records.append(record)
-    return EventLog(records=tuple(records), label=label)
+    parsed = [
+        parse_record(line, lineno)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    label = next((lbl for lbl, _ in parsed if lbl), "")
+    return EventLog(records=tuple(r for _, r in parsed), label=label)
 
 
 def serialize_record(record: EventRecord, label: str = "") -> str:
-    parts = []
-    for g in record.groups:
-        toks = [g.location_id] + [f"({e.entity_id},{e.prop})" for e in g.entities]
-        parts.append(", ".join(toks))
-    body = "; ".join(parts)
-    ts = record.timestamp.strftime(TIMESTAMP_FMT)
+    body = "; ".join(
+        ", ".join([g.location_id] + [f"({e.entity_id},{e.prop})" for e in g.entities])
+        for g in record.groups
+    )
     prefix = f"{label}: " if label else ""
-    return f"{prefix}{{{body}, {ts}}}"
+    return f"{prefix}{{{body}, {record.timestamp.strftime(TIMESTAMP_FMT)}}}"
 
 
 def serialize_log(log: EventLog) -> str:
     """Canonical full-form text; parse(serialize(log)) == log."""
-    lines = [serialize_record(r, log.label) for r in log.records]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(serialize_record(r, log.label) + "\n" for r in log.records)
 
 
 def log_to_jsonl(log: EventLog) -> str:
-    lines = []
-    for r in log.records:
-        lines.append(
-            json.dumps(
-                {
-                    "locations": [
-                        {
-                            "id": g.location_id,
-                            "entities": [
-                                {"id": e.entity_id, "prop": e.prop} for e in g.entities
-                            ],
-                        }
-                        for g in r.groups
-                    ],
-                    "ts": r.timestamp.strftime(TIMESTAMP_FMT),
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        json.dumps({
+            "locations": [
+                {"id": g.location_id,
+                 "entities": [{"id": e.entity_id, "prop": e.prop} for e in g.entities]}
+                for g in r.groups
+            ],
+            "ts": r.timestamp.strftime(TIMESTAMP_FMT),
+        }, separators=(",", ":")) + "\n"
+        for r in log.records
+    )
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def log_from_jsonl(text: str, label: str = "") -> EventLog:
+    """One ``{"locations": [{"id", "entities": [{"id", "prop"}]}], "ts"}``
+    object per line; every id, prop and ts is a string, and prop may be omitted."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            groups = tuple(
-                Group(
-                    location_id=g["id"],
-                    entities=tuple(Entity(e["id"], e.get("prop", "")) for e in g["entities"]),
-                )
+            groups = [
+                (_string(g["id"], "id"), tuple(
+                    Entity(_string(e["id"], "id"), _string(e.get("prop", ""), "prop"))
+                    for e in g["entities"]
+                ))
                 for g in obj["locations"]
-            )
-            ts = datetime.strptime(obj["ts"], TIMESTAMP_FMT)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            ]
+            ts = _string(obj["ts"], "ts")
+        except (ValueError, KeyError, TypeError, RecursionError, DataError) as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-        records.append(EventRecord(groups=groups, timestamp=ts))
+        records.append(_record(groups, ts, lineno))
     return EventLog(records=tuple(records), label=label)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter
@@ -20,6 +21,20 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 TIMESTAMP_FMT = "%Y/%m/%d/%H:%M:%S"
+_TIMESTAMP_RE = re.compile(r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)")
+
+
+def parse_timestamp(text: str) -> datetime:
+    """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
+    ``YYYY-MM-DD[T ]hh:mm:ss`` -> datetime; the one calendar-time parser."""
+    text = text.strip()
+    m = _TIMESTAMP_RE.fullmatch(text)
+    try:
+        if m:
+            return datetime(*(int(g) for g in m.groups() if g))
+    except ValueError:  # the right shape but out of range, e.g. month 13
+        pass
+    raise DataError(f"unparseable timestamp {text!r}")
 
 
 @dataclass(frozen=True)
@@ -306,16 +321,12 @@ def detect_streams(
 # file formats
 
 def parse_time(text: str) -> float:
-    """Seconds-as-decimal or YYYY/MM/DD/hh:mm:ss -> epoch seconds."""
+    """Seconds-as-decimal or a ``parse_timestamp`` form -> epoch seconds."""
     text = text.strip()
     try:
         value = float(text)
     except ValueError:
-        try:
-            dt = datetime.strptime(text, TIMESTAMP_FMT)
-        except ValueError as exc:
-            raise DataError(f"unparseable time {text!r}: {exc}") from None
-        return (dt - datetime(1970, 1, 1)).total_seconds()
+        return (parse_timestamp(text) - datetime(1970, 1, 1)).total_seconds()
     if not math.isfinite(value):
         raise DataError(f"time {text!r} is not finite")
     return value

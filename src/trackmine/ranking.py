@@ -249,14 +249,15 @@ def compare_topk(a, b, k: int) -> dict:
             out.append(lbl.render() if isinstance(lbl, NodeLabel) else str(lbl))
         return out
 
+    if k < 1:
+        raise DataError("k must be >= 1")
     la, lb = labels(a), labels(b)
     if k > len(la) or k > len(lb):
         raise DataError(f"k={k} exceeds a list length ({len(la)}, {len(lb)})")
     sa, sb = set(la[:k]), set(lb[:k])
-    union = sa | sb
     return {
         "common": sa & sb,
         "only_a": sa - sb,
         "only_b": sb - sa,
-        "jaccard": len(sa & sb) / len(union) if union else 1.0,
+        "jaccard": len(sa & sb) / len(sa | sb),
     }

@@ -4,13 +4,17 @@ These deliberately avoid the library's own code paths.
 """
 
 import math
+import re
 from dataclasses import dataclass
+from datetime import datetime
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from trackmine.errors import ConfigError, ConvergenceError, DataError
+from trackmine.eventlog import Entity, EventRecord, Group
 from trackmine.events import (
+    TIMESTAMP_FMT,
     DetectionConfig,
     DetectionSample,
     Occurrence,
@@ -306,3 +310,84 @@ def detect_events_loop(
                 runs.pop(key, None)
     out.sort()
     return out
+
+
+# The event-log record parser the library used before its regex parser: a
+# depth-counting character splitter applied three times, and strptime for
+# the timestamp.
+
+_PAIR_RE = re.compile(r"^\(\s*([^,()]+?)\s*,\s*([^,()]*?)\s*\)$")
+_TS_RE = re.compile(r"^\d{4}/\d{2}/\d{2}/\d{2}:\d{2}:\d{2}$")
+_ISO_RE = re.compile(r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}$")
+
+
+def _parse_timestamp(token: str, lineno: int) -> datetime:
+    token = token.strip()
+    try:
+        if _TS_RE.match(token):
+            return datetime.strptime(token, TIMESTAMP_FMT)
+        if _ISO_RE.match(token):
+            return datetime.strptime(token.replace(" ", "T"), "%Y-%m-%dT%H:%M:%S")
+    except ValueError:  # the right shape but out of range, e.g. month 13
+        pass
+    raise DataError(f"line {lineno}: unparseable timestamp {token!r}")
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on sep outside parentheses."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+def parse_record_split_top(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
+    """Parse one record line; returns (log label or '', record)."""
+    stripped = line.strip()
+    label = ""
+    m = re.match(r"^([A-Za-z0-9_]+)\s*:\s*(\{.*)$", stripped)
+    if m:
+        label, stripped = m.group(1), m.group(2)
+    if not (stripped.startswith("{") and stripped.endswith("}")):
+        raise DataError(f"line {lineno}: record must be enclosed in braces: {line!r}")
+    body = stripped[1:-1].strip()
+
+    parts = [p.strip() for p in _split_top(body, ",")]
+    if len(parts) < 2:
+        raise DataError(f"line {lineno}: record needs at least a label and a timestamp")
+    timestamp = _parse_timestamp(parts[-1], lineno)
+    payload = ",".join(parts[:-1])
+
+    groups = []
+    for chunk in _split_top(payload, ";"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise DataError(f"line {lineno}: empty location group")
+        tokens = [t.strip() for t in _split_top(chunk, ",")]
+        head = tokens[0]
+        if head.startswith("("):
+            raise DataError(f"line {lineno}: group must start with a location id, got {head!r}")
+        if len(tokens) == 1 and "_" in head:
+            # abbreviated form: property_location fused into one token
+            prop, loc = head.rsplit("_", 1)
+            groups.append(Group(location_id=loc, entities=(Entity(head, prop),)))
+            continue
+        if len(tokens) == 1:
+            raise DataError(f"line {lineno}: location {head!r} has no entities")
+        entities = []
+        for tok in tokens[1:]:
+            pm = _PAIR_RE.match(tok)
+            if not pm:
+                raise DataError(f"line {lineno}: malformed (entity,property) pair {tok!r}")
+            entities.append(Entity(pm.group(1), pm.group(2)))
+        groups.append(Group(location_id=head, entities=tuple(entities)))
+    return label, EventRecord(groups=tuple(groups), timestamp=timestamp)

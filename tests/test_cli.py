@@ -68,6 +68,25 @@ class TestSimulateDetect:
         run(capsys, "detect", "--tracks", tracks, "--zones", zones, "--out", out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_jsonl_and_text_logs_give_same_cycles(self, tmp_path, scenario_file, capsys):
+        tracks, truth, zones = (tmp_path / n for n in ("t.csv", "g.csv", "z.json"))
+        run(capsys, "simulate", "--scenario", scenario_file, "--out-tracks", tracks,
+            "--out-truth", truth, "--out-zones", zones)
+        payloads = []
+        for name in ("ev.jsonl", "ev.log"):
+            rc, _ = run(capsys, "detect", "--tracks", tracks, "--zones", zones,
+                        "--out", tmp_path / name)
+            assert rc == 0
+            rc, out = run(capsys, "cycles", "--log", tmp_path / name, "--anchor", "^k3$",
+                          "--json")
+            assert rc == 0
+            payloads.append(json.loads(out))
+        from_jsonl, from_text = payloads
+        assert (tmp_path / "ev.jsonl").read_text().startswith('{"locations":')
+        assert from_jsonl["cycles"] == from_text["cycles"]
+        assert len(from_text["cycles"]) == 2
+        assert set(from_jsonl) == set(from_text) == {"label", "cycles"}
+
 
 LOG_TEXT = """\
 EL1: {s11, (E1,RP), 2024/08/15/10:00:00}
@@ -227,6 +246,15 @@ class TestExitCodes:
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
 
+    def test_unpadded_occurrence_time_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "occ.csv"
+        csv.write_text("location_id,entity_class,track_id,start_time\ns1,h,T1,2024/8/5/1:2:3\n")
+        rc = main(["precision", "--detected", str(csv), "--truth", str(csv)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.endswith("occ.csv:2: unparseable timestamp '2024/8/5/1:2:3'\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("row", [
         "s1,h,T1",
         "s1,h,T1,5.0,extra",
@@ -329,7 +357,20 @@ class TestExitCodes:
         "[1, 2]",
         '{"locations": [5], "ts": "2024/08/15/10:00:00"}',
         '{"locations": [], "ts": 5}',
-    ], ids=["locations_int", "list", "location_int", "ts_int"])
+        '{"locations": [{"id": 5, "entities": [{"id": "E1", "prop": "v1"}]}], '
+        '"ts": "2024/08/15/10:00:00"}',
+        '{"locations": [{"id": "s1", "entities": [{"id": 1, "prop": "v1"}]}], '
+        '"ts": "2024/08/15/10:00:00"}',
+        '{"locations": [{"id": "s1", "entities": [{"id": "E1", "prop": 7}]}], '
+        '"ts": "2024/08/15/10:00:00"}',
+        '{"locations": [{"id": "s1", "entities": [{"id": "E1", "prop": "v1"}]}], '
+        '"ts": null}',
+        '{"locations": [], "ts": "2024/08/15/10:00:00"}',
+        '{"locations": [{"id": "s1", "entities": []}], "ts": "2024/08/15/10:00:00"}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["locations_int", "list", "location_int", "ts_int", "location_id_int",
+            "entity_id_int", "prop_int", "ts_null", "no_locations", "no_entities",
+            "deep_nesting"])
     def test_malformed_jsonl_is_data_error(self, tmp_path, capsys, line):
         log = tmp_path / "bad.jsonl"
         log.write_text(line + "\n")
@@ -337,6 +378,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("trackmine gantt: line 1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, text", [
+        ("e.log", "EL1: {, (E1,v1), 2024/08/15/10:00:00}\n"),
+        ("e.jsonl", '{"locations": [{"id": "", "entities": [{"id": "E1", "prop": "v1"}]}], '
+                    '"ts": "2024/08/15/10:00:00"}\n'),
+    ], ids=["text", "jsonl"])
+    def test_empty_location_is_data_error(self, tmp_path, capsys, name, text):
+        log = tmp_path / name
+        log.write_text(text)
+        rc = main(["gantt", "--log", str(log), "--out", str(tmp_path / "o.svg")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("trackmine gantt: line 1: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.svg").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_compare_k_below_one_is_data_error(self, tmp_path, capsys, k):
+        a = tmp_path / "a.txt"
+        a.write_text("RP_s11\nRP_s14\n")
+        rc = main(["compare", "--a", str(a), "--b", str(a), "--k", k])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "trackmine compare: k must be >= 1\n"
+
+    @pytest.mark.parametrize("bound", [
+        "2024-08-15T10:08:30", "2024-08-15 10:08:30", "2024/08/15/10:08:30",
+    ], ids=["iso_t", "iso_space", "slash"])
+    def test_boundaries_take_either_timestamp_form(self, log_file, capsys, bound):
+        rc, out = run(capsys, "cycles", "--log", log_file,
+                      "--boundaries", f"2024/08/15/10:00:00,{bound}", "--json")
+        assert rc == 0
+        assert [c["cycle_time"] for c in json.loads(out)["cycles"]] == [510.0, 90.0]
+
+    @pytest.mark.parametrize("bound", ["2024/8/15/10:08:30", "2024/08/15/10:8:30",
+                                       "2024-08-15T24:00:00"])
+    def test_unpadded_or_out_of_range_boundary_is_data_error(self, log_file, capsys, bound):
+        rc = main(["cycles", "--log", str(log_file), "--boundaries", bound])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"trackmine cycles: unparseable timestamp {bound!r}\n"
 
 
 MIXED_TRACKS_CSV = """\

@@ -25,7 +25,7 @@ from trackmine.eventlog import (
 )
 from trackmine.events import Occurrence
 
-from _oracles import precision_scan
+from _oracles import parse_record_split_top, precision_scan
 
 
 def rec(ts, *groups):
@@ -88,11 +88,77 @@ class TestParse:
             log = parse_log(text)
         assert len(log.records) == 2
 
+    def test_semicolon_inside_pair(self):
+        _, r = parse_record("{s1, (E;1,v); s2, (E2,v;2), 2024/08/15/17:40:50}")
+        assert r.groups == (Group("s1", (Entity("E;1", "v"),)),
+                            Group("s2", (Entity("E2", "v;2"),)))
+
+    @pytest.mark.parametrize("line", [
+        "{, (E1,v1), 2024/08/15/17:40:50}",
+        "{v1_, 2024/08/15/17:40:50}",
+        "{s1, (E1,v1); ; s2, (E2,v2), 2024/08/15/17:40:50}",
+        "{s(1, (E1,v1), 2024/08/15/17:40:50}",
+        "{s)1, (E1,v1), 2024/08/15/17:40:50}",
+        "{v_1 (E1,v1), 2024/08/15/17:40:50}",
+    ], ids=["empty", "abbreviated_empty", "empty_group", "open_paren", "close_paren",
+            "abbreviated_paren"])
+    def test_bad_location_rejected(self, line):
+        with pytest.raises(DataError, match="^line 2: "):
+            parse_record(line, lineno=2)
+
     def test_round_trip_canonicalizes_abbreviated(self):
         log = parse_log("EL1: {v1_s1, 2024/08/15/17:40:50}")
         text = serialize_log(log)
         assert text == "EL1: {s1, (v1_s1,v1), 2024/08/15/17:40:50}\n"
         assert parse_log(text) == log
+
+
+_RECORD_NAMES = ["s1", "v_1", "E;1", "x{y", "a)(b", ""]
+_RECORD_TIMES = ["2024/08/15/10:00:00", "2024-08-15T10:00:00", "2024-08-15 10:00:00",
+                 "2024/13/15/10:00:00", "2024/8/15/10:00:00", "x"]
+
+
+@st.composite
+def record_lines(draw):
+    """Record lines over awkward names, then a few characters inserted or deleted."""
+    name = st.sampled_from(_RECORD_NAMES)
+    pair = st.builds("({},{})".format, name, name)
+    group = st.one_of(
+        st.builds("{}_{}".format, name, name),
+        st.builds(lambda head, pairs: ", ".join([head, *pairs]), name,
+                  st.lists(pair, max_size=3)),
+    )
+    groups = "; ".join(draw(st.lists(group, min_size=1, max_size=3)))
+    label = draw(st.sampled_from(["", "EL1: ", "EL1:"]))
+    line = f"{label}{{{groups}, {draw(st.sampled_from(_RECORD_TIMES))}}}"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(line)))
+        if draw(st.booleans()):
+            line = line[:i] + draw(st.sampled_from(",;(){}:_/-T ")) + line[i:]
+        else:
+            line = line[:i] + line[i + 1:]
+    return line
+
+
+@given(record_lines())
+@example("{x{y), (x{y,E;1), 2024-08-15 10:00:00}")
+@settings(max_examples=500)
+def test_parse_record_matches_split_top_parser(line):
+    try:
+        want = parse_record_split_top(line, 7)
+    except DataError:
+        want = None
+    # Where the old parser accepts, a paren in a location or entity id can
+    # only come from a group head (pairs hold no parens), and an empty head
+    # gives an empty location, which Group rejects.
+    names = [] if want is None else [
+        name for g in want[1].groups for name in (g.location_id, *(e.entity_id for e in g.entities))
+    ]
+    if want is not None and not any("(" in n or ")" in n for n in names):
+        assert parse_record(line, 7) == want
+    else:
+        with pytest.raises(DataError):
+            parse_record(line, 7)
 
 
 _ident = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True)
@@ -139,6 +205,17 @@ class TestRoundTrip:
     def test_jsonl_mirror(self, log):
         again = log_from_jsonl(log_to_jsonl(log), label=log.label)
         assert again == log
+
+
+class TestJsonl:
+    def test_iso_timestamp_and_missing_prop(self):
+        log = log_from_jsonl('\n{"locations": [{"id": "s1", "entities": [{"id": "E1"}]}], '
+                             '"ts": "2024-08-15T17:40:50"}\n')
+        assert log.records == (rec(T0, ("s1", [("E1", "")])),)
+
+    def test_record_error_names_line(self):
+        with pytest.raises(DataError, match="^line 2: record has no location groups$"):
+            log_from_jsonl('\n{"locations": [], "ts": "2024/08/15/17:40:50"}\n')
 
 
 class TestCycles:

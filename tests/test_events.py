@@ -1,4 +1,5 @@
 import math
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from trackmine.events import (
     merge_camera_streams,
     overlap_ratio,
     parse_time,
+    parse_timestamp,
 )
 
 ZONE = ZoneSpec(location_id="s1", camera_id="cam1", box=Rect(0, 0, 100, 100))
@@ -372,6 +374,25 @@ def test_parse_time_formats():
     assert parse_time("1970/01/01/00:01:00") == 60.0
     with pytest.raises(DataError):
         parse_time("yesterday")
+    assert parse_time(" 1970-01-01T00:01:00 ") == 60.0
+
+
+@pytest.mark.parametrize("text", ["2024/08/15/17:40:50", "2024-08-15T17:40:50",
+                                  "2024-08-15 17:40:50", " 2024/08/15/17:40:50\n"])
+def test_parse_timestamp_forms(text):
+    assert parse_timestamp(text) == datetime(2024, 8, 15, 17, 40, 50)
+
+
+@pytest.mark.parametrize("text", [
+    "2024/13/15/10:00:00", "2024-02-30T10:00:00", "2024/08/15/24:00:00",  # out of range
+    "2024/8/15/10:00:00", "2024/08/15/1:2:3", "24/08/15/10:00:00",  # not zero-padded
+    "2024/08/15T10:00:00", "2024-08-15/10:00:00", "2024-08-15  10:00:00",  # mixed forms
+    "2024/08/15/10:00:00.5", "x", "",
+])
+def test_parse_timestamp_rejects(text):
+    with pytest.raises(DataError) as exc:
+        parse_timestamp(text)
+    assert str(exc.value) == f"unparseable timestamp {text.strip()!r}"
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", " NaN "])
