@@ -8,8 +8,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import eventlog, events, procnet, ranking, sim
 from .errors import ConvergenceError, DataError, TrackmineError
 
@@ -20,27 +18,23 @@ EXIT_CONVERGENCE = 4
 
 # the two worked link matrices used by the `tables` subcommand
 BUILTIN_MATRICES = {
-    "L0": np.array(
-        [
-            [1.01, 0.01, 0.00],
-            [0.01, 1.00, 0.00],
-            [0.00, 0.00, 0.90],
-        ]
-    ),
-    "L1": np.array(
-        [
-            [1.01, 0.01, 0.00, 0.01],
-            [0.01, 1.00, 0.00, 0.02],
-            [0.00, 0.00, 0.90, 1.00],
-            [0.01, 0.01, 0.02, 0.05],
-        ]
-    ),
+    "L0": [
+        [1.01, 0.01, 0.00],
+        [0.01, 1.00, 0.00],
+        [0.00, 0.00, 0.90],
+    ],
+    "L1": [
+        [1.01, 0.01, 0.00, 0.01],
+        [0.01, 1.00, 0.00, 0.02],
+        [0.00, 0.00, 0.90, 1.00],
+        [0.01, 0.01, 0.02, 0.05],
+    ],
 }
 
 
 def _builtin_lm(name: str) -> procnet.LinkMatrix:
     values = BUILTIN_MATRICES[name]
-    labels = [procnet.NodeLabel("x", str(i + 1)) for i in range(values.shape[0])]
+    labels = [procnet.NodeLabel("x", str(i + 1)) for i in range(len(values))]
     return procnet.LinkMatrix(labels=labels, values=values)
 
 
@@ -49,7 +43,7 @@ def write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -59,7 +53,7 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _read_log(path: str) -> eventlog.EventLog:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".jsonl"):
         return eventlog.log_from_jsonl(text)
@@ -97,7 +91,7 @@ def _add_split_flags(p):
 
 def _cycles_from_args(args, log):
     if args.boundaries:
-        bounds = [eventlog.to_datetime(events.parse_time(b)) for b in args.boundaries.split(",")]
+        bounds = [eventlog.to_datetime(eventlog.parse_time(b)) for b in args.boundaries.split(",")]
         return eventlog.segment_cycles(log, boundaries=bounds)
     if args.anchor:
         return eventlog.segment_cycles(log, anchor=args.anchor)
@@ -135,7 +129,7 @@ def cmd_detect(args) -> int:
     zones = events.load_zones_json(args.zones)
     occurrences = events.detect_streams(samples, zones, cfg)
     if args.out.endswith(".csv"):
-        events.write_occurrences_csv(args.out, occurrences)
+        eventlog.write_occurrences_csv(args.out, occurrences)
     else:
         _write_log(args.out, eventlog.occurrences_to_log(occurrences, label=args.label))
     if args.json:
@@ -145,9 +139,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    streams = [events.load_occurrences_csv(p) for p in args.inputs]
-    merged = events.merge_camera_streams(streams, args.dedup_window)
-    events.write_occurrences_csv(args.out, merged)
+    streams = [eventlog.load_occurrences_csv(p) for p in args.inputs]
+    merged = eventlog.merge_camera_streams(streams, args.dedup_window)
+    eventlog.write_occurrences_csv(args.out, merged)
     if args.json:
         json.dump({"occurrences": len(merged), "out": args.out}, sys.stdout)
         print()
@@ -200,7 +194,7 @@ def cmd_dfg(args) -> int:
 
 def cmd_rank(args) -> int:
     if args.matrix is not None:
-        with open(args.matrix) as fh:
+        with open(args.matrix, encoding="utf-8") as fh:
             lm = procnet.matrix_from_csv(fh.read())
     else:
         cycle = _cycle_from_args(args, _read_log(args.log))
@@ -223,14 +217,14 @@ def cmd_rank(args) -> int:
 
 
 def _read_node_list(path: str) -> list[str]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
         try:
             data = json.loads(text)
             if isinstance(data, dict) and "scores" in data:
                 data = [entry["node"] for entry in data["scores"]]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataError(f"{path} is not a node list or rank report: {exc!r}") from None
         if not (isinstance(data, list) and all(isinstance(x, str) for x in data)):
             raise DataError(f"{path} is not a list of node strings or a rank report")
@@ -256,8 +250,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_precision(args) -> int:
-    detected = events.load_occurrences_csv(args.detected)
-    truth = events.load_occurrences_csv(args.truth)
+    detected = eventlog.load_occurrences_csv(args.detected)
+    truth = eventlog.load_occurrences_csv(args.truth)
     value = eventlog.precision(detected, truth, args.window)
     json.dump({"precision": value, "detected": len(detected), "truth": len(truth)}, sys.stdout)
     print()
@@ -276,7 +270,7 @@ def cmd_simulate(args) -> int:
             f"{s.box.x!r},{s.box.y!r},{s.box.w!r},{s.box.h!r}"
         )
     write_atomic(args.out_tracks, "\n".join(lines) + "\n")
-    events.write_occurrences_csv(args.out_truth, truth)
+    eventlog.write_occurrences_csv(args.out_truth, truth)
     zones = {}
     for z in sc.zones:
         zones.setdefault(
@@ -439,7 +433,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"trackmine {args.command}: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (TrackmineError, OSError) as exc:
+    except (TrackmineError, OSError, UnicodeDecodeError) as exc:
         print(f"trackmine {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,4 +1,5 @@
-"""Event-log model, textual format, cycle segmentation, Gantt charts, precision.
+"""Calendar time, occurrences with their CSV and stream merge, and event logs:
+model, text and JSONL formats, cycles, Gantt charts, precision; no numpy.
 
 One record per line, e.g. ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
 or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the grammar.
@@ -6,8 +7,10 @@ or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the gr
 
 from __future__ import annotations
 
+import csv
 import html
 import json
+import math
 import re
 import warnings
 from collections import defaultdict, deque
@@ -18,9 +21,26 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import DataError
-from .events import TIMESTAMP_FMT, Occurrence, parse_timestamp
 
+# ---------------------------------------------------------------------------
+# calendar time and occurrences
+
+TIMESTAMP_FMT = "%Y/%m/%d/%H:%M:%S"
+_TIMESTAMP_RE = re.compile(r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)")
 _EPOCH = datetime(1970, 1, 1)
+
+
+def parse_timestamp(text: str) -> datetime:
+    """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
+    ``YYYY-MM-DD[T ]hh:mm:ss`` -> datetime; the one calendar-time parser."""
+    text = text.strip()
+    m = _TIMESTAMP_RE.fullmatch(text)
+    try:
+        if m:
+            return datetime(*(int(g) for g in m.groups() if g))
+    except ValueError:  # the right shape but out of range, e.g. month 13
+        pass
+    raise DataError(f"unparseable timestamp {text!r}")
 
 
 def to_datetime(seconds: float) -> datetime:
@@ -31,10 +51,117 @@ def to_seconds(ts: datetime) -> float:
     return (ts - _EPOCH).total_seconds()
 
 
+def parse_time(text: str) -> float:
+    """Seconds-as-decimal or a ``parse_timestamp`` form -> epoch seconds."""
+    text = text.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        return to_seconds(parse_timestamp(text))
+    if not math.isfinite(value):
+        raise DataError(f"time {text!r} is not finite")
+    return value
+
+
+@dataclass(frozen=True, order=True)
+class Occurrence:
+    """One detected event: an entity started a task at a location."""
+
+    start_time: float
+    location_id: str
+    entity_class: str
+    track_id: str = ""  # "" when untracked
+
+    @property
+    def key(self) -> tuple:
+        return (self.location_id, self.entity_class, self.track_id)
+
+
+def merge_camera_streams(
+    streams: Sequence[Sequence[Occurrence]], dedup_window: float
+) -> list[Occurrence]:
+    """Merge per-camera occurrence streams into one time-ordered stream.
+
+    Occurrences with identical (location, class, track) whose start times
+    differ by at most dedup_window collapse to the earliest one.
+    """
+    if dedup_window < 0:
+        raise DataError("dedup_window must be >= 0")
+    merged = sorted(occ for stream in streams for occ in stream)
+    out: list[Occurrence] = []
+    last_kept: dict[tuple, float] = {}
+    for occ in merged:
+        prev = last_kept.get(occ.key)
+        if prev is not None and occ.start_time - prev <= dedup_window:
+            continue
+        out.append(occ)
+        last_kept[occ.key] = occ.start_time
+    return out
+
+
+def _csv_rows(fh, path, expected: list[str]):
+    """Yield (line number, row) for each non-blank data row of a CSV whose
+    header must be exactly `expected` and whose rows have as many fields."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if header != expected:
+        raise DataError(
+            f"{path}: expected header {','.join(expected)}, got {','.join(header)}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise DataError(
+                f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}"
+            )
+        yield reader.line_num, row
+
+
+def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
+        writer.writerows(
+            [o.location_id, o.entity_class, o.track_id, repr(o.start_time)] for o in occurrences
+        )
+
+
+def load_occurrences_csv(path) -> list[Occurrence]:
+    expected = ["location_id", "entity_class", "track_id", "start_time"]
+    occurrences = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, (location, cls, track, start) in _csv_rows(fh, path, expected):
+            try:
+                occurrences.append(Occurrence(parse_time(start), location, cls, track))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    return occurrences
+
+
+# The text grammar's name rules (see ``parse_record``); the record types
+# apply them, so every reader and writer does.
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line
+_LOCATION_RE = re.compile(rf"(?!\s)[^,;(){_BREAKS}]+(?<!\s)")
+_ENTITY_RE = re.compile(rf"(?!\s)[^,(){_BREAKS}]+(?<!\s)")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_]*")
+
+
+def _name_error(kind: str, name: str, chars: str) -> DataError:
+    return DataError(f"{kind} {name!r} is empty or holds one of {chars}, a line break "
+                     f"or whitespace at an end")
+
+
 @dataclass(frozen=True)
 class Entity:
     entity_id: str
     prop: str = ""
+
+    def __post_init__(self):
+        if not _ENTITY_RE.fullmatch(self.entity_id):
+            raise _name_error("entity id", self.entity_id, ",()")
+        if self.prop and not _ENTITY_RE.fullmatch(self.prop):
+            raise _name_error("property", self.prop, ",()")
 
 
 @dataclass(frozen=True)
@@ -43,8 +170,8 @@ class Group:
     entities: tuple[Entity, ...]
 
     def __post_init__(self):
-        if not self.location_id:
-            raise DataError("group has an empty location id")
+        if not _LOCATION_RE.fullmatch(self.location_id):
+            raise _name_error("location id", self.location_id, ",;()")
         if not self.entities:
             raise DataError(f"group at {self.location_id!r} has no entities")
 
@@ -72,6 +199,9 @@ class EventLog:
     label: str = ""
 
     def __post_init__(self):
+        if not _LABEL_RE.fullmatch(self.label):
+            raise DataError(f"log label {self.label!r} holds a character other than "
+                            f"A-Z, a-z, 0-9 and _")
         times = [r.timestamp for r in self.records]
         for a, b in zip(times, times[1:]):
             if b < a:
@@ -103,7 +233,6 @@ _RECORD_RE = re.compile(r"(?:([A-Za-z0-9_]+)\s*:\s*)?\{(?:(.*),)?(.*)\}", re.DOT
 _GROUP_SEP_RE = re.compile(r";(?![^()]*\))")  # a ';' whose next paren is not ')'
 _PAIR_SEP_RE = re.compile(r",(?=\s*\()")  # a ',' before a '('
 _PAIR_RE = re.compile(r"^\(\s*([^,()]+?)\s*,\s*([^,()]*?)\s*\)$")
-_NAME_RE = re.compile(r"[^,;()]+")
 
 
 def parse_record(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
@@ -113,11 +242,12 @@ def parse_record(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
         group := location ("," "(" entity "," property ")")+ | prop "_" location
 
     Whitespace around separators is ignored; a label is ``[A-Za-z0-9_]+``,
-    and the timestamp, after the last comma, is read by
-    ``events.parse_timestamp``.  A location id, or the fused ``prop_location``
-    token (split at its last ``_``), is non-empty with none of ``,;()``, and
-    so is the location part.  An entity id is non-empty, a property may be
-    empty, and neither holds ``,()``; both may hold ``;``.
+    and the timestamp, after the last comma, is read by ``parse_timestamp``.
+    The fused ``prop_location`` token is the entity id and splits at its
+    last ``_``.  The record types check the names: a location id is
+    non-empty with none of ``,;()``; an entity id is non-empty, a property
+    may be empty, and neither holds ``,()`` (both may hold ``;``); no name
+    has a line break or whitespace at an end.
     """
     m = _RECORD_RE.fullmatch(line.strip())
     if not m:
@@ -129,30 +259,31 @@ def parse_record(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
     groups = []
     for chunk in _GROUP_SEP_RE.split(payload):
         head, *pairs = (tok.strip() for tok in _PAIR_SEP_RE.split(chunk))
-        if not _NAME_RE.fullmatch(head):
-            raise DataError(f"line {lineno}: location id {head!r} is empty or has one of ,;()")
         if not pairs:
             if "_" not in head:
                 raise DataError(f"line {lineno}: location {head!r} has no entities")
             # abbreviated form: property_location fused into one token
             prop, loc = head.rsplit("_", 1)
-            groups.append((loc, (Entity(head, prop),)))
+            groups.append((loc, [(head, prop)]))
             continue
         entities = []
         for tok in pairs:
             pm = _PAIR_RE.match(tok)
             if not pm:
                 raise DataError(f"line {lineno}: malformed (entity,property) pair {tok!r}")
-            entities.append(Entity(pm.group(1), pm.group(2)))
-        groups.append((head, tuple(entities)))
+            entities.append(pm.groups())
+        groups.append((head, entities))
     return label or "", _record(groups, ts, lineno)
 
 
 def _record(groups, ts: str, lineno: int) -> EventRecord:
-    """The record of (location id, entities) pairs at timestamp text ts;
-    its errors name the line."""
+    """The record of (location id, [(entity id, property)]) groups at
+    timestamp text ts; its errors, the name rules' included, name the line."""
     try:
-        return EventRecord(tuple(Group(loc, ents) for loc, ents in groups), parse_timestamp(ts))
+        return EventRecord(
+            tuple(Group(loc, tuple(Entity(*e) for e in ents)) for loc, ents in groups),
+            parse_timestamp(ts),
+        )
     except DataError as exc:
         raise DataError(f"line {lineno}: {exc}") from None
 
@@ -212,10 +343,10 @@ def log_from_jsonl(text: str, label: str = "") -> EventLog:
         try:
             obj = json.loads(line)
             groups = [
-                (_string(g["id"], "id"), tuple(
-                    Entity(_string(e["id"], "id"), _string(e.get("prop", ""), "prop"))
+                (_string(g["id"], "id"), [
+                    (_string(e["id"], "id"), _string(e.get("prop", ""), "prop"))
                     for e in g["entities"]
-                ))
+                ])
                 for g in obj["locations"]
             ]
             ts = _string(obj["ts"], "ts")

@@ -1,40 +1,26 @@
-"""Zone-overlap event detection on per-camera detection tracks.
+"""Zone-overlap event detection on per-camera detection tracks, and the
+tracks CSV and zones JSON readers.
 
 A detection track is a time-ordered stream of bounding boxes per
-(camera, track).  An event occurrence is emitted when a track stays on a
-declared zone long enough; only the start time is recorded.
+(camera, track).  An event occurrence (``eventlog.Occurrence``) is emitted
+when a track stays on a declared zone long enough; only the start time is
+recorded.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import re
 from dataclasses import dataclass
-from datetime import datetime
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-TIMESTAMP_FMT = "%Y/%m/%d/%H:%M:%S"
-_TIMESTAMP_RE = re.compile(r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)")
-
-
-def parse_timestamp(text: str) -> datetime:
-    """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
-    ``YYYY-MM-DD[T ]hh:mm:ss`` -> datetime; the one calendar-time parser."""
-    text = text.strip()
-    m = _TIMESTAMP_RE.fullmatch(text)
-    try:
-        if m:
-            return datetime(*(int(g) for g in m.groups() if g))
-    except ValueError:  # the right shape but out of range, e.g. month 13
-        pass
-    raise DataError(f"unparseable timestamp {text!r}")
+# Occurrence, stream merging and the occurrence CSV stay reachable as events.*
+from .eventlog import (Occurrence, _csv_rows, load_occurrences_csv, merge_camera_streams,
+                       parse_time, write_occurrences_csv)
 
 
 @dataclass(frozen=True)
@@ -92,20 +78,6 @@ class DetectionConfig:
             raise ConfigError("sample_period must be > 0")
         if self.dedup_window < 0:
             raise ConfigError("dedup_window must be >= 0")
-
-
-@dataclass(frozen=True, order=True)
-class Occurrence:
-    """One detected event: an entity started a task at a location."""
-
-    start_time: float
-    location_id: str
-    entity_class: str
-    track_id: str = ""  # "" when untracked
-
-    @property
-    def key(self) -> tuple:
-        return (self.location_id, self.entity_class, self.track_id)
 
 
 def _box_problem(box: Rect) -> str | None:
@@ -280,28 +252,6 @@ def detect_events(
     return out
 
 
-def merge_camera_streams(
-    streams: Sequence[Sequence[Occurrence]], dedup_window: float
-) -> list[Occurrence]:
-    """Merge per-camera occurrence streams into one time-ordered stream.
-
-    Occurrences with identical (location, class, track) whose start times
-    differ by at most dedup_window collapse to the earliest one.
-    """
-    if dedup_window < 0:
-        raise DataError("dedup_window must be >= 0")
-    merged = sorted(occ for stream in streams for occ in stream)
-    out: list[Occurrence] = []
-    last_kept: dict[tuple, float] = {}
-    for occ in merged:
-        prev = last_kept.get(occ.key)
-        if prev is not None and occ.start_time - prev <= dedup_window:
-            continue
-        out.append(occ)
-        last_kept[occ.key] = occ.start_time
-    return out
-
-
 def detect_streams(
     samples: Sequence[DetectionSample], zones: Sequence[ZoneSpec], cfg: DetectionConfig
 ) -> list[Occurrence]:
@@ -320,37 +270,6 @@ def detect_streams(
 # ---------------------------------------------------------------------------
 # file formats
 
-def parse_time(text: str) -> float:
-    """Seconds-as-decimal or a ``parse_timestamp`` form -> epoch seconds."""
-    text = text.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        return (parse_timestamp(text) - datetime(1970, 1, 1)).total_seconds()
-    if not math.isfinite(value):
-        raise DataError(f"time {text!r} is not finite")
-    return value
-
-
-def _csv_rows(fh, path, expected: list[str]):
-    """Yield (line number, row) for each non-blank data row of a CSV whose
-    header must be exactly `expected` and whose rows have as many fields."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    if header != expected:
-        raise DataError(
-            f"{path}: expected header {','.join(expected)}, got {','.join(header)}"
-        )
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise DataError(
-                f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}"
-            )
-        yield reader.line_num, row
-
-
 def _parse_box(x, y, w, h) -> Rect:
     box = Rect(float(x), float(y), float(w), float(h))
     if not box.finite:
@@ -362,7 +281,7 @@ def load_tracks_csv(path) -> list[DetectionSample]:
     """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h."""
     expected = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
     samples = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, expected):
             try:
                 samples.append(
@@ -387,10 +306,10 @@ def zone_from_json(item) -> ZoneSpec:
 
 def load_zones_json(path) -> list[ZoneSpec]:
     """Read zones from a JSON array of zone objects (see ``zone_from_json``)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON array of zones")
@@ -401,25 +320,3 @@ def load_zones_json(path) -> list[ZoneSpec]:
         except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: zone #{i}: {exc}") from None
     return zones
-
-
-def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
-        for occ in occurrences:
-            writer.writerow(
-                [occ.location_id, occ.entity_class, occ.track_id, repr(occ.start_time)]
-            )
-
-
-def load_occurrences_csv(path) -> list[Occurrence]:
-    expected = ["location_id", "entity_class", "track_id", "start_time"]
-    occurrences = []
-    with open(path, newline="") as fh:
-        for lineno, (location, cls, track, start) in _csv_rows(fh, path, expected):
-            try:
-                occurrences.append(Occurrence(parse_time(start), location, cls, track))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    return occurrences

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,10 +85,7 @@ class LinkMatrix:
             )
 
 
-def build_dfg(
-    cycle: Cycle,
-    labeler: Callable[[EventRecord], Sequence[NodeLabel]] = default_labeler,
-) -> ProcessNetwork:
+def build_dfg(cycle: Cycle) -> ProcessNetwork:
     """Mine the weighted directly-follows graph of one cycle.
 
     Nodes appear in first-appearance order; each adjacent pair in the
@@ -97,7 +93,7 @@ def build_dfg(
     """
     sequence: list[NodeLabel] = []
     for record in cycle.records:
-        sequence.extend(labeler(record))
+        sequence.extend(default_labeler(record))
     nodes: list[NodeLabel] = []
     seen = set()
     activities: dict[NodeLabel, int] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .procnet import LinkMatrix, NodeLabel, ProcessNetwork, link_matrix
+from .procnet import LinkMatrix, NodeLabel
 
 SYMMETRY_TOL = 1e-12
 
@@ -38,7 +38,6 @@ SYMMETRY_TOL = 1e-12
 class DispersionStats:
     shannon_entropy: float
     participation_ratio: float
-    max_score: float
 
 
 @dataclass
@@ -197,7 +196,7 @@ def gradient_ranking(
 
 
 def rank_nodes(
-    net: ProcessNetwork | LinkMatrix,
+    lm: LinkMatrix,
     algorithm: str = "gradient",
     kind: str = "authority",
     alpha: float = 0.8,
@@ -208,7 +207,6 @@ def rank_nodes(
     """Top-k nodes under one algorithm; descending score, ties by label."""
     if k < 1:
         raise DataError("k must be >= 1")
-    lm = net if isinstance(net, LinkMatrix) else link_matrix(net)
     if algorithm == "gradient":
         result = gradient_ranking(lm, kind=kind, tol=tol, convention=convention)
     elif algorithm == "hits_pm_norm":
@@ -233,11 +231,7 @@ def dispersion(result: RankingResult) -> DispersionStats:
     nz = p[p > 0]
     entropy = float(-(nz * np.log(nz)).sum())
     pr = float(1.0 / (p @ p))
-    return DispersionStats(
-        shannon_entropy=entropy,
-        participation_ratio=pr,
-        max_score=float(values.max()),
-    )
+    return DispersionStats(shannon_entropy=entropy, participation_ratio=pr)
 
 
 def compare_topk(a, b, k: int) -> dict:

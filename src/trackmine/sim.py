@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import DetectionSample, Occurrence, Rect, ZoneSpec, zone_from_json
+from .eventlog import Occurrence
+from .events import DetectionSample, Rect, ZoneSpec, zone_from_json
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 
@@ -180,10 +181,10 @@ def cell_layout(camera_ids: tuple[str, str] = ("cam1", "cam2")) -> list[ZoneSpec
 # JSON scenario files
 
 def scenario_from_json(path) -> Scenario:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
     try:
         if raw.get("layout") == "cell19":

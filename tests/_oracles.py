@@ -12,15 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConfigError, ConvergenceError, DataError
-from trackmine.eventlog import Entity, EventRecord, Group
-from trackmine.events import (
-    TIMESTAMP_FMT,
-    DetectionConfig,
-    DetectionSample,
-    Occurrence,
-    Rect,
-    ZoneSpec,
-)
+from trackmine.eventlog import TIMESTAMP_FMT, Entity, EventRecord, Group, Occurrence
+from trackmine.events import DetectionConfig, DetectionSample, Rect, ZoneSpec
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
 
 

@@ -421,6 +421,65 @@ class TestExitCodes:
         assert err == f"trackmine cycles: unparseable timestamp {bound!r}\n"
 
 
+    @pytest.mark.parametrize("argv", [
+        "detect --tracks {tracks} --zones {deep} --out {out}",
+        "compare --a {deep} --b {deep} --k 1",
+        "simulate --scenario {deep} --out-tracks {out} --out-truth {out}",
+    ], ids=["zones", "node_list", "scenario"])
+    def test_deeply_nested_json_is_data_error(self, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "cam1,0,h,T1,0,0,10,10\n")
+        out = tmp_path / "out.csv"
+        rc = main([a.format(deep=deep, tracks=tracks, out=out) for a in argv.split()])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"trackmine {argv.split()[0]}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bad.log", "cycles --log {bad} --anchor s"),
+        ("bad.jsonl", "cycles --log {bad} --anchor s"),
+        ("bad.log", "gantt --log {bad} --out {out}"),
+        ("bad.csv", "precision --detected {bad} --truth {bad}"),
+        ("bad.csv", "rank --matrix {bad}"),
+        ("bad.csv", "detect --tracks {bad} --zones {bad} --out {out}"),
+        ("bad.json", "compare --a {bad} --b {bad} --k 1"),
+        ("bad.json", "simulate --scenario {bad} --out-tracks {out} --out-truth {out}"),
+    ], ids=["cycles_text", "cycles_jsonl", "gantt", "precision", "rank_matrix", "detect",
+            "compare", "simulate"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, name, argv):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe" + "s1\n".encode("utf-16-le"))
+        out = tmp_path / "out"
+        rc = main([a.format(bad=bad, out=out) for a in argv.split()])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"trackmine {argv.split()[0]}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", [".log", ".jsonl"])
+    @pytest.mark.parametrize("location, label, message", [
+        ("s(1", "EL1", "location id 's(1'"),
+        ("s1", "E L", "log label 'E L'"),
+        ("s1", "#x", "log label '#x'"),
+    ], ids=["location_paren", "label_space", "label_hash"])
+    def test_name_outside_log_grammar_is_data_error(self, tmp_path, capsys, location, label,
+                                                    message, suffix):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(6)))
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([dict(ZONE, location_id=location)]))
+        out = tmp_path / f"e{suffix}"
+        rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones),
+                   "--out", str(out), "--label", label])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"trackmine detect: {message} ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 MIXED_TRACKS_CSV = """\
 location_id,entity_class,track_id,start_time
 s1,h,,5.0

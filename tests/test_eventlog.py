@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trackmine import eventlog
 from trackmine.errors import DataError
 from trackmine.eventlog import (
     Cycle,
@@ -12,7 +17,9 @@ from trackmine.eventlog import (
     EventLog,
     EventRecord,
     Group,
+    Occurrence,
     gantt,
+    load_occurrences_csv,
     log_from_jsonl,
     log_to_jsonl,
     occurrences_to_log,
@@ -22,8 +29,8 @@ from trackmine.eventlog import (
     segment_cycles,
     serialize_log,
     to_datetime,
+    write_occurrences_csv,
 )
-from trackmine.events import Occurrence
 
 from _oracles import parse_record_split_top, precision_scan
 
@@ -217,6 +224,67 @@ class TestJsonl:
         with pytest.raises(DataError, match="^line 2: record has no location groups$"):
             log_from_jsonl('\n{"locations": [], "ts": "2024/08/15/17:40:50"}\n')
 
+    def test_prop_with_line_break_rejected(self):
+        with pytest.raises(DataError, match="^line 1: property "):
+            log_from_jsonl('{"locations": [{"id": "s1", "entities": [{"id": "E1", '
+                           '"prop": "h\\nx"}]}], "ts": "2024/08/15/17:40:50"}\n')
+
+
+# names from the characters the text grammar uses as separators, plus
+# spaces and line breaks and a few characters it takes as they are
+_AWKWARD = st.text(st.sampled_from("aabb_,;() \n\u2028{}:#"), max_size=4)
+# label, two location ids, then entity id and property pairs
+_BASE_NAMES = ["EL1", "s1", "s2", "E;1", "v_1", "x y", "", "E2", "c:d"]
+
+
+class TestNames:
+    @given(st.lists(st.tuples(st.integers(0, len(_BASE_NAMES) - 1), _AWKWARD), max_size=2))
+    @settings(max_examples=500)
+    def test_every_log_that_builds_reads_back(self, replacements):
+        names = list(_BASE_NAMES)
+        for slot, name in replacements:
+            names[slot] = name
+        label, loc1, loc2, *ents = names
+        pairs = list(zip(ents[::2], ents[1::2]))
+        try:
+            log = EventLog((rec(T0, (loc1, pairs[:2]), (loc2, pairs[2:])),
+                            rec(T0 + timedelta(seconds=1), (loc2, pairs[:1]))), label)
+        except DataError:
+            return
+        assert parse_log(serialize_log(log)) == log
+        assert log_from_jsonl(log_to_jsonl(log), label=log.label) == log
+
+    @pytest.mark.parametrize("build", [
+        lambda: Group("s(1", (Entity("E1"),)),
+        lambda: Group("s;1", (Entity("E1"),)),
+        lambda: Group(" s1", (Entity("E1"),)),
+        lambda: Group("s1\u2028", (Entity("E1"),)),
+        lambda: Entity("E,1"),
+        lambda: Entity(""),
+        lambda: Entity("E1 "),
+        lambda: Entity("E1", "h\nx"),
+        lambda: Entity("E1", "h)"),
+        lambda: EventLog((), "E L"),
+        lambda: EventLog((), "#x"),
+    ], ids=["location_paren", "location_semicolon", "location_space", "location_break",
+            "entity_comma", "entity_empty", "entity_space", "prop_break", "prop_paren",
+            "label_space", "label_hash"])
+    def test_name_outside_grammar_rejected(self, build):
+        with pytest.raises(DataError):
+            build()
+
+    @pytest.mark.parametrize("line", [
+        "{s1, (E\u20281,v), 2024/08/15/17:40:50}",
+        "{v(1_s1, 2024/08/15/17:40:50}",
+    ], ids=["entity_break", "abbreviated_paren"])
+    def test_parse_errors_name_the_line(self, line):
+        with pytest.raises(DataError, match="^line 2: entity id "):
+            parse_record(line, lineno=2)
+
+    def test_occurrences_to_log_checks_names(self):
+        with pytest.raises(DataError, match="location id 's\\(1'"):
+            occurrences_to_log([Occurrence(0.0, "s(1", "h", "T1")])
+
 
 class TestCycles:
     def three_cycle_log(self):
@@ -404,3 +472,29 @@ def test_occurrences_to_log_groups_simultaneous():
     assert len(log.records) == 2
     assert [g.location_id for g in log.records[0].groups] == ["s1", "s2"]
     assert log.records[0].timestamp == to_datetime(60.0)
+
+
+_CSV_NAMES = st.text(st.sampled_from('a_,"\n\r '), max_size=4)
+
+
+@given(st.lists(st.builds(
+    Occurrence,
+    start_time=st.one_of(st.sampled_from([-0.0, 0.0, 1e-300, 0.1 + 0.2, -1.5, -1e300]),
+                         st.floats(allow_nan=False, allow_infinity=False)),
+    location_id=_CSV_NAMES,
+    entity_class=_CSV_NAMES,
+    track_id=st.one_of(st.just(""), _CSV_NAMES),
+), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_occurrence_csv_round_trip(tmp_path_factory, occurrences):
+    path = tmp_path_factory.mktemp("occ") / "occ.csv"
+    write_occurrences_csv(path, occurrences)
+    # repr tells -0.0 from 0.0, which == does not
+    assert list(map(repr, load_occurrences_csv(path))) == list(map(repr, occurrences))
+
+
+def test_import_leaves_numpy_unloaded():
+    # the log layer holds no numeric code: events imports eventlog, not the reverse
+    code = "import sys, trackmine.eventlog; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(eventlog.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from trackmine.errors import ConfigError, DataError
+from trackmine.eventlog import parse_time, parse_timestamp
 from trackmine.events import (
     DetectionConfig,
     DetectionSample,
@@ -17,8 +18,6 @@ from trackmine.events import (
     detect_streams,
     merge_camera_streams,
     overlap_ratio,
-    parse_time,
-    parse_timestamp,
 )
 
 ZONE = ZoneSpec(location_id="s1", camera_id="cam1", box=Rect(0, 0, 100, 100))
