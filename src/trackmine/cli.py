@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 from . import eventlog, events, procnet, ranking, sim
 from .errors import ConvergenceError, DataError, TrackmineError
+from .eventlog import write_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,20 +35,6 @@ def _builtin_lm(name: str) -> procnet.LinkMatrix:
     values = BUILTIN_MATRICES[name]
     labels = [procnet.NodeLabel("x", str(i + 1)) for i in range(len(values))]
     return procnet.LinkMatrix(labels=labels, values=values)
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _read_log(path: str) -> eventlog.EventLog:
@@ -133,8 +118,7 @@ def cmd_detect(args) -> int:
     else:
         _write_log(args.out, eventlog.occurrences_to_log(occurrences, label=args.label))
     if args.json:
-        json.dump({"occurrences": len(occurrences), "out": args.out}, sys.stdout)
-        print()
+        print(json.dumps({"occurrences": len(occurrences), "out": args.out}))
     return EXIT_OK
 
 
@@ -143,8 +127,7 @@ def cmd_merge(args) -> int:
     merged = eventlog.merge_camera_streams(streams, args.dedup_window)
     eventlog.write_occurrences_csv(args.out, merged)
     if args.json:
-        json.dump({"occurrences": len(merged), "out": args.out}, sys.stdout)
-        print()
+        print(json.dumps({"occurrences": len(merged), "out": args.out}))
     return EXIT_OK
 
 
@@ -153,8 +136,7 @@ def cmd_gantt(args) -> int:
     svg = eventlog.gantt(log, lane_key=args.lane_key)
     write_atomic(args.out, svg)
     if args.json:
-        json.dump({"out": args.out, "lanes": svg.count("text-anchor=\"end\"")}, sys.stdout)
-        print()
+        print(json.dumps({"out": args.out, "lanes": svg.count("text-anchor=\"end\"")}))
     return EXIT_OK
 
 
@@ -165,8 +147,7 @@ def cmd_cycles(args) -> int:
         {"index": c.index, "records": len(c.records), "cycle_time": c.cycle_time}
         for c in cycles
     ]
-    json.dump({"label": log.label, "cycles": payload}, sys.stdout, indent=None if args.json else 2)
-    print()
+    print(json.dumps({"label": log.label, "cycles": payload}, indent=None if args.json else 2))
     return EXIT_OK
 
 
@@ -179,16 +160,12 @@ def cmd_dfg(args) -> int:
     if args.out_dot:
         write_atomic(args.out_dot, procnet.network_to_dot(net))
     if args.json:
-        json.dump(
-            {
-                "cycle": cycle.index,
-                "nodes": [lbl.render() for lbl in net.nodes],
-                "edges": len(net.edges),
-                "events": sum(net.activities.values()),
-            },
-            sys.stdout,
-        )
-        print()
+        print(json.dumps({
+            "cycle": cycle.index,
+            "nodes": [lbl.render() for lbl in net.nodes],
+            "edges": len(net.edges),
+            "events": sum(net.activities.values()),
+        }))
     return EXIT_OK
 
 
@@ -211,8 +188,7 @@ def cmd_rank(args) -> int:
     if args.out:
         write_atomic(args.out, json.dumps(report, indent=2) + "\n")
     if args.json or not args.out:
-        json.dump(report, sys.stdout)
-        print()
+        print(json.dumps(report))
     return EXIT_OK
 
 
@@ -236,16 +212,12 @@ def cmd_compare(args) -> int:
     a = _read_node_list(args.a)
     b = _read_node_list(args.b)
     result = ranking.compare_topk(a, b, args.k)
-    json.dump(
-        {
-            "common": sorted(result["common"]),
-            "only_a": sorted(result["only_a"]),
-            "only_b": sorted(result["only_b"]),
-            "jaccard": result["jaccard"],
-        },
-        sys.stdout,
-    )
-    print()
+    print(json.dumps({
+        "common": sorted(result["common"]),
+        "only_a": sorted(result["only_a"]),
+        "only_b": sorted(result["only_b"]),
+        "jaccard": result["jaccard"],
+    }))
     return EXIT_OK
 
 
@@ -253,8 +225,7 @@ def cmd_precision(args) -> int:
     detected = eventlog.load_occurrences_csv(args.detected)
     truth = eventlog.load_occurrences_csv(args.truth)
     value = eventlog.precision(detected, truth, args.window)
-    json.dump({"precision": value, "detected": len(detected), "truth": len(truth)}, sys.stdout)
-    print()
+    print(json.dumps({"precision": value, "detected": len(detected), "truth": len(truth)}))
     return EXIT_OK
 
 
@@ -263,33 +234,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         sc.seed = args.seed
     samples, truth = sim.simulate(sc, min_duration=args.min_duration)
-    lines = ["camera_id,time,entity_class,track_id,x,y,w,h"]
-    for s in samples:
-        lines.append(
-            f"{s.camera_id},{s.time!r},{s.entity_class},{s.track_id},"
-            f"{s.box.x!r},{s.box.y!r},{s.box.w!r},{s.box.h!r}"
-        )
-    write_atomic(args.out_tracks, "\n".join(lines) + "\n")
+    write_atomic(args.out_tracks, events.tracks_to_csv(samples))
     eventlog.write_occurrences_csv(args.out_truth, truth)
-    zones = {}
-    for z in sc.zones:
-        zones.setdefault(
-            (z.location_id, z.camera_id),
-            {
-                "location_id": z.location_id,
-                "camera_id": z.camera_id,
-                "x": z.box.x,
-                "y": z.box.y,
-                "w": z.box.w,
-                "h": z.box.h,
-                "category": z.category,
-            },
-        )
     if args.out_zones:
-        write_atomic(args.out_zones, json.dumps(list(zones.values()), indent=2) + "\n")
+        write_atomic(args.out_zones, events.zones_to_json(sc.zones))
     if args.json:
-        json.dump({"samples": len(samples), "truth": len(truth)}, sys.stdout)
-        print()
+        print(json.dumps({"samples": len(samples), "truth": len(truth)}))
     return EXIT_OK
 
 
@@ -309,8 +259,7 @@ def cmd_tables(args) -> int:
             "pagerank_norm_0.8": [pr.scores[lbl] for lbl in lm.labels],
         }
     if args.json:
-        json.dump(rows, sys.stdout)
-        print()
+        print(json.dumps(rows))
         return EXIT_OK
     for name, table in rows.items():
         print(f"link matrix {name}")

@@ -1,5 +1,6 @@
-"""Calendar time, occurrences with their CSV and stream merge, and event logs:
-model, text and JSONL formats, cycles, Gantt charts, precision; no numpy.
+"""Calendar time, occurrences with their CSV and stream merge, atomic file
+writes, and event logs: model, text and JSONL formats, cycles, Gantt charts,
+precision; no numpy.
 
 One record per line, e.g. ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
 or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the grammar.
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import html
+import io
 import json
 import math
+import os
 import re
 import warnings
 from collections import defaultdict, deque
@@ -26,13 +29,15 @@ from .errors import DataError
 # calendar time and occurrences
 
 TIMESTAMP_FMT = "%Y/%m/%d/%H:%M:%S"
-_TIMESTAMP_RE = re.compile(r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)")
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)(?:\.(\d{6}))?")
 _EPOCH = datetime(1970, 1, 1)
 
 
 def parse_timestamp(text: str) -> datetime:
     """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
-    ``YYYY-MM-DD[T ]hh:mm:ss`` -> datetime; the one calendar-time parser."""
+    ``YYYY-MM-DD[T ]hh:mm:ss``, either with an optional ``.ffffff``
+    -> datetime; the one calendar-time parser."""
     text = text.strip()
     m = _TIMESTAMP_RE.fullmatch(text)
     try:
@@ -43,8 +48,18 @@ def parse_timestamp(text: str) -> datetime:
     raise DataError(f"unparseable timestamp {text!r}")
 
 
+def format_timestamp(ts: datetime) -> str:
+    """``TIMESTAMP_FMT`` with a four-digit year, plus ``.ffffff`` when the
+    microsecond is nonzero; ``parse_timestamp`` reads it back."""
+    # isoformat pads the year to four digits; strftime's %Y does not everywhere
+    return ts.isoformat("/").replace("-", "/")
+
+
 def to_datetime(seconds: float) -> datetime:
-    return _EPOCH + timedelta(seconds=seconds)
+    try:
+        return _EPOCH + timedelta(seconds=seconds)
+    except OverflowError:
+        raise DataError(f"time {seconds!r} s is outside the calendar years 1-9999") from None
 
 
 def to_seconds(ts: datetime) -> float:
@@ -118,13 +133,29 @@ def _csv_rows(fh, path, expected: list[str]):
         yield reader.line_num, row
 
 
+def write_atomic(path, text: str) -> None:
+    """Write via a temp file in the target directory, then rename; the file
+    gets the permissions ``open`` gives a new file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
-        writer.writerows(
-            [o.location_id, o.entity_class, o.track_id, repr(o.start_time)] for o in occurrences
-        )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
+    writer.writerows(
+        [o.location_id, o.entity_class, o.track_id, repr(o.start_time)] for o in occurrences
+    )
+    write_atomic(path, buf.getvalue())
 
 
 def load_occurrences_csv(path) -> list[Occurrence]:
@@ -305,7 +336,7 @@ def serialize_record(record: EventRecord, label: str = "") -> str:
         for g in record.groups
     )
     prefix = f"{label}: " if label else ""
-    return f"{prefix}{{{body}, {record.timestamp.strftime(TIMESTAMP_FMT)}}}"
+    return f"{prefix}{{{body}, {format_timestamp(record.timestamp)}}}"
 
 
 def serialize_log(log: EventLog) -> str:
@@ -321,7 +352,7 @@ def log_to_jsonl(log: EventLog) -> str:
                  "entities": [{"id": e.entity_id, "prop": e.prop} for e in g.entities]}
                 for g in r.groups
             ],
-            "ts": r.timestamp.strftime(TIMESTAMP_FMT),
+            "ts": format_timestamp(r.timestamp),
         }, separators=(",", ":")) + "\n"
         for r in log.records
     )

@@ -1,5 +1,5 @@
 """Zone-overlap event detection on per-camera detection tracks, and the
-tracks CSV and zones JSON readers.
+tracks CSV and zones JSON readers and writers.
 
 A detection track is a time-ordered stream of bounding boxes per
 (camera, track).  An event occurrence (``eventlog.Occurrence``) is emitted
@@ -9,9 +9,11 @@ recorded.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -21,6 +23,8 @@ from .errors import ConfigError, DataError
 # Occurrence, stream merging and the occurrence CSV stay reachable as events.*
 from .eventlog import (Occurrence, _csv_rows, load_occurrences_csv, merge_camera_streams,
                        parse_time, write_occurrences_csv)
+
+_TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,15 @@ class DetectionConfig:
             raise ConfigError("dedup_window must be >= 0")
 
 
+def check_unique_zones(zones: Iterable[ZoneSpec]) -> None:
+    """Raise ConfigError on a (location, camera) zone declared twice."""
+    seen = set()
+    for loc in zones:
+        if (loc.camera_id, loc.location_id) in seen:
+            raise ConfigError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
+        seen.add((loc.camera_id, loc.location_id))
+
+
 def _box_problem(box: Rect) -> str | None:
     if not box.finite:
         return "has a non-finite coordinate"
@@ -136,13 +149,7 @@ def detect_events(
     camera's samples, O(N) numpy work per zone.
     """
     samples = list(samples)
-
-    seen = {}
-    for loc in zones:
-        key = (loc.camera_id, loc.location_id)
-        if key in seen:
-            raise ConfigError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
-        seen[key] = loc
+    check_unique_zones(zones)
     if not samples:
         return []
 
@@ -255,16 +262,11 @@ def detect_events(
 def detect_streams(
     samples: Sequence[DetectionSample], zones: Sequence[ZoneSpec], cfg: DetectionConfig
 ) -> list[Occurrence]:
-    """Detect each camera's samples against that camera's zones, cameras
-    in sorted order, then merge the streams with cfg.dedup_window."""
-    by_camera: dict[str, list[ZoneSpec]] = {}
-    for z in zones:
-        by_camera.setdefault(z.camera_id, []).append(z)
-    streams = [
-        detect_events([s for s in samples if s.camera_id == cam], cam_zones, cfg)
-        for cam, cam_zones in sorted(by_camera.items())
-    ]
-    return merge_camera_streams(streams, cfg.dedup_window)
+    """Detect every camera's samples against its own zones in one
+    ``detect_events`` pass, with its checks (every zone's camera has
+    samples, every track is time-sorted), then collapse the cameras' views
+    of one occurrence with cfg.dedup_window (``merge_camera_streams``)."""
+    return merge_camera_streams([detect_events(samples, zones, cfg)], cfg.dedup_window)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +281,9 @@ def _parse_box(x, y, w, h) -> Rect:
 
 def load_tracks_csv(path) -> list[DetectionSample]:
     """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h."""
-    expected = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
     samples = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, expected):
+        for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
             try:
                 samples.append(
                     DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
@@ -290,6 +291,22 @@ def load_tracks_csv(path) -> list[DetectionSample]:
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
+
+
+def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
+    """The tracks CSV that ``load_tracks_csv`` reads: floats as repr, rows
+    ending in "\\n", and ids quoted where csv needs it."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    # csv quotes only the row end's characters: a "\r" in an id quotes its row
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(_TRACKS_FIELDS)
+    for s in samples:
+        b = s.box
+        (quoted if "\r" in s.camera_id + s.entity_class + s.track_id else plain).writerow(
+            [s.camera_id, repr(s.time), s.entity_class, s.track_id,
+             repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
+    return buf.getvalue()
 
 
 def zone_from_json(item) -> ZoneSpec:
@@ -320,3 +337,9 @@ def load_zones_json(path) -> list[ZoneSpec]:
         except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: zone #{i}: {exc}") from None
     return zones
+
+
+def zones_to_json(zones: Iterable[ZoneSpec]) -> str:
+    """The zones JSON array that ``load_zones_json`` reads."""
+    return json.dumps([{"location_id": z.location_id, "camera_id": z.camera_id,
+                        **asdict(z.box), "category": z.category} for z in zones], indent=2) + "\n"

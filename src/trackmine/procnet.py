@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,21 +92,10 @@ def build_dfg(cycle: Cycle) -> ProcessNetwork:
     Nodes appear in first-appearance order; each adjacent pair in the
     labeled event sequence adds one to its edge, including self-loops.
     """
-    sequence: list[NodeLabel] = []
-    for record in cycle.records:
-        sequence.extend(default_labeler(record))
-    nodes: list[NodeLabel] = []
-    seen = set()
-    activities: dict[NodeLabel, int] = {}
-    for lbl in sequence:
-        if lbl not in seen:
-            seen.add(lbl)
-            nodes.append(lbl)
-        activities[lbl] = activities.get(lbl, 0) + 1
-    edges: dict[tuple[NodeLabel, NodeLabel], float] = {}
-    for a, b in zip(sequence, sequence[1:]):
-        edges[(a, b)] = edges.get((a, b), 0) + 1
-    return ProcessNetwork(nodes=nodes, edges=edges, activities=activities)
+    sequence = [lbl for record in cycle.records for lbl in default_labeler(record)]
+    activities = dict(Counter(sequence))
+    edges = dict(Counter(zip(sequence, sequence[1:])))
+    return ProcessNetwork(nodes=list(activities), edges=edges, activities=activities)
 
 
 def activity_ranking(net: ProcessNetwork, k: int) -> list[tuple[NodeLabel, int]]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .eventlog import Occurrence
-from .events import DetectionSample, Rect, ZoneSpec, zone_from_json
+from .events import DetectionSample, Rect, ZoneSpec, check_unique_zones, zone_from_json
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 
@@ -51,6 +51,7 @@ class Scenario:
             raise ConfigError("jitter must be >= 0")
         if self.sample_period <= 0:
             raise ConfigError("sample_period must be > 0")
+        check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
         for actor in self.actors:
             for loc, dwell in actor.itinerary:

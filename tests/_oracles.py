@@ -13,7 +13,8 @@ import numpy as np
 
 from trackmine.errors import ConfigError, ConvergenceError, DataError
 from trackmine.eventlog import TIMESTAMP_FMT, Entity, EventRecord, Group, Occurrence
-from trackmine.events import DetectionConfig, DetectionSample, Rect, ZoneSpec
+from trackmine.events import (DetectionConfig, DetectionSample, Rect, ZoneSpec, detect_events,
+                              merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
 
 
@@ -303,6 +304,27 @@ def detect_events_loop(
                 runs.pop(key, None)
     out.sort()
     return out
+
+
+# How ``events.detect_streams`` ran before it took one ``detect_events`` pass:
+# each camera's samples split out in Python and detected against that
+# camera's zones alone.  It skips the checks that need the whole stream (a
+# zone on a camera without samples, an unsorted track on a camera without
+# zones) and counts error positions within one camera's samples.
+
+def detect_streams_split(
+    samples: Sequence[DetectionSample], zones: Sequence[ZoneSpec], cfg: DetectionConfig
+) -> list[Occurrence]:
+    """Detect each camera's samples against that camera's zones, cameras
+    in sorted order, then merge the streams with cfg.dedup_window."""
+    by_camera: dict[str, list[ZoneSpec]] = {}
+    for z in zones:
+        by_camera.setdefault(z.camera_id, []).append(z)
+    streams = [
+        detect_events([s for s in samples if s.camera_id == cam], cam_zones, cfg)
+        for cam, cam_zones in sorted(by_camera.items())
+    ]
+    return merge_camera_streams(streams, cfg.dedup_window)
 
 
 # The event-log record parser the library used before its regex parser: a

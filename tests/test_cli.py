@@ -1,9 +1,13 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from trackmine import sim
 from trackmine.cli import main
+from trackmine.eventlog import load_occurrences_csv
+from trackmine.events import DetectionConfig, detect_streams
 
 SCENARIO = {
     "layout": "cell19",
@@ -86,6 +90,25 @@ class TestSimulateDetect:
         assert from_jsonl["cycles"] == from_text["cycles"]
         assert len(from_text["cycles"]) == 2
         assert set(from_jsonl) == set(from_text) == {"label", "cycles"}
+
+    def test_ids_needing_quotes_survive_simulate_then_detect(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        zones = [{"location_id": loc, "camera_id": "cam,1", "x": x, "y": 0, "w": 100, "h": 100}
+                 for loc, x in (("s1", 0), ("s2", 300))]
+        scenario.write_text(json.dumps({"zones": zones, "actors": [
+            {"entity_class": 'h "1"', "track_id": "T,1", "itinerary": [["s1", 5.0], ["s2", 6.0]]},
+        ]}))
+        tracks, truth, zones_json = (tmp_path / n for n in ("t.csv", "g.csv", "z.json"))
+        rc, _ = run(capsys, "simulate", "--scenario", scenario, "--out-tracks", tracks,
+                    "--out-truth", truth, "--out-zones", zones_json)
+        assert rc == 0
+        detected = tmp_path / "d.csv"
+        rc, _ = run(capsys, "detect", "--tracks", tracks, "--zones", zones_json, "--out", detected)
+        assert rc == 0
+        sc = sim.scenario_from_json(scenario)
+        expected = detect_streams(sim.simulate(sc)[0], sc.zones, DetectionConfig())
+        assert len(expected) == 2
+        assert load_occurrences_csv(detected) == expected
 
 
 LOG_TEXT = """\
@@ -289,6 +312,68 @@ class TestExitCodes:
         assert "tracks.csv:4: " in err and message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "d.csv").exists()
+
+    def _detect(self, tmp_path, capsys, rows, zones, out="d.csv"):
+        """(exit code, stderr) of detect on track rows and zone objects."""
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "".join(row + "\n" for row in rows))
+        zones_json = tmp_path / "zones.json"
+        zones_json.write_text(json.dumps(zones))
+        rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones_json),
+                   "--out", str(tmp_path / out)])
+        return rc, capsys.readouterr().err
+
+    def test_inversion_names_the_input_position(self, tmp_path, capsys):
+        # cam1's third sample, at input position 4, goes back in time
+        rows = [f"{cam},{t},h,T1,0,0,10,10" for t in (0, 1) for cam in ("cam1", "cam2")]
+        rows.append("cam1,0.5,h,T1,0,0,10,10")
+        rc, err = self._detect(tmp_path, capsys, rows, [ZONE, dict(ZONE, camera_id="cam2")])
+        assert rc == 3
+        assert "inversion at position 4 (camera 'cam1', track 'T1', 0.5 < 1.0)" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_zone_on_camera_without_samples_is_data_error(self, tmp_path, capsys):
+        rows = [f"cam1,{t},h,T1,0,0,10,10" for t in range(6)]
+        rc, err = self._detect(tmp_path, capsys, rows, [ZONE, dict(ZONE, camera_id="cam3")])
+        assert rc == 3
+        assert err == ("trackmine detect: zone 's1' references camera 'cam3' absent from "
+                       "the sample stream\n")
+        assert not (tmp_path / "d.csv").exists()
+        # a tracks file without samples detects nothing, whatever the zones
+        rc, err = self._detect(tmp_path, capsys, [], [ZONE, dict(ZONE, camera_id="cam3")])
+        assert (rc, err) == (0, "")
+        assert load_occurrences_csv(tmp_path / "d.csv") == []
+
+    def test_time_outside_the_calendar_is_data_error(self, tmp_path, capsys):
+        rows = [f"cam1,{10**12 + t},h,T1,0,0,10,10" for t in range(6)]
+        rc, err = self._detect(tmp_path, capsys, rows, [ZONE], out="e.log")
+        assert rc == 3
+        assert err == ("trackmine detect: time 1000000000000.0 s is outside the calendar "
+                       "years 1-9999\n")
+        assert not (tmp_path / "e.log").exists()
+
+    def test_boundary_outside_the_calendar_is_data_error(self, log_file, capsys):
+        rc = main(["cycles", "--log", str(log_file), "--boundaries", "1e12"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == ("trackmine cycles: time 1000000000000.0 s is outside the "
+                                "calendar years 1-9999\n")
+
+    def test_duplicate_scenario_zone_is_data_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "zones": [ZONE, dict(ZONE, x=200)],
+            "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0]]}],
+        }))
+        rc = main(["simulate", "--scenario", str(scenario), "--out-tracks",
+                   str(tmp_path / "t.csv"), "--out-truth", str(tmp_path / "g.csv"),
+                   "--out-zones", str(tmp_path / "z.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "trackmine simulate: duplicate zone 's1' on camera 'cam1'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_zone_is_data_error(self, tmp_path, capsys, value):
@@ -514,3 +599,21 @@ def test_gantt_escapes_labels(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out)["lanes"] == 1
     ET.parse(svg)
+
+
+@pytest.mark.parametrize("argv", [
+    "gantt --log {log} --out {out}",
+    "merge {csv} --out {out}",
+], ids=["gantt", "merge"])
+def test_outputs_get_the_permissions_open_gives(tmp_path, capsys, log_file, argv):
+    # written through a temp file and a rename, yet not owner-only
+    occ = tmp_path / "occ.csv"
+    occ.write_text(MIXED_TRACKS_CSV)
+    out = tmp_path / "out"
+    old = os.umask(0o027)
+    try:
+        rc = main(argv.format(log=log_file, csv=occ, out=out).split())
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert out.stat().st_mode & 0o777 == 0o640

@@ -493,6 +493,49 @@ def test_occurrence_csv_round_trip(tmp_path_factory, occurrences):
     assert list(map(repr, load_occurrences_csv(path))) == list(map(repr, occurrences))
 
 
+@given(st.lists(st.builds(
+    Occurrence,
+    # years 1 to 9999, with sub-second parts down to one microsecond
+    start_time=st.one_of(st.sampled_from([0.7, 1e-6, -0.5, 1e9 + 0.25, -62135596800.0]),
+                         st.floats(-62135596800.0, 253402300799.0)),
+    location_id=st.sampled_from(["s1", "s2"]),
+    entity_class=st.sampled_from(["h", "v"]),
+    track_id=st.sampled_from(["", "T1"]),
+), min_size=1, max_size=8))  # an empty text log has no line to carry its label
+@settings(max_examples=200, deadline=None)
+def test_sub_second_log_round_trip(occurrences):
+    log = occurrences_to_log(occurrences, label="EL1")
+    assert parse_log(serialize_log(log)) == log
+    assert log_from_jsonl(log_to_jsonl(log), label="EL1") == log
+
+
+@pytest.mark.parametrize("fault", ["interrupted_stream", "failed_rename"])
+def test_occurrence_csv_write_is_atomic(tmp_path, monkeypatch, fault):
+    path = tmp_path / "occ.csv"
+    path.write_text("old\n")
+
+    def interrupted():
+        yield Occurrence(1.0, "s1", "h")
+        raise OSError("stream interrupted")
+
+    def failed_rename(src, dst):
+        raise OSError("rename failed")
+
+    if fault == "failed_rename":
+        monkeypatch.setattr(os, "replace", failed_rename)
+    with pytest.raises(OSError):
+        write_occurrences_csv(path, interrupted() if fault == "interrupted_stream"
+                              else [Occurrence(1.0, "s1", "h")])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["occ.csv"]
+
+
+def test_occurrence_csv_bytes(tmp_path):
+    path = tmp_path / "occ.csv"
+    write_occurrences_csv(path, [Occurrence(0.5, "s1", "h", "T1")])
+    assert path.read_bytes() == b"location_id,entity_class,track_id,start_time\r\ns1,h,T1,0.5\r\n"
+
+
 def test_import_leaves_numpy_unloaded():
     # the log layer holds no numeric code: events imports eventlog, not the reverse
     code = "import sys, trackmine.eventlog; sys.exit('numpy' in sys.modules)"
