@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import eventlog, events, procnet, ranking, sim
 from .errors import ConvergenceError, DataError, TrackmineError
@@ -53,19 +54,13 @@ def _write_log(path: str, log: eventlog.EventLog) -> None:
 
 
 def _detection_config(args) -> events.DetectionConfig:
-    return events.DetectionConfig(
-        min_duration=args.min_duration,
-        min_overlap_ratio=args.min_overlap_ratio,
-        sample_period=args.sample_period,
-        dedup_window=args.dedup_window,
-    )
+    return events.DetectionConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(events.DetectionConfig)})
 
 
 def _add_detection_flags(p):
-    p.add_argument("--min-duration", type=float, default=3.0, dest="min_duration")
-    p.add_argument("--min-overlap-ratio", type=float, default=0.10, dest="min_overlap_ratio")
-    p.add_argument("--sample-period", type=float, default=1.0, dest="sample_period")
-    p.add_argument("--dedup-window", type=float, default=2.0, dest="dedup_window")
+    for f in fields(events.DetectionConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name, default=f.default)
 
 
 def _add_split_flags(p):
@@ -299,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="merge occurrence CSV streams")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--dedup-window", type=float, default=2.0, dest="dedup_window")
+    p.add_argument("--dedup-window", type=float, dest="dedup_window",
+                   default=events.DetectionConfig.dedup_window)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_merge)
 
@@ -362,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-truth", required=True, dest="out_truth")
     p.add_argument("--out-zones", dest="out_zones")
     p.add_argument("--seed", type=int)
-    p.add_argument("--min-duration", type=float, default=3.0, dest="min_duration")
+    p.add_argument("--min-duration", type=float, dest="min_duration",
+                   default=events.DetectionConfig.min_duration)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

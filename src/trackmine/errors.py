@@ -14,9 +14,8 @@ class ConfigError(TrackmineError):
 
 
 class ConvergenceError(TrackmineError):
-    """A solver could not certify its answer within the requested tolerance."""
+    """A solver's residual exceeds the tolerance the matrix's own scale sets."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations

@@ -340,7 +340,8 @@ def serialize_record(record: EventRecord, label: str = "") -> str:
 
 
 def serialize_log(log: EventLog) -> str:
-    """Canonical full-form text; parse(serialize(log)) == log."""
+    """Canonical full-form text; parse(serialize(log)) == log whenever log
+    has a record, since the label is written on each record line."""
     return "".join(serialize_record(r, log.label) + "\n" for r in log.records)
 
 

@@ -77,6 +77,9 @@ class LinkMatrix:
             raise DataError(
                 f"link matrix shape {self.values.shape} does not match {n} labels"
             )
+        repeated = [lbl.render() for lbl, count in Counter(self.labels).items() if count > 1]
+        if repeated:
+            raise DataError(f"link matrix label {repeated[0]} appears more than once")
         bad = np.argwhere(~np.isfinite(self.values) | (self.values < 0))
         if len(bad):
             i, j = bad[0]

@@ -11,12 +11,14 @@ network.  Each is one dense direct solve:
 * ``pagerank_norm`` — the linear solve ``(I - alpha * S) x = (1 - alpha) / n``
   for the column-stochastic ``S`` of ``L``.
 
-When eigenvalues within ``tol`` of the largest make the dominant vector
-non-unique, the solvers take the uniform vector projected onto their
-eigenspace, so relabelling the nodes permutes the scores.  The unit vector
-v is certified, ``||M v - lam v|| <= tol``, or ``ConvergenceError`` is
-raised (exit 4 of ``trackmine rank``).  ``rank --json`` reports that
-``residual`` and the eigenspace's ``multiplicity``; ``iterations`` is 0.
+The tolerance scales with the matrix, ``tol = RTOL * max(1, max|M_ij|)``,
+as the rounding of a backward-stable ``eigh`` does.  When eigenvalues
+within ``tol`` of the largest make the dominant vector non-unique, the
+solvers take the uniform vector projected onto their eigenspace, so
+relabelling the nodes permutes the scores.  The unit vector v is certified,
+``||M v - lam v|| <= tol``, or ``ConvergenceError`` is raised (exit 4 of
+``trackmine rank``).  ``rank --json`` reports that ``residual`` and the
+eigenspace's ``multiplicity``; ``iterations`` is 0.
 
 Scores are reported as components of the unit vector, either raw
 (squares sum to 1) or squared (sum to 1).
@@ -32,6 +34,7 @@ from .errors import ConvergenceError, DataError
 from .procnet import LinkMatrix, NodeLabel
 
 SYMMETRY_TOL = 1e-12
+RTOL = 1e-10  # certification tolerance per unit of max(1, max|M_ij|)
 
 
 @dataclass
@@ -77,23 +80,21 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def _certify(M: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, float]:
+def _certify(M: np.ndarray, v: np.ndarray, scale: float) -> tuple[float, float]:
     """Rayleigh quotient lam of the unit vector v and the residual
-    ||M v - lam v||; raises ConvergenceError unless the residual is <= tol."""
+    ||M v - lam v||; raises ConvergenceError unless it is <= RTOL * scale."""
     Mv = M @ v
     lam = float(v @ Mv)
     res = float(np.linalg.norm(Mv - lam * v))
-    if not res <= tol:  # a nan residual fails too
-        raise ConvergenceError(f"dominant eigenvector residual {res:.3e} exceeds tol={tol}",
-                               residual=res, iterations=0)
+    if not res <= RTOL * scale:  # a nan residual fails too
+        raise ConvergenceError(f"dominant eigenvector residual {res:.3e} exceeds "
+                               f"tol={RTOL * scale:.3e}", residual=res)
     return lam, res
 
 
-def _dominant_eigvec(S: np.ndarray, tol: float) -> tuple[np.ndarray, float, float, int]:
+def _dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     """(unit vector, eigenvalue, residual, multiplicity) of a symmetric
     matrix; see ``grad_dominant_eigvec``."""
-    if tol <= 0:
-        raise DataError("tol must be > 0")
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DataError("symmetric matrix must be square and non-empty")
@@ -103,24 +104,24 @@ def _dominant_eigvec(S: np.ndarray, tol: float) -> tuple[np.ndarray, float, floa
     if np.abs(A - A.T).max() > SYMMETRY_TOL * scale:
         raise DataError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(A)
-    top = vecs[:, vals >= vals[-1] - tol]
+    top = vecs[:, vals >= vals[-1] - RTOL * scale]
     v = top @ top.sum(axis=0)  # the all-ones vector projected onto the top eigenspace
     norm = float(np.linalg.norm(v))
     # the projection is nonzero when A is non-negative (Perron-Frobenius);
     # otherwise eigh's own top vector stands in
     v = _fix_sign(v / norm if norm > 0 else top[:, -1])
-    lam, res = _certify(A, v, tol)
+    lam, res = _certify(A, v, scale)
     return v, lam, res, top.shape[1]
 
 
-def grad_dominant_eigvec(S: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, int]:
+def grad_dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Dominant eigenpair of a symmetric matrix from one ``np.linalg.eigh``:
     the uniform vector projected onto the eigenspace of every eigenvalue
-    within ``tol`` of the largest.  Returns (unit vector, eigenvalue,
-    iterations=0) with ``||S v - lam v|| <= tol``, or raises
-    ``ConvergenceError``; the largest-magnitude component of v is positive.
+    within ``tol = RTOL * max(1, max|S_ij|)`` of the largest.  Returns (unit
+    vector, eigenvalue, iterations=0) with ``||S v - lam v|| <= tol``, or
+    raises ``ConvergenceError``; v's largest-magnitude component is positive.
     """
-    vec, lam, _, _ = _dominant_eigvec(S, tol)
+    vec, lam, _, _ = _dominant_eigvec(S)
     return vec, lam, 0
 
 
@@ -142,7 +143,6 @@ def hits_pm_norm(
     lm: LinkMatrix,
     alpha: float = 0.8,
     kind: str = "authority",
-    tol: float = 1e-10,
     convention: str = "squared",
 ) -> RankingResult:
     """Dominant eigenvector of the primitivity-adjusted authority or hub
@@ -152,7 +152,7 @@ def hits_pm_norm(
     _check_convention(convention)
     base = _base_matrix(lm, kind)
     M = alpha * base + (1.0 - alpha) / base.shape[0]
-    vec, _, res, multiplicity = _dominant_eigvec(M, tol)
+    vec, _, res, multiplicity = _dominant_eigvec(M)
     return _as_result(lm, "hits_pm_norm", kind, alpha, convention, vec, res, multiplicity)
 
 
@@ -168,7 +168,7 @@ def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
 
 
 def pagerank_norm(
-    lm: LinkMatrix, alpha: float = 0.8, tol: float = 1e-10, convention: str = "squared"
+    lm: LinkMatrix, alpha: float = 0.8, convention: str = "squared"
 ) -> RankingResult:
     """Perron vector of the teleport-adjusted column-stochastic matrix
     ``G = alpha * S + (1 - alpha) / n * ones``, L2-normalised.  G is
@@ -183,15 +183,15 @@ def pagerank_norm(
     # G x = x with sum(x) = 1 is (I - alpha * S) x = teleport * ones(n)
     x = np.linalg.solve(np.eye(n) - (G - teleport), np.full(n, teleport))
     vec = x / np.linalg.norm(x)
-    _, res = _certify(G, vec, tol)
+    _, res = _certify(G, vec, 1.0)  # every entry of G is at most 1
     return _as_result(lm, "pagerank_norm", "stochastic", alpha, convention, vec, res)
 
 
 def gradient_ranking(
-    lm: LinkMatrix, kind: str = "authority", tol: float = 1e-10, convention: str = "squared"
+    lm: LinkMatrix, kind: str = "authority", convention: str = "squared"
 ) -> RankingResult:
     _check_convention(convention)
-    vec, _, res, multiplicity = _dominant_eigvec(_base_matrix(lm, kind), tol)
+    vec, _, res, multiplicity = _dominant_eigvec(_base_matrix(lm, kind))
     return _as_result(lm, "gradient", kind, None, convention, vec, res, multiplicity)
 
 
@@ -202,17 +202,16 @@ def rank_nodes(
     alpha: float = 0.8,
     convention: str = "squared",
     k: int = 10,
-    tol: float = 1e-10,
 ) -> tuple[list[tuple[NodeLabel, float]], RankingResult, DispersionStats]:
     """Top-k nodes under one algorithm; descending score, ties by label."""
     if k < 1:
         raise DataError("k must be >= 1")
     if algorithm == "gradient":
-        result = gradient_ranking(lm, kind=kind, tol=tol, convention=convention)
+        result = gradient_ranking(lm, kind=kind, convention=convention)
     elif algorithm == "hits_pm_norm":
-        result = hits_pm_norm(lm, alpha=alpha, kind=kind, tol=tol, convention=convention)
+        result = hits_pm_norm(lm, alpha=alpha, kind=kind, convention=convention)
     elif algorithm == "pagerank_norm":
-        result = pagerank_norm(lm, alpha=alpha, tol=tol, convention=convention)
+        result = pagerank_norm(lm, alpha=alpha, convention=convention)
     else:
         raise DataError(f"unknown algorithm {algorithm!r}")
     ranked = sorted(result.scores.items(), key=lambda kv: (-kv[1], kv[0].render()))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .eventlog import Occurrence
-from .events import DetectionSample, Rect, ZoneSpec, check_unique_zones, zone_from_json
+from .events import (DetectionConfig, DetectionSample, Rect, ZoneSpec, check_unique_zones,
+                     zone_from_json)
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 
@@ -69,7 +70,7 @@ def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
 
 
 def simulate(
-    sc: Scenario, min_duration: float = 3.0
+    sc: Scenario, min_duration: float = DetectionConfig.min_duration
 ) -> tuple[list[DetectionSample], list[Occurrence]]:
     """Run the scenario; returns (samples, ground-truth occurrences).
 

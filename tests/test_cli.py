@@ -1,11 +1,13 @@
+import inspect
 import json
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from trackmine import sim
-from trackmine.cli import main
+from trackmine import ranking, sim
+from trackmine.cli import _detection_config, build_parser, main
 from trackmine.eventlog import load_occurrences_csv
 from trackmine.events import DetectionConfig, detect_streams
 
@@ -127,6 +129,17 @@ def log_file(tmp_path):
     return path
 
 
+def _count_matrix(tmp_path):
+    """A 6x6 directly-follows count matrix with entries in the hundreds;
+    its authority matrix has entries near 1e6."""
+    values = np.random.default_rng(0).integers(100, 301, size=(6, 6))
+    labels = [f"P_s{i}" for i in range(1, 7)]
+    rows = [",".join([lbl, *map(str, row)]) for lbl, row in zip(labels, values.tolist())]
+    path = tmp_path / "counts.csv"
+    path.write_text("\n".join(["," + ",".join(labels), *rows]) + "\n")
+    return path
+
+
 class TestAnalysis:
     def test_cycles(self, log_file, capsys):
         rc, out = run(capsys, "cycles", "--log", log_file, "--anchor", "^s11$", "--json")
@@ -168,6 +181,15 @@ class TestAnalysis:
         assert report["multiplicity"] == 2
         assert [s["value"] for s in report["scores"]] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert {"iterations", "residual", "entropy", "participation_ratio"} <= set(report)
+
+    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
+    def test_rank_certifies_counts_in_the_hundreds(self, tmp_path, capsys, algorithm):
+        rc, out = run(capsys, "rank", "--matrix", _count_matrix(tmp_path),
+                      "--algorithm", algorithm, "--json")
+        assert rc == 0
+        report = json.loads(out)
+        assert sum(s["value"] for s in report["scores"]) == pytest.approx(1.0, abs=1e-9)
+        assert report["multiplicity"] == 1
 
     def test_compare(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
@@ -413,6 +435,29 @@ class TestExitCodes:
         assert captured.err.startswith("trackmine rank: link matrix entry (x_1, x_2) is ")
         assert captured.err.count("\n") == 1
 
+    def test_repeated_matrix_label_is_data_error(self, tmp_path, capsys):
+        matrix = tmp_path / "dup.csv"
+        matrix.write_text(",P_s1,P_s2,P_s1\nP_s1,0,1,0\nP_s2,0,0,1\nP_s1,1,0,0\n")
+        rc = main(["rank", "--matrix", str(matrix), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "trackmine rank: link matrix label P_s1 appears more than once\n"
+
+    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
+    def test_uncertified_ranking_is_convergence_error(self, tmp_path, capsys, monkeypatch,
+                                                      algorithm):
+        monkeypatch.setattr(ranking, "RTOL", 1e-300)
+        out = tmp_path / "rank.json"
+        rc = main(["rank", "--matrix", str(_count_matrix(tmp_path)), "--algorithm", algorithm,
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert captured.err.startswith("trackmine rank: convergence failure: dominant ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_scenario_zone_is_data_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({
@@ -617,3 +662,15 @@ def test_outputs_get_the_permissions_open_gives(tmp_path, capsys, log_file, argv
         os.umask(old)
     assert rc == 0
     assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_detection_defaults_come_from_detection_config():
+    parser = build_parser()
+    cfg = DetectionConfig()
+    detect = parser.parse_args(["detect", "--tracks", "t", "--zones", "z", "--out", "o"])
+    assert _detection_config(detect) == cfg
+    assert parser.parse_args(["merge", "a.csv", "--out", "o"]).dedup_window == cfg.dedup_window
+    simulate = parser.parse_args(["simulate", "--scenario", "s", "--out-tracks", "t",
+                                  "--out-truth", "g"])
+    assert simulate.min_duration == cfg.min_duration
+    assert inspect.signature(sim.simulate).parameters["min_duration"].default == cfg.min_duration

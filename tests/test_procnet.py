@@ -160,6 +160,11 @@ class TestLinkMatrix:
             expected[index[a], index[b]] = w
         assert np.array_equal(lm.values, expected)
 
+    def test_repeated_label_rejected(self):
+        a, b = NodeLabel("P", "s1"), NodeLabel("P", "s2")
+        with pytest.raises(DataError, match="label P_s1 appears more than once"):
+            LinkMatrix(labels=[a, b, a], values=np.eye(3))
+
     def test_bad_csv(self):
         with pytest.raises(DataError):
             matrix_from_csv("not,a\nmatrix,1\n")
