@@ -1,4 +1,7 @@
-"""Command-line pipeline: tracks -> events -> logs -> cycles -> network -> rankings."""
+"""Command-line pipeline: tracks -> events -> logs -> cycles -> network -> rankings.
+
+``detect``, ``rank``, ``simulate`` and ``tables`` import the numpy layers
+(``events``, ``ranking``, ``sim``) themselves; the others run without numpy."""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ import json
 import sys
 from dataclasses import fields
 
-from . import eventlog, events, procnet, ranking, sim
+from . import eventlog, procnet
 from .errors import ConvergenceError, DataError, TrackmineError
 from .eventlog import write_atomic
 
@@ -53,13 +56,13 @@ def _write_log(path: str, log: eventlog.EventLog) -> None:
         write_atomic(path, eventlog.serialize_log(log))
 
 
-def _detection_config(args) -> events.DetectionConfig:
-    return events.DetectionConfig(**{f.name: getattr(args, f.name)
-                                     for f in fields(events.DetectionConfig)})
+def _detection_config(args) -> eventlog.DetectionConfig:
+    return eventlog.DetectionConfig(**{f.name: getattr(args, f.name)
+                                       for f in fields(eventlog.DetectionConfig)})
 
 
 def _add_detection_flags(p):
-    for f in fields(events.DetectionConfig):
+    for f in fields(eventlog.DetectionConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name, default=f.default)
 
 
@@ -104,6 +107,7 @@ def _report_json(ranked, result, stats):
 # subcommands
 
 def cmd_detect(args) -> int:
+    from . import events
     cfg = _detection_config(args)
     samples = events.load_tracks_csv(args.tracks)
     zones = events.load_zones_json(args.zones)
@@ -131,7 +135,9 @@ def cmd_gantt(args) -> int:
     svg = eventlog.gantt(log, lane_key=args.lane_key)
     write_atomic(args.out, svg)
     if args.json:
-        print(json.dumps({"out": args.out, "lanes": svg.count("text-anchor=\"end\"")}))
+        lanes = {g.location_id if args.lane_key == "location" else e.prop or e.entity_id
+                 for r in log.records for g in r.groups for e in g.entities}
+        print(json.dumps({"out": args.out, "lanes": len(lanes)}))
     return EXIT_OK
 
 
@@ -149,9 +155,8 @@ def cmd_cycles(args) -> int:
 def cmd_dfg(args) -> int:
     cycle = _cycle_from_args(args, _read_log(args.log))
     net = procnet.build_dfg(cycle)
-    lm = procnet.link_matrix(net)
     if args.out_matrix:
-        write_atomic(args.out_matrix, procnet.matrix_to_csv(lm))
+        write_atomic(args.out_matrix, procnet.matrix_to_csv(net))
     if args.out_dot:
         write_atomic(args.out_dot, procnet.network_to_dot(net))
     if args.json:
@@ -165,6 +170,7 @@ def cmd_dfg(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import ranking
     if args.matrix is not None:
         with open(args.matrix, encoding="utf-8") as fh:
             lm = procnet.matrix_from_csv(fh.read())
@@ -206,7 +212,7 @@ def _read_node_list(path: str) -> list[str]:
 def cmd_compare(args) -> int:
     a = _read_node_list(args.a)
     b = _read_node_list(args.b)
-    result = ranking.compare_topk(a, b, args.k)
+    result = procnet.compare_topk(a, b, args.k)
     print(json.dumps({
         "common": sorted(result["common"]),
         "only_a": sorted(result["only_a"]),
@@ -225,6 +231,7 @@ def cmd_precision(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import events, sim
     sc = sim.scenario_from_json(args.scenario)
     if args.seed is not None:
         sc.seed = args.seed
@@ -239,6 +246,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import ranking
     rows = {}
     for name in ("L0", "L1"):
         lm = _builtin_lm(name)
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
     p.add_argument("--dedup-window", type=float, dest="dedup_window",
-                   default=events.DetectionConfig.dedup_window)
+                   default=eventlog.DetectionConfig.dedup_window)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_merge)
 
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-zones", dest="out_zones")
     p.add_argument("--seed", type=int)
     p.add_argument("--min-duration", type=float, dest="min_duration",
-                   default=events.DetectionConfig.min_duration)
+                   default=eventlog.DetectionConfig.min_duration)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

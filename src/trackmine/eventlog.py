@@ -1,6 +1,6 @@
-"""Calendar time, occurrences with their CSV and stream merge, atomic file
-writes, and event logs: model, text and JSONL formats, cycles, Gantt charts,
-precision; no numpy.
+"""Calendar time, occurrences with their CSV and stream merge, the detection
+settings, atomic file writes, and event logs: model, text and JSONL formats,
+cycles, Gantt charts, precision; no numpy.
 
 One record per line, e.g. ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
 or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the grammar.
@@ -23,7 +23,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # ---------------------------------------------------------------------------
 # calendar time and occurrences
@@ -90,6 +90,24 @@ class Occurrence:
     @property
     def key(self) -> tuple:
         return (self.location_id, self.entity_class, self.track_id)
+
+
+@dataclass(frozen=True)
+class DetectionConfig:
+    min_duration: float = 3.0
+    min_overlap_ratio: float = 0.10
+    sample_period: float = 1.0
+    dedup_window: float = 2.0
+
+    def __post_init__(self):
+        if self.min_duration < 0:
+            raise ConfigError("min_duration must be >= 0")
+        if not 0.0 <= self.min_overlap_ratio <= 1.0:
+            raise ConfigError("min_overlap_ratio must be in [0, 1]")
+        if self.sample_period <= 0:
+            raise ConfigError("sample_period must be > 0")
+        if self.dedup_window < 0:
+            raise ConfigError("dedup_window must be >= 0")
 
 
 def merge_camera_streams(

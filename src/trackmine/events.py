@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-# Occurrence, stream merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (Occurrence, _csv_rows, load_occurrences_csv, merge_camera_streams,
-                       parse_time, write_occurrences_csv)
+# DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
+from .eventlog import (DetectionConfig, Occurrence, _csv_rows, load_occurrences_csv,
+                       merge_camera_streams, parse_time, write_occurrences_csv)
 
 _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
 
@@ -64,24 +64,6 @@ class ZoneSpec:
     camera_id: str
     box: Rect
     category: str = ""
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    min_duration: float = 3.0
-    min_overlap_ratio: float = 0.10
-    sample_period: float = 1.0
-    dedup_window: float = 2.0
-
-    def __post_init__(self):
-        if self.min_duration < 0:
-            raise ConfigError("min_duration must be >= 0")
-        if not 0.0 <= self.min_overlap_ratio <= 1.0:
-            raise ConfigError("min_overlap_ratio must be in [0, 1]")
-        if self.sample_period <= 0:
-            raise ConfigError("sample_period must be > 0")
-        if self.dedup_window < 0:
-            raise ConfigError("dedup_window must be >= 0")
 
 
 def check_unique_zones(zones: Iterable[ZoneSpec]) -> None:

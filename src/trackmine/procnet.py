@@ -1,4 +1,7 @@
-"""Directly-follows process networks per cycle and their matrix form."""
+"""Directly-follows process networks per cycle and their matrix form.
+
+numpy is imported only where a ``LinkMatrix`` is built, so the network,
+its CSV and DOT writers and ``compare_topk`` run without it."""
 
 from __future__ import annotations
 
@@ -6,11 +9,13 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError
 from .eventlog import Cycle, EventRecord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # worker/vehicle role abbreviations used by the default labeler
 _DEFAULT_ROLES = {
@@ -68,9 +73,10 @@ class ProcessNetwork:
 @dataclass
 class LinkMatrix:
     labels: list[NodeLabel]
-    values: np.ndarray  # square, non-negative
+    values: np.ndarray  # square, non-negative; rows of floats are converted
 
     def __post_init__(self):
+        import numpy as np
         self.values = np.asarray(self.values, dtype=float)
         n = len(self.labels)
         if self.values.shape != (n, n):
@@ -109,9 +115,33 @@ def activity_ranking(net: ProcessNetwork, k: int) -> list[tuple[NodeLabel, int]]
     return ranked[:k]
 
 
+def compare_topk(a, b, k: int) -> dict:
+    """Set algebra on two ranked label lists truncated to k."""
+    def labels(seq):
+        out = []
+        for item in seq:
+            lbl = item[0] if isinstance(item, tuple) else item
+            out.append(lbl.render() if isinstance(lbl, NodeLabel) else str(lbl))
+        return out
+
+    if k < 1:
+        raise DataError("k must be >= 1")
+    la, lb = labels(a), labels(b)
+    if k > len(la) or k > len(lb):
+        raise DataError(f"k={k} exceeds a list length ({len(la)}, {len(lb)})")
+    sa, sb = set(la[:k]), set(lb[:k])
+    return {
+        "common": sa & sb,
+        "only_a": sa - sb,
+        "only_b": sb - sa,
+        "jaccard": len(sa & sb) / len(sa | sb),
+    }
+
+
 def link_matrix(net: ProcessNetwork) -> LinkMatrix:
     if not net.nodes:
         raise DataError("cannot build a link matrix from an empty network")
+    import numpy as np
     idx = {lbl: i for i, lbl in enumerate(net.nodes)}
     n = len(net.nodes)
     L = np.zeros((n, n))
@@ -123,13 +153,15 @@ def link_matrix(net: ProcessNetwork) -> LinkMatrix:
 # ---------------------------------------------------------------------------
 # export / import
 
-def matrix_to_csv(lm: LinkMatrix) -> str:
-    """Labeled CSV: first row and first column carry rendered node labels."""
+def matrix_to_csv(net: ProcessNetwork) -> str:
+    """The dense ``link_matrix(net)`` as a labeled CSV: first row and first
+    column carry rendered node labels; ``matrix_from_csv`` reads it back."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [lbl.render() for lbl in lm.labels])
-    for i, lbl in enumerate(lm.labels):
-        writer.writerow([lbl.render()] + [repr(v) for v in lm.values[i].tolist()])
+    writer.writerow([""] + [lbl.render() for lbl in net.nodes])
+    for a in net.nodes:
+        writer.writerow([a.render()] + [repr(float(net.edges.get((a, b), 0.0)))
+                                        for b in net.nodes])
     return buf.getvalue()
 
 
@@ -152,7 +184,7 @@ def matrix_from_csv(text: str) -> LinkMatrix:
             raise DataError(f"matrix CSV line {lineno}: {exc}") from None
     if row_labels != reader[0][1:]:
         raise DataError("matrix CSV row labels do not match column labels")
-    return LinkMatrix(labels=col_labels, values=np.array(rows))
+    return LinkMatrix(labels=col_labels, values=rows)
 
 
 def network_to_dot(net: ProcessNetwork) -> str:

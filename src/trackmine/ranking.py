@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .procnet import LinkMatrix, NodeLabel
+# compare_topk stays reachable as ranking.compare_topk
+from .procnet import LinkMatrix, NodeLabel, compare_topk  # noqa: F401
 
 SYMMETRY_TOL = 1e-12
 RTOL = 1e-10  # certification tolerance per unit of max(1, max|M_ij|)
@@ -232,25 +233,3 @@ def dispersion(result: RankingResult) -> DispersionStats:
     pr = float(1.0 / (p @ p))
     return DispersionStats(shannon_entropy=entropy, participation_ratio=pr)
 
-
-def compare_topk(a, b, k: int) -> dict:
-    """Set algebra on two ranked label lists truncated to k."""
-    def labels(seq):
-        out = []
-        for item in seq:
-            lbl = item[0] if isinstance(item, tuple) else item
-            out.append(lbl.render() if isinstance(lbl, NodeLabel) else str(lbl))
-        return out
-
-    if k < 1:
-        raise DataError("k must be >= 1")
-    la, lb = labels(a), labels(b)
-    if k > len(la) or k > len(lb):
-        raise DataError(f"k={k} exceeds a list length ({len(la)}, {len(lb)})")
-    sa, sb = set(la[:k]), set(lb[:k])
-    return {
-        "common": sa & sb,
-        "only_a": sa - sb,
-        "only_b": sb - sa,
-        "jaccard": len(sa & sb) / len(sa | sb),
-    }

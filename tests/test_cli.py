@@ -1,12 +1,15 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trackmine import ranking, sim
+from trackmine import cli, ranking, sim
 from trackmine.cli import _detection_config, build_parser, main
 from trackmine.eventlog import load_occurrences_csv
 from trackmine.events import DetectionConfig, detect_streams
@@ -122,6 +125,15 @@ EL1: {k3, (E1,RP), 2024/08/15/10:10:00}
 """
 
 
+DFG_LOG_TEXT = """\
+EL1: {s1, (E1,RP), 2024/08/15/10:00:00}
+EL1: {s1, (E1,RP), 2024/08/15/10:00:10}
+EL1: {s2, (E1,RP), 2024/08/15/10:00:20}
+EL1: {s1, (E1,RP), 2024/08/15/10:00:30}
+EL1: {s2, (E1,RP); k3, (E2,LP), 2024/08/15/10:00:40}
+"""
+
+
 @pytest.fixture
 def log_file(tmp_path):
     path = tmp_path / "el.log"
@@ -201,6 +213,16 @@ class TestAnalysis:
         payload = json.loads(out)
         assert sorted(payload["common"]) == ["LP_k3", "RP_s11"]
         assert payload["jaccard"] == pytest.approx(0.5)
+
+    def test_dfg_matrix_bytes(self, tmp_path, capsys):
+        # a self-loop, a pair seen twice, and a last node without out-edges
+        log = tmp_path / "el.log"
+        log.write_text(DFG_LOG_TEXT)
+        matrix = tmp_path / "L.csv"
+        rc, _ = run(capsys, "dfg", "--log", log, "--boundaries", "0", "--out-matrix", matrix)
+        assert rc == 0
+        assert matrix.read_bytes() == (b",RP_s1,RP_s2,LP_k3\nRP_s1,1.0,2.0,0.0\n"
+                                       b"RP_s2,1.0,0.0,1.0\nLP_k3,0.0,0.0,0.0\n")
 
 
 class TestTables:
@@ -638,12 +660,47 @@ class TestUntracked:
 
 def test_gantt_escapes_labels(tmp_path, capsys):
     log = tmp_path / "el.log"
-    log.write_text("EL1: {s<1&, (E1,RP), 2024/08/15/10:00:00}\n")
+    log.write_text("EL1: {s<1&, (E1,RP); s2, (E2,LP), 2024/08/15/10:00:00}\n"
+                   "EL1: {s3, (E1,RP), 2024/08/15/10:00:10}\n")
     svg = tmp_path / "chart.svg"
-    rc, out = run(capsys, "gantt", "--log", log, "--out", svg, "--json")
-    assert rc == 0
-    assert json.loads(out)["lanes"] == 1
-    ET.parse(svg)
+    for lane_key, lanes in (("location", 3), ("entity", 2)):
+        rc, out = run(capsys, "gantt", "--log", log, "--lane-key", lane_key, "--out", svg,
+                      "--json")
+        assert rc == 0
+        assert json.loads(out)["lanes"] == lanes
+        ET.parse(svg)
+
+
+NUMPY_FREE_ARGV = {
+    "import": "",
+    "cycles": "cycles --log {log} --anchor ^s11$ --json",
+    "gantt": "gantt --log {log} --out {tmp}/chart.svg --json",
+    "precision": "precision --detected {occ} --truth {occ}",
+    "merge": "merge {occ} {occ} --out {tmp}/merged.csv --json",
+    "compare": "compare --a {nodes} --b {nodes} --k 2",
+    "dfg": "dfg --log {log} --anchor ^s11$ --out-matrix {tmp}/L.csv --out-dot {tmp}/L.dot",
+}
+NUMPY_PROBE = """\
+import json, sys
+import trackmine.cli
+rc = trackmine.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("command", list(NUMPY_FREE_ARGV))
+def test_non_computing_subcommands_leave_numpy_unloaded(tmp_path, log_file, command):
+    # a fresh interpreter: pytest and hypothesis have imported numpy in this one
+    occ = tmp_path / "occ.csv"
+    occ.write_text(MIXED_TRACKS_CSV)
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("RP_s11\nRP_s14\n")
+    argv = NUMPY_FREE_ARGV[command].format(log=log_file, tmp=tmp_path, occ=occ, nodes=nodes)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 0, "numpy": False}
 
 
 @pytest.mark.parametrize("argv", [

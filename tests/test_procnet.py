@@ -10,6 +10,7 @@ from trackmine.eventlog import Cycle, Entity, EventLog, EventRecord, Group
 from trackmine.procnet import (
     LinkMatrix,
     NodeLabel,
+    ProcessNetwork,
     activity_ranking,
     build_dfg,
     default_labeler,
@@ -145,10 +146,26 @@ class TestLinkMatrix:
     def test_csv_round_trip_paper_style_matrix(self):
         labels = [NodeLabel("x", str(i + 1)) for i in range(3)]
         values = np.array([[1.01, 0.01, 0.0], [0.01, 1.0, 0.0], [0.0, 0.0, 0.9]])
-        lm = LinkMatrix(labels=labels, values=values)
-        again = matrix_from_csv(matrix_to_csv(lm))
+        edges = {(labels[i], labels[j]): float(values[i, j])
+                 for i in range(3) for j in range(3) if values[i, j]}
+        net = ProcessNetwork(nodes=labels, edges=edges, activities={})
+        again = matrix_from_csv(matrix_to_csv(net))
         assert again.labels == labels
         assert np.array_equal(again.values, values)
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_csv_round_trip_is_link_matrix(self, data):
+        label = st.builds(NodeLabel, st.sampled_from(["P", "RP", "big_AGV"]),
+                          st.from_regex(r"[a-z][0-9]{1,2}", fullmatch=True))
+        nodes = data.draw(st.lists(label, min_size=1, max_size=6, unique=True))
+        edges = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+            st.integers(1, 500) | st.floats(0.0, 1e300, allow_subnormal=True)))
+        net = ProcessNetwork(nodes=nodes, edges=edges, activities={})
+        lm, again = link_matrix(net), matrix_from_csv(matrix_to_csv(net))
+        assert again.labels == lm.labels
+        assert again.values.tolist() == lm.values.tolist()
 
     def test_edge_weights_at_label_indices(self):
         net = build_dfg(cycle_from_labels(["a_s1", "b_s2", "a_s1", "b_s2", "c_s3"]))
