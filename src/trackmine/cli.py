@@ -42,7 +42,7 @@ def _builtin_lm(name: str) -> procnet.LinkMatrix:
 
 
 def _read_log(path: str) -> eventlog.EventLog:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if path.endswith(".jsonl"):
         return eventlog.log_from_jsonl(text)
@@ -172,7 +172,7 @@ def cmd_dfg(args) -> int:
 def cmd_rank(args) -> int:
     from . import ranking
     if args.matrix is not None:
-        with open(args.matrix, encoding="utf-8") as fh:
+        with open(args.matrix, encoding="utf-8-sig") as fh:
             lm = procnet.matrix_from_csv(fh.read())
     else:
         cycle = _cycle_from_args(args, _read_log(args.log))
@@ -194,7 +194,7 @@ def cmd_rank(args) -> int:
 
 
 def _read_node_list(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if path.endswith(".json"):
         try:

@@ -132,23 +132,43 @@ def merge_camera_streams(
     return out
 
 
+def _csv_error(path, reader, exc: Exception) -> DataError:
+    """A csv.Error (a field over csv's size limit, a NUL on Python 3.10) as
+    a DataError at the reader's line."""
+    return DataError(f"{path}:{reader.line_num}: {exc}")
+
+
+def _csv_reader(fh, path, expected: list[str]):
+    """A csv.reader past the header of `fh`, which must be exactly `expected`."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise _csv_error(path, reader, exc) from None
+    if header != expected:
+        raise DataError(
+            f"{path}: expected header {','.join(expected)}, got {','.join(header)!r}"
+        )
+    return reader
+
+
+def _width_error(path, reader, expected: list[str], row: list[str]) -> DataError:
+    return DataError(f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}")
+
+
 def _csv_rows(fh, path, expected: list[str]):
     """Yield (line number, row) for each non-blank data row of a CSV whose
     header must be exactly `expected` and whose rows have as many fields."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    if header != expected:
-        raise DataError(
-            f"{path}: expected header {','.join(expected)}, got {','.join(header)}"
-        )
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise DataError(
-                f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}"
-            )
-        yield reader.line_num, row
+    reader = _csv_reader(fh, path, expected)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise _width_error(path, reader, expected, row)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise _csv_error(path, reader, exc) from None
 
 
 def write_atomic(path, text: str) -> None:
@@ -179,7 +199,7 @@ def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
 def load_occurrences_csv(path) -> list[Occurrence]:
     expected = ["location_id", "entity_class", "track_id", "start_time"]
     occurrences = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, (location, cls, track, start) in _csv_rows(fh, path, expected):
             try:
                 occurrences.append(Occurrence(parse_time(start), location, cls, track))

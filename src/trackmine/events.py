@@ -13,22 +13,22 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (DetectionConfig, Occurrence, _csv_rows, load_occurrences_csv,
-                       merge_camera_streams, parse_time, write_occurrences_csv)
+from .eventlog import (DetectionConfig, Occurrence, _csv_error, _csv_reader, _width_error,
+                       load_occurrences_csv, merge_camera_streams, parse_time,
+                       write_occurrences_csv)
 
 _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """Axis-aligned rectangle in pixel coordinates."""
 
     x: float
@@ -42,11 +42,10 @@ class Rect:
 
     @property
     def finite(self) -> bool:
-        return all(map(math.isfinite, (self.x, self.y, self.w, self.h)))
+        return all(map(math.isfinite, self))
 
 
-@dataclass(frozen=True)
-class DetectionSample:
+class DetectionSample(NamedTuple):
     """One time-stamped bounding box of one entity seen by one camera."""
 
     camera_id: str
@@ -93,9 +92,9 @@ def _check_box(name: str, box: Rect) -> None:
 
 def _overlap(ex, ey, ew, eh, zx, zy, zw, zh):
     """Overlap-ratio kernel on float64 scalars or arrays (elementwise)."""
-    ix = np.minimum(ex + ew, zx + zw) - np.maximum(ex, zx)
-    iy = np.minimum(ey + eh, zy + zh) - np.maximum(ey, zy)
     with np.errstate(over="ignore", invalid="ignore"):
+        ix = np.minimum(ex + ew, zx + zw) - np.maximum(ex, zx)
+        iy = np.minimum(ey + eh, zy + zh) - np.maximum(ey, zy)
         return np.where((ix > 0) & (iy > 0), (ix * iy) / (ew * eh), 0.0)
 
 
@@ -203,7 +202,8 @@ def detect_events(
     # a run cannot continue across a stream boundary or a gap longer than
     # one missing sample
     brk = np.ones(len(t), dtype=bool)
-    brk[1:] = (sid[1:] != sid[:-1]) | (t[1:] - t[:-1] > 2.0 * cfg.sample_period)
+    with np.errstate(over="ignore"):  # a step past the float range is inf, so a break
+        brk[1:] = (sid[1:] != sid[:-1]) | (t[1:] - t[:-1] > 2.0 * cfg.sample_period)
     bounds = np.searchsorted(cam, np.arange(len(cam_ids) + 1))
 
     parts = []  # (emitting sample, run's first sample, zone index) per zone
@@ -223,7 +223,8 @@ def detect_events(
             first = qi[starts][run]
             # times never decrease within a stream, so done is monotone
             # within a run and the run emits at its first true sample
-            done = tc[qi] - tc[first] >= cfg.min_duration
+            with np.errstate(over="ignore"):
+                done = tc[qi] - tc[first] >= cfg.min_duration
             emit = done & (starts | ~np.concatenate(([False], done[:-1])))
             parts.append((order[lo + qi[emit]], order[lo + first[emit]],
                           np.full(int(emit.sum()), j)))
@@ -262,16 +263,39 @@ def _parse_box(x, y, w, h) -> Rect:
 
 
 def load_tracks_csv(path) -> list[DetectionSample]:
-    """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h."""
+    """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h.
+
+    A row of 8 fields whose time and box ``float`` converts to five values
+    with a finite sum is a sample as it stands.  Only a row that fails that
+    takes the exact checks: a blank row is skipped, a row of another width
+    or a bad value raises its ``path:line:`` error, and anything else (a
+    timestamp time, finite values whose sum overflows) is a sample too."""
     samples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
-            try:
-                samples.append(
-                    DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
-                )
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    append, isfinite = samples.append, math.isfinite
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _csv_reader(fh, path, _TRACKS_FIELDS)
+        try:
+            for row in reader:
+                try:
+                    camera, time, cls, track, x, y, w, h = row
+                    t, bx, by, bw, bh = float(time), float(x), float(y), float(w), float(h)
+                    if isfinite(t + bx + by + bw + bh):
+                        append(DetectionSample(camera, t, cls, track, Rect(bx, by, bw, bh)))
+                        continue
+                except ValueError:
+                    pass
+                # the exact checks, with their messages
+                if not row:
+                    continue
+                if len(row) != len(_TRACKS_FIELDS):
+                    raise _width_error(path, reader, _TRACKS_FIELDS, row)
+                try:
+                    append(DetectionSample(camera, parse_time(time), cls, track,
+                                           _parse_box(x, y, w, h)))
+                except (ValueError, DataError) as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise _csv_error(path, reader, exc) from None
     return samples
 
 
@@ -305,7 +329,7 @@ def zone_from_json(item) -> ZoneSpec:
 
 def load_zones_json(path) -> list[ZoneSpec]:
     """Read zones from a JSON array of zone objects (see ``zone_from_json``)."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -324,4 +348,4 @@ def load_zones_json(path) -> list[ZoneSpec]:
 def zones_to_json(zones: Iterable[ZoneSpec]) -> str:
     """The zones JSON array that ``load_zones_json`` reads."""
     return json.dumps([{"location_id": z.location_id, "camera_id": z.camera_id,
-                        **asdict(z.box), "category": z.category} for z in zones], indent=2) + "\n"
+                        **z.box._asdict(), "category": z.category} for z in zones], indent=2) + "\n"

@@ -183,7 +183,7 @@ def cell_layout(camera_ids: tuple[str, str] = ("cam1", "cam2")) -> list[ZoneSpec
 # JSON scenario files
 
 def scenario_from_json(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:

@@ -12,9 +12,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConfigError, ConvergenceError, DataError
-from trackmine.eventlog import TIMESTAMP_FMT, Entity, EventRecord, Group, Occurrence
-from trackmine.events import (DetectionConfig, DetectionSample, Rect, ZoneSpec, detect_events,
-                              merge_camera_streams)
+from trackmine.eventlog import (TIMESTAMP_FMT, Entity, EventRecord, Group, Occurrence, _csv_rows,
+                                parse_time)
+from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
+                              _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
 
 
@@ -200,6 +201,22 @@ def precision_scan(detected, truth, match_window):
                 matched += 1
                 break
     return matched / len(detected)
+
+
+def load_tracks_rows(path) -> list[DetectionSample]:
+    """The tracks CSV reader row by row: every row through ``_csv_rows``,
+    ``parse_time`` and ``_parse_box``, as ``load_tracks_csv`` read before its
+    one-pass loop."""
+    samples = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
+            try:
+                samples.append(
+                    DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
+                )
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    return samples
 
 
 def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:

@@ -1,17 +1,22 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackmine import cli, ranking, sim
 from trackmine.cli import _detection_config, build_parser, main
-from trackmine.eventlog import load_occurrences_csv
+from trackmine.eventlog import load_occurrences_csv, log_to_jsonl, parse_log
 from trackmine.events import DetectionConfig, detect_streams
 
 SCENARIO = {
@@ -322,17 +327,18 @@ class TestExitCodes:
         assert err.endswith("occ.csv:2: unparseable timestamp '2024/8/5/1:2:3'\n")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("row", [
-        "s1,h,T1",
-        "s1,h,T1,5.0,extra",
-    ], ids=["short", "long"])
-    def test_occurrence_row_width_is_data_error(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("row, message", [
+        ("s1,h,T1", "expected 4 fields, got 3"),
+        ("s1,h,T1,5.0,extra", "expected 4 fields, got 5"),
+        ("s1,h," + "x" * 200_000 + ",5.0", "field larger than field limit (131072)"),
+    ], ids=["short", "long", "field_over_csv_limit"])
+    def test_occurrence_row_width_is_data_error(self, tmp_path, capsys, row, message):
         csv = tmp_path / "occ.csv"
         csv.write_text(f"location_id,entity_class,track_id,start_time\ns1,h,T1,1.0\n{row}\n")
         rc = main(["precision", "--detected", str(csv), "--truth", str(csv)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert f"occ.csv:3: expected 4 fields, got {row.count(',') + 1}" in err
+        assert f"occ.csv:3: {message}" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("row, message", [
@@ -340,7 +346,8 @@ class TestExitCodes:
         ("cam1,2,h,T1,0,0,10,10,10", "expected 8 fields, got 9"),
         ("cam1,2,h,T1,nan,0,10,10", "non-finite coordinate"),
         ("cam1,2,h,T1,0,0,inf,10", "non-finite coordinate"),
-    ], ids=["short", "long", "nan_x", "inf_w"])
+        ("cam1,2,h," + "x" * 200_000 + ",0,0,10,10", "field larger than field limit (131072)"),
+    ], ids=["short", "long", "nan_x", "inf_w", "field_over_csv_limit"])
     def test_bad_track_row_is_data_error(self, tmp_path, capsys, row, message):
         # a 6-sample dwell whose sample at t=2 is malformed
         rows = [f"cam1,{t},h,T1,0,0,10,10" for t in range(6)]
@@ -637,6 +644,103 @@ location_id,entity_class,track_id,start_time
 s1,h,,5.0
 s1,h,T1,5.0
 """
+
+
+# One input of each format, named by its file, with the command that reads
+# it; {inp} is the input, and tracks.csv and zones.json sit beside it.
+BOM_INPUTS = {
+    "tracks_csv": ("inp.csv", "detect --tracks {inp} --zones {dir}/zones.json --out {dir}/d.csv"),
+    "zones_json": ("inp.json", "detect --tracks {dir}/tracks.csv --zones {inp} --out {dir}/d.csv"),
+    "occurrence_csv": ("inp.csv", "precision --detected {inp} --truth {inp}"),
+    "text_log": ("inp.log", "cycles --log {inp} --anchor ^s11$"),
+    "jsonl_log": ("inp.jsonl", "cycles --log {inp} --anchor ^s11$"),
+    "matrix_csv": ("inp.csv", "rank --matrix {inp}"),
+    "node_list_text": ("inp.txt", "compare --a {inp} --b {inp} --k 2"),
+    "node_list_json": ("inp.json", "compare --a {inp} --b {inp} --k 2"),
+    "scenario_json": ("inp.json", "simulate --scenario {inp} --out-tracks {dir}/d.csv "
+                                  "--out-truth {dir}/g.csv"),
+}
+DWELL_TRACKS = TRACKS_HEADER + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(6))
+
+
+@pytest.mark.parametrize("fmt", list(BOM_INPUTS))
+def test_leading_bom_is_ignored(tmp_path, capsys, fmt):
+    """Each input reads the same with and without the UTF-8 BOM that Excel
+    and Notepad write at the start of a file."""
+    text = {
+        "tracks_csv": DWELL_TRACKS,
+        "zones_json": json.dumps([ZONE]),
+        "occurrence_csv": MIXED_TRACKS_CSV,
+        "text_log": LOG_TEXT,
+        "jsonl_log": log_to_jsonl(parse_log(LOG_TEXT)),
+        "matrix_csv": _count_matrix(tmp_path).read_text(),
+        "node_list_text": "RP_s11\nRP_s14\n",
+        "node_list_json": '["RP_s11", "RP_s14"]',
+        "scenario_json": json.dumps(SCENARIO),
+    }[fmt]
+    name, argv = BOM_INPUTS[fmt]
+    results = []
+    for bom in ("", "\ufeff"):
+        d = tmp_path / f"bom{len(bom)}"
+        d.mkdir()
+        (d / "tracks.csv").write_text(DWELL_TRACKS)
+        (d / "zones.json").write_text(json.dumps([ZONE]))
+        (d / name).write_bytes((bom + text).encode("utf-8"))
+        rc = main(argv.format(inp=d / name, dir=d).split())
+        out, err = capsys.readouterr()
+        written = (d / "d.csv").read_bytes() if (d / "d.csv").exists() else None
+        results.append((rc, out, err, written))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
+_FUZZ_TIMES = ["-1", "-0", "0", "1", "1.5", "2", "3", "4", "6", "10"]
+_FUZZ_FAR = ["-1e308", "1e308"]  # adjacent, they are more than the float range apart
+_FUZZ_FIELDS = st.one_of(st.sampled_from(_FUZZ_TIMES + _FUZZ_FAR + [
+    "1970/01/01/00:00:01", "nan", "cam1", "cam2", "", '"', "h", "T1"]), st.text(max_size=4))
+_FUZZ_BOXES = [["0", "0", "10", "10"]] * 3 + [["1e308", "0", "1e308", "10"]]
+
+
+@st.composite
+def _fuzzed_tracks(draw):
+    """Bytes near a tracks CSV: a header, then rows that are mostly one
+    time-sorted dwell on the zoned camera with fields from a small pool,
+    and at times a few bytes put in."""
+    header = TRACKS_HEADER.strip()
+    lines = [draw(st.sampled_from([header, header, header.replace("camera_id", '"camera\n_id"')]))]
+    times = draw(st.sampled_from([_FUZZ_TIMES, _FUZZ_FAR]))
+    for t in sorted(draw(st.lists(st.sampled_from(times), max_size=8)), key=float):
+        row = draw(st.lists(_FUZZ_FIELDS, min_size=8, max_size=8))
+        if draw(st.integers(0, 7)):
+            row = ["cam1", t, "h", "T1", *draw(st.sampled_from(_FUZZ_BOXES))]
+        lines.append(",".join(row))
+    data = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.binary(min_size=1, max_size=3)) + data[cut:]
+    return data
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_tracks()), st.sampled_from(["d.csv", "e.log"]))
+@settings(max_examples=300, deadline=None)
+def test_detect_on_fuzzed_tracks_keeps_the_exit_contract(tmp_path_factory, data, out_name):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "tracks.csv").write_bytes(data)
+    (d / "zones.json").write_text(json.dumps([ZONE, dict(ZONE, location_id="s2", x=50)]))
+    out = d / out_name
+    err = io.StringIO()
+    # a warning would reach the user's stderr as more lines
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main(["detect", "--tracks", str(d / "tracks.csv"), "--zones", str(d / "zones.json"),
+                   "--out", str(out)])
+    assert rc in (0, 3)
+    if rc == 0:
+        assert err.getvalue() == "" and out.exists()
+    else:
+        assert err.getvalue().startswith("trackmine detect: ") and err.getvalue().count("\n") == 1
+        assert not out.exists()
 
 
 class TestUntracked:

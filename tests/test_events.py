@@ -1,14 +1,20 @@
+import csv
+import hashlib
+import io
 import math
 from datetime import datetime
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from trackmine import sim
 from trackmine.errors import ConfigError, DataError
-from trackmine.eventlog import parse_time, parse_timestamp
+from trackmine.eventlog import format_timestamp, parse_time, parse_timestamp
 from trackmine.events import (
+    _TRACKS_FIELDS,
     DetectionConfig,
     DetectionSample,
     Occurrence,
@@ -401,6 +407,104 @@ def test_zones_json_round_trip(tmp_path_factory, zones):
     path = tmp_path_factory.mktemp("zones") / "zones.json"
     path.write_bytes(zones_to_json(zones).encode("utf-8"))
     assert repr(load_zones_json(path)) == repr(zones)
+
+
+# Fields for the tracks CSV reader: ids csv must quote, numbers float reads
+# with and without padding or "_", finite values whose sum overflows,
+# timestamps, and (at a rate drawn per file) non-finite values, text that is
+# no number, and blank, short and long rows.
+_ROW_IDS = st.text(st.sampled_from('c1,"\n\r _'), max_size=4)
+_DECIMAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "-0", ".5", "5.", "1e308", "-1e308", "١٢"]),
+)
+_TIMESTAMP = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)).flatmap(
+    lambda ts: st.sampled_from([format_timestamp(ts), ts.isoformat("T"), ts.isoformat(" ")]))
+_ODD = st.sampled_from(["nan", "inf", "-inf", "Infinity", "-NaN", "1e400", "1__0", "_1", "1_",
+                        "0x10", "", "x", "2024/13/01/00:00:00"])
+_PAD = st.sampled_from(["", "", "", " ", "\t"])
+
+
+@st.composite
+def _tracks_file(draw):
+    odds = draw(st.sampled_from([4, 40, 1000]))  # one odd field or row in `odds`
+
+    def odd_or(strategy, odd):
+        return st.integers(0, odds).flatmap(lambda k: odd if k == 0 else strategy)
+
+    def padded(strategy):
+        return st.tuples(_PAD, strategy, _PAD).map("".join)
+
+    time = padded(odd_or(st.one_of(_DECIMAL, _TIMESTAMP), _ODD))
+    coord = padded(odd_or(_DECIMAL, _ODD))
+    row = st.one_of(
+        st.tuples(_ROW_IDS, time, _ROW_IDS, _ROW_IDS, coord, coord, coord, coord).map(list),
+        st.builds(lambda c, t: [c, "1e308", "h", t, "1e308", "1e308", "1e308", "1e308"],
+                  _ROW_IDS, _ROW_IDS),
+    )
+    row = odd_or(row, st.lists(st.one_of(_ROW_IDS, coord), max_size=10))
+    header = list(_TRACKS_FIELDS)
+    if draw(st.integers(0, odds)) == 0:
+        header[draw(st.integers(0, 7))] = draw(st.sampled_from(["", "t", "Time", " time"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(draw(st.lists(row, max_size=8)))
+    return buf.getvalue()
+
+
+@given(_tracks_file())
+# rows off the fast path that still load (a sum that overflows, a timestamp
+# time) between blank CRLF lines, and a padded "_" number before a nan
+@example(",".join(_TRACKS_FIELDS) + "\r\n\r\nc,1e308,h,T,1e308,1e308,1e308,1e308\r\n"
+         "\r\nc,1970/01/01/00:01:00,h,T,0,0,1,1\r\n")
+@example(",".join(_TRACKS_FIELDS) + "\nc, 1_0 ,h,T,1,2,3,4\nc,11,h,T,1,2,3,nan\n")
+@settings(max_examples=400, deadline=None)
+def test_load_tracks_csv_matches_row_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("tracks") / "tracks.csv"
+    path.write_bytes(text.encode("utf-8"))
+    # by repr, which tells -0.0 from 0.0
+    assert _outcome(load_tracks_csv, path) == _outcome(_oracles.load_tracks_rows, path)
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("record, field", [
+        (Rect(0, 0, 1, 1), "x"),
+        (DetectionSample("c", 0.0, "h", "T", Rect(0, 0, 1, 1)), "time"),
+        (DetectionSample("c", 0.0, "h", "T", Rect(0, 0, 1, 1)), "box"),
+    ])
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+
+    def test_cell_layout_zones_json_bytes(self):
+        text = zones_to_json(sim.cell_layout())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "913b58dcf8b14beebd3f8d9b2a57ffd9be97bd32870e4a963aa4cdb5dadbf4b5")
+
+    def test_simulated_cell_tracks_csv_bytes(self):
+        # the benchmark's cell_shift scenario in small: 16 actors on the
+        # 19-zone layout, random zones and dwells, jitter and dropout
+        rng = np.random.default_rng(7)
+        zones = sim.cell_layout()
+        locations = sorted({z.location_id for z in zones})
+        classes = ["worker-right", "worker-left", "big-AGV", "small-AGV"]
+        actors = []
+        for i in range(16):
+            itinerary, prev = [], None
+            for _ in range(20):
+                loc = prev
+                while loc == prev:
+                    loc = locations[int(rng.integers(len(locations)))]
+                itinerary.append((loc, round(float(rng.uniform(2.0, 10.0)), 3)))
+                prev = loc
+            actors.append(sim.Actor(classes[i % 4], tuple(itinerary), f"T{i}"))
+        samples, _ = sim.simulate(sim.Scenario(zones=zones, actors=actors, jitter=2.0,
+                                               dropout=0.05, seed=7))
+        assert len(samples) == 4626
+        assert hashlib.sha256(tracks_to_csv(samples).encode("utf-8")).hexdigest() == (
+            "48ddf4ff6e5c95390372cef284819c27ce936dfc6e6715f4bf2ebc02fa8724b8")
 
 
 class TestMerge:
