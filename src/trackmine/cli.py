@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import eventlog, procnet
 from .errors import ConvergenceError, DataError, TrackmineError
@@ -234,7 +234,7 @@ def cmd_simulate(args) -> int:
     from . import events, sim
     sc = sim.scenario_from_json(args.scenario)
     if args.seed is not None:
-        sc.seed = args.seed
+        sc = replace(sc, seed=args.seed)  # checked as the file's seed is
     samples, truth = sim.simulate(sc, min_duration=args.min_duration)
     write_atomic(args.out_tracks, events.tracks_to_csv(samples))
     eventlog.write_occurrences_csv(args.out_truth, truth)

@@ -166,7 +166,11 @@ def matrix_to_csv(net: ProcessNetwork) -> str:
 
 
 def matrix_from_csv(text: str) -> LinkMatrix:
-    reader = list(csv.reader(io.StringIO(text)))
+    rows_in = csv.reader(io.StringIO(text))
+    try:
+        reader = list(rows_in)
+    except csv.Error as exc:  # a field over csv's size limit
+        raise DataError(f"matrix CSV line {rows_in.line_num}: {exc}") from None
     if not reader or len(reader[0]) < 2:
         raise DataError("matrix CSV needs a label header row")
     col_labels = [NodeLabel.parse(t) for t in reader[0][1:]]

@@ -57,15 +57,18 @@ class RankingResult:
 
 
 def authority_matrix(lm: LinkMatrix) -> np.ndarray:
-    """Symmetrised authority matrix L.T @ L; symmetric PSD."""
-    M = lm.values.T @ lm.values
-    return (M + M.T) / 2.0
+    """Symmetrised authority matrix L.T @ L; symmetric PSD.  An entry past
+    the float range is inf, which ``_dominant_eigvec`` refuses."""
+    with np.errstate(over="ignore"):
+        M = lm.values.T @ lm.values
+        return (M + M.T) / 2.0
 
 
 def hub_matrix(lm: LinkMatrix) -> np.ndarray:
-    """Symmetrised hub matrix L @ L.T; symmetric PSD."""
-    M = lm.values @ lm.values.T
-    return (M + M.T) / 2.0
+    """Symmetrised hub matrix L @ L.T; symmetric PSD (see ``authority_matrix``)."""
+    with np.errstate(over="ignore"):
+        M = lm.values @ lm.values.T
+        return (M + M.T) / 2.0
 
 
 def _base_matrix(lm: LinkMatrix, kind: str) -> np.ndarray:
@@ -83,10 +86,12 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def _certify(M: np.ndarray, v: np.ndarray, scale: float) -> tuple[float, float]:
     """Rayleigh quotient lam of the unit vector v and the residual
-    ||M v - lam v||; raises ConvergenceError unless it is <= RTOL * scale."""
-    Mv = M @ v
-    lam = float(v @ Mv)
-    res = float(np.linalg.norm(Mv - lam * v))
+    ||M v - lam v||; raises ConvergenceError unless it is <= RTOL * scale.
+    Near the float range the residual overflows to inf or nan, and fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Mv = M @ v
+        lam = float(v @ Mv)
+        res = float(np.linalg.norm(Mv - lam * v))
     if not res <= RTOL * scale:  # a nan residual fails too
         raise ConvergenceError(f"dominant eigenvector residual {res:.3e} exceeds "
                                f"tol={RTOL * scale:.3e}", residual=res)
@@ -162,7 +167,10 @@ def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
     become uniform."""
     L = lm.values
     n = L.shape[0]
-    col_sums = L.sum(axis=0)
+    with np.errstate(over="ignore"):
+        col_sums = L.sum(axis=0)
+    if not np.isfinite(col_sums).all():
+        raise DataError("link matrix column sum is past the float range")
     zero = col_sums == 0
     S = np.where(zero, 1.0 / n, L / np.where(zero, 1.0, col_sums))
     return alpha * S + (1.0 - alpha) / n

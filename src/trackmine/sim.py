@@ -8,6 +8,7 @@ and the ground-truth occurrence stream the detector should recover.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +49,23 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 <= self.dropout <= 1.0:
             raise ConfigError("dropout must be in [0, 1]")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be >= 0")
-        if self.sample_period <= 0:
-            raise ConfigError("sample_period must be > 0")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ConfigError("jitter must be finite and >= 0")
+        if not 0.0 < self.sample_period < math.inf:
+            raise ConfigError("sample_period must be finite and > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
         for actor in self.actors:
+            name = repr(actor.track_id or actor.entity_class)
+            if not actor.itinerary:
+                raise ConfigError(f"actor {name} has an empty itinerary")
             for loc, dwell in actor.itinerary:
                 if loc not in known:
-                    raise ConfigError(
-                        f"actor {actor.track_id or actor.entity_class!r} visits "
-                        f"unknown location {loc!r}"
-                    )
-                if dwell <= 0:
-                    raise ConfigError(f"dwell at {loc!r} must be > 0")
+                    raise ConfigError(f"actor {name} visits unknown location {loc!r}")
+                if not 0.0 < dwell < math.inf:
+                    raise ConfigError(f"dwell at {loc!r} must be finite and > 0")
 
 
 def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
@@ -79,6 +82,10 @@ def simulate(
     downstream collapses the duplicates.  Ground truth holds one
     occurrence per itinerary stop whose dwell reaches ``min_duration``,
     stamped with the arrival time at the zone.
+
+    Positions come from one stop lookup per actor; only the noise draws
+    run per sample, dropout first and then the x and y jitter, so each
+    seed gives the same random stream.
     """
     rng = np.random.default_rng(sc.seed)
     cameras = sorted({z.camera_id for z in sc.zones})
@@ -91,60 +98,41 @@ def simulate(
     for idx, actor in enumerate(sc.actors):
         track_id = actor.track_id or f"T{idx}"
         bw, bh = _BOX_SIZES.get(actor.entity_class, _DEFAULT_BOX)
-        # waypoints: (arrival time, departure time, x, y)
-        t = 0.0
-        stops = []
-        prev = None
-        for loc, dwell in actor.itinerary:
-            cx, cy = centers[loc]
-            if prev is not None:
-                dist = float(np.hypot(cx - prev[0], cy - prev[1]))
-                t += dist / TRAVEL_SPEED
-            stops.append((loc, t, t + dwell, cx, cy))
+        locs, dwells = zip(*actor.itinerary)
+        cx, cy = np.array([centers[loc] for loc in locs]).T
+        # the clock: cumsum over [0, dwell0, travel1, dwell1, ...] adds in
+        # sequence, giving each stop's (arrival, departure)
+        legs = np.zeros(2 * len(locs))
+        legs[1::2] = dwells
+        with np.errstate(over="ignore", invalid="ignore"):
+            legs[2::2] = np.hypot(np.diff(cx), np.diff(cy)) / TRAVEL_SPEED
+            arr, dep = np.cumsum(legs).reshape(-1, 2).T
+        if not np.isfinite(dep[-1]):
+            raise ConfigError(f"actor {track_id!r}: itinerary time overflows")
+        for loc, dwell, start in zip(locs, dwells, arr.tolist()):
             if dwell >= min_duration:
-                truth.append(
-                    Occurrence(
-                        start_time=t,
-                        location_id=loc,
-                        entity_class=actor.entity_class,
-                        track_id=track_id,
-                    )
-                )
-            t += dwell
-            prev = (cx, cy)
+                truth.append(Occurrence(start, loc, actor.entity_class, track_id))
 
-        def position(at: float) -> tuple[float, float]:
-            for k, (_, arr, dep, cx, cy) in enumerate(stops):
-                if at <= dep:
-                    if at >= arr or k == 0:
-                        return (cx, cy)
-                    # traveling from previous stop
-                    _, _, pdep, px, py = stops[k - 1]
-                    frac = (at - pdep) / (arr - pdep)
-                    return (px + frac * (cx - px), py + frac * (cy - py))
-            return (stops[-1][3], stops[-1][4])
-
-        end = stops[-1][2]
-        n_steps = int(np.floor(end / sc.sample_period)) + 1
-        for step in range(n_steps):
-            at = step * sc.sample_period
+        # k: the first stop the actor has not yet left (else the last one);
+        # before its arrival the actor is on the way there from stop p
+        at = np.arange(int(np.floor(dep[-1] / sc.sample_period)) + 1) * sc.sample_period
+        k = np.minimum(np.searchsorted(dep, at), len(locs) - 1)
+        p = np.maximum(k - 1, 0)
+        # a zero-length leg gives 0/0 only in lanes where the actor is not moving
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = (at - dep[p]) / (arr[k] - dep[p])
+            moving = (k > 0) & (at < arr[k])
+            xs = np.where(moving, cx[p] + frac * (cx[k] - cx[p]), cx[k])
+            ys = np.where(moving, cy[p] + frac * (cy[k] - cy[p]), cy[k])
+        for t, x, y in zip(at.tolist(), xs.tolist(), ys.tolist()):
             if sc.dropout > 0 and rng.random() < sc.dropout:
                 continue
-            x, y = position(at)
             if sc.jitter > 0:
                 x += rng.normal(0.0, sc.jitter)
                 y += rng.normal(0.0, sc.jitter)
             box = Rect(x - bw / 2.0, y - bh / 2.0, bw, bh)
-            for cam in cameras:
-                samples.append(
-                    DetectionSample(
-                        camera_id=cam,
-                        time=at,
-                        entity_class=actor.entity_class,
-                        track_id=track_id,
-                        box=box,
-                    )
-                )
+            samples.extend(DetectionSample(cam, t, actor.entity_class, track_id, box)
+                           for cam in cameras)
     samples.sort(key=lambda s: (s.camera_id, s.track_id, s.time))
     truth.sort()
     return samples, truth
@@ -182,13 +170,33 @@ def cell_layout(camera_ids: tuple[str, str] = ("cam1", "cam2")) -> list[ZoneSpec
 # ---------------------------------------------------------------------------
 # JSON scenario files
 
+def _number(value, what: str) -> float:
+    # float() alone would also take a string or a boolean
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{what} must be a number")
+    return float(value)
+
+
 def scenario_from_json(path) -> Scenario:
+    """A scenario from a JSON object: ``zones`` (see ``events.zone_from_json``)
+    or ``"layout": "cell19"``; ``actors``, each with an ``entity_class``, an
+    ``itinerary`` of ``[location_id, dwell]`` pairs and an optional
+    ``track_id``; and optional ``noise`` (``{"jitter", "dropout"}``),
+    ``sample_period`` and integer ``seed``."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
     try:
+        if not isinstance(raw, dict):
+            raise DataError("expected a JSON object")
+        noise = raw.get("noise", {})
+        if not isinstance(noise, dict):
+            raise DataError("noise must be a JSON object")
+        seed = raw.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise DataError("seed must be an integer")
         if raw.get("layout") == "cell19":
             zones = cell_layout()
         else:
@@ -196,19 +204,19 @@ def scenario_from_json(path) -> Scenario:
         actors = [
             Actor(
                 entity_class=str(a["entity_class"]),
-                itinerary=tuple((str(loc), float(dwell)) for loc, dwell in a["itinerary"]),
+                itinerary=tuple((str(loc), _number(dwell, "dwell"))
+                                for loc, dwell in a["itinerary"]),
                 track_id=str(a.get("track_id", "")),
             )
             for a in raw["actors"]
         ]
-        noise = raw.get("noise", {})
         return Scenario(
             zones=zones,
             actors=actors,
-            jitter=float(noise.get("jitter", 0.0)),
-            dropout=float(noise.get("dropout", 0.0)),
-            sample_period=float(raw.get("sample_period", 1.0)),
-            seed=int(raw.get("seed", 0)),
+            jitter=_number(noise.get("jitter", 0.0), "jitter"),
+            dropout=_number(noise.get("dropout", 0.0), "dropout"),
+            sample_period=_number(raw.get("sample_period", 1.0), "sample_period"),
+            seed=seed,
         )
-    except (KeyError, TypeError, ValueError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"{path}: bad scenario: {exc}") from None

@@ -17,6 +17,7 @@ from trackmine.eventlog import (TIMESTAMP_FMT, Entity, EventRecord, Group, Occur
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
+from trackmine.sim import _BOX_SIZES, _DEFAULT_BOX, TRAVEL_SPEED, Scenario, _zone_center
 
 
 def power_iteration_oracle(A, iters=200_000, tol=1e-14):
@@ -423,3 +424,87 @@ def parse_record_split_top(line: str, lineno: int = 0) -> tuple[str, EventRecord
             entities.append(Entity(pm.group(1), pm.group(2)))
         groups.append(Group(location_id=head, entities=tuple(entities)))
     return label, EventRecord(groups=tuple(groups), timestamp=timestamp)
+
+
+# The simulator before it sampled from arrays: a per-sample scan of the
+# actor's stops from the first one.
+
+def simulate_loop(
+    sc: Scenario, min_duration: float = DetectionConfig.min_duration
+) -> tuple[list[DetectionSample], list[Occurrence]]:
+    """Run the scenario; returns (samples, ground-truth occurrences).
+
+    Each actor sample is emitted once per camera present in the scenario
+    (overlapping-view cameras see the same pixel frame); stream merging
+    downstream collapses the duplicates.  Ground truth holds one
+    occurrence per itinerary stop whose dwell reaches ``min_duration``,
+    stamped with the arrival time at the zone.
+    """
+    rng = np.random.default_rng(sc.seed)
+    cameras = sorted({z.camera_id for z in sc.zones})
+    centers = {}
+    for z in sc.zones:
+        centers.setdefault(z.location_id, _zone_center(z))
+
+    samples: list[DetectionSample] = []
+    truth: list[Occurrence] = []
+    for idx, actor in enumerate(sc.actors):
+        track_id = actor.track_id or f"T{idx}"
+        bw, bh = _BOX_SIZES.get(actor.entity_class, _DEFAULT_BOX)
+        # waypoints: (arrival time, departure time, x, y)
+        t = 0.0
+        stops = []
+        prev = None
+        for loc, dwell in actor.itinerary:
+            cx, cy = centers[loc]
+            if prev is not None:
+                dist = float(np.hypot(cx - prev[0], cy - prev[1]))
+                t += dist / TRAVEL_SPEED
+            stops.append((loc, t, t + dwell, cx, cy))
+            if dwell >= min_duration:
+                truth.append(
+                    Occurrence(
+                        start_time=t,
+                        location_id=loc,
+                        entity_class=actor.entity_class,
+                        track_id=track_id,
+                    )
+                )
+            t += dwell
+            prev = (cx, cy)
+
+        def position(at: float) -> tuple[float, float]:
+            for k, (_, arr, dep, cx, cy) in enumerate(stops):
+                if at <= dep:
+                    if at >= arr or k == 0:
+                        return (cx, cy)
+                    # traveling from previous stop
+                    _, _, pdep, px, py = stops[k - 1]
+                    frac = (at - pdep) / (arr - pdep)
+                    return (px + frac * (cx - px), py + frac * (cy - py))
+            return (stops[-1][3], stops[-1][4])
+
+        end = stops[-1][2]
+        n_steps = int(np.floor(end / sc.sample_period)) + 1
+        for step in range(n_steps):
+            at = step * sc.sample_period
+            if sc.dropout > 0 and rng.random() < sc.dropout:
+                continue
+            x, y = position(at)
+            if sc.jitter > 0:
+                x += rng.normal(0.0, sc.jitter)
+                y += rng.normal(0.0, sc.jitter)
+            box = Rect(x - bw / 2.0, y - bh / 2.0, bw, bh)
+            for cam in cameras:
+                samples.append(
+                    DetectionSample(
+                        camera_id=cam,
+                        time=at,
+                        entity_class=actor.entity_class,
+                        track_id=track_id,
+                        box=box,
+                    )
+                )
+    samples.sort(key=lambda s: (s.camera_id, s.track_id, s.time))
+    truth.sort()
+    return samples, truth

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from trackmine import cli, ranking, sim
@@ -426,6 +426,33 @@ class TestExitCodes:
         assert err == "trackmine simulate: duplicate zone 's1' on camera 'cam1'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize("scenario, extra, message", [
+        ([], [], "bad scenario: expected a JSON object"),
+        (dict(SCENARIO, noise=[]), [], "bad scenario: noise must be a JSON object"),
+        (dict(SCENARIO, actors=[{"entity_class": "h", "itinerary": []}]), [],
+         "actor 'h' has an empty itinerary"),
+        (dict(SCENARIO, actors=[{"entity_class": "h", "itinerary": [["s11", float("nan")]]}]),
+         [], "dwell at 's11' must be finite and > 0"),
+        (dict(SCENARIO, sample_period=float("nan")), [], "sample_period must be finite and > 0"),
+        (dict(SCENARIO, seed=-1), [], "seed must be >= 0"),
+        (SCENARIO, ["--seed", "-1"], "seed must be >= 0"),
+        (dict(SCENARIO, noise={"jitter": float("nan")}), [], "jitter must be finite and >= 0"),
+        ({"zones": [dict(ZONE, x=-1.7e308, w=0), dict(ZONE, location_id="s2", x=1e308)],
+          "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0], ["s2", 5.0]]}]}, [],
+         "actor 'T0': itinerary time overflows"),
+    ], ids=["top_level_list", "noise_list", "empty_itinerary", "nan_dwell", "nan_period",
+            "negative_seed", "negative_seed_flag", "nan_jitter", "zones_a_float_range_apart"])
+    def test_bad_scenario_is_data_error(self, tmp_path, capsys, scenario, extra, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        rc = main(["simulate", "--scenario", str(path), "--out-tracks", str(tmp_path / "t.csv"),
+                   "--out-truth", str(tmp_path / "g.csv"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("trackmine simulate: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_zone_is_data_error(self, tmp_path, capsys, value):
         tracks = tmp_path / "tracks.csv"
@@ -472,6 +499,48 @@ class TestExitCodes:
         assert rc == 3
         assert captured.out == ""
         assert captured.err == "trackmine rank: link matrix label P_s1 appears more than once\n"
+
+    def test_matrix_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",x_1,x_2\nx_1," + "1" * 200_000 + ",0\nx_2,0,0\n")
+        rc = main(["rank", "--matrix", str(matrix), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == ("trackmine rank: matrix CSV line 2: field larger than field "
+                                "limit (131072)\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm, entry, message", [
+        ("gradient", "1e200", "matrix has a non-finite entry"),
+        ("hits_pm_norm", "1e200", "matrix has a non-finite entry"),
+        ("pagerank_norm", "1e308", "link matrix column sum is past the float range"),
+    ])
+    def test_matrix_past_the_float_range_is_data_error(self, tmp_path, capsys, algorithm,
+                                                       entry, message):
+        # finite entries whose products or column sums overflow: one line, no warning
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f",x_1,x_2\nx_1,{entry},{entry}\nx_2,{entry},{entry}\n")
+        rc = main(["rank", "--matrix", str(matrix), "--algorithm", algorithm, "--json"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"trackmine rank: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm"])
+    def test_residual_past_the_float_range_is_convergence_error(self, tmp_path, capsys,
+                                                                algorithm):
+        # a finite authority matrix near the float range: certifying it overflows
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",P_s1,P_s2,RP_k3\nP_s1,1,0,1\nP_s2,0,0,1e150\nRP_k3,0,0,0\n")
+        rc = main(["rank", "--matrix", str(matrix), "--algorithm", algorithm, "--json"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert captured.err.startswith("trackmine rank: convergence failure: dominant "
+                                       "eigenvector residual inf exceeds tol=")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
     def test_uncertified_ranking_is_convergence_error(self, tmp_path, capsys, monkeypatch,
@@ -721,6 +790,26 @@ def _fuzzed_tracks(draw):
     return data
 
 
+def _assert_exit_contract(argv, outs, codes=(0, 3)):
+    """Run the CLI on `argv` with warnings as errors: it exits with one of
+    `codes`; a success prints nothing to stderr and writes every path in
+    `outs`, and a failure prints one stderr line and writes none of them."""
+    err = io.StringIO()
+    # a warning would reach the user's stderr as more lines
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main([str(a) for a in argv])
+    event(f"exit {rc}")
+    assert rc in codes
+    if rc == 0:
+        assert err.getvalue() == "" and all(p.exists() for p in outs)
+    else:
+        assert err.getvalue().startswith(f"trackmine {argv[0]}: ")
+        assert err.getvalue().count("\n") == 1
+        assert not any(p.exists() for p in outs)
+
+
 @given(st.one_of(st.binary(max_size=200), _fuzzed_tracks()), st.sampled_from(["d.csv", "e.log"]))
 @settings(max_examples=300, deadline=None)
 def test_detect_on_fuzzed_tracks_keeps_the_exit_contract(tmp_path_factory, data, out_name):
@@ -728,19 +817,95 @@ def test_detect_on_fuzzed_tracks_keeps_the_exit_contract(tmp_path_factory, data,
     (d / "tracks.csv").write_bytes(data)
     (d / "zones.json").write_text(json.dumps([ZONE, dict(ZONE, location_id="s2", x=50)]))
     out = d / out_name
-    err = io.StringIO()
-    # a warning would reach the user's stderr as more lines
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("error")
-        rc = main(["detect", "--tracks", str(d / "tracks.csv"), "--zones", str(d / "zones.json"),
-                   "--out", str(out)])
-    assert rc in (0, 3)
-    if rc == 0:
-        assert err.getvalue() == "" and out.exists()
+    _assert_exit_contract(["detect", "--tracks", d / "tracks.csv", "--zones", d / "zones.json",
+                           "--out", out], [out])
+
+
+# Tokens that no scenario field takes, or that only some take; a fuzzed
+# field draws one about once in twenty.
+_FUZZ_BAD = [0, -1, float("nan"), float("inf"), "1", "x", [], None, True]
+
+
+def _field(draw, valid):
+    return draw(st.sampled_from(valid if draw(st.integers(0, 19)) else _FUZZ_BAD))
+
+
+@st.composite
+def _fuzzed_scenario(draw):
+    """Bytes near a scenario JSON.  Dwells, periods and coordinates come
+    from small bounded sets, so that no valid scenario asks for more than
+    about a thousand samples; cutting the text short may break it but never
+    makes a number larger."""
+    if draw(st.booleans()):
+        raw, locations = {"layout": "cell19"}, ["s11", "k3"]
     else:
-        assert err.getvalue().startswith("trackmine detect: ") and err.getvalue().count("\n") == 1
-        assert not out.exists()
+        locations = ["s1", "s2"]
+        raw = {"zones": [{"location_id": loc, "camera_id": _field(draw, ["cam1", "cam2"]),
+                          **{k: _field(draw, [0, 50, 300, 12.5]) for k in "xywh"}}
+                         for loc in draw(st.sampled_from([locations, locations + ["s1"]]))]}
+    raw["actors"] = [
+        {"entity_class": _field(draw, ["worker-left", "big-AGV", "h"]),
+         "track_id": _field(draw, ["", "T1", "T,1"]),
+         "itinerary": [[_field(draw, locations), _field(draw, [0.5, 1, 2.5, 5.0])]
+                       for _ in range(draw(st.integers(0, 4)))]}
+        for _ in range(draw(st.integers(0, 3)))]
+    raw["noise"] = {"jitter": _field(draw, [0, 2.0]), "dropout": _field(draw, [0, 0.1, 1])}
+    raw["sample_period"] = _field(draw, [0.5, 1, 2.0])
+    raw["seed"] = _field(draw, [0, 1, 7, 2**40])
+    if not draw(st.integers(0, 4)):
+        raw[draw(st.sampled_from(sorted(raw)))] = draw(st.sampled_from([None, [], "x", 1]))
+    if not draw(st.integers(0, 9)):
+        raw = draw(st.sampled_from([[], "x", 1, None, [raw]]))
+    data = json.dumps(raw).encode("utf-8")
+    return data[:draw(st.integers(0, len(data)))] if not draw(st.integers(0, 9)) else data
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_scenario()))
+@settings(max_examples=300, deadline=None)
+def test_simulate_on_fuzzed_scenario_keeps_the_exit_contract(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "scenario.json").write_bytes(data)
+    outs = [d / "t.csv", d / "g.csv", d / "z.json"]
+    _assert_exit_contract(["simulate", "--scenario", d / "scenario.json", "--out-tracks", outs[0],
+                           "--out-truth", outs[1], "--out-zones", outs[2]], outs)
+
+
+_MATRIX_LABELS = ["P_s1", "P_s2", "RP_k3", "BV_s11"]
+_MATRIX_CELLS = ["0", "1", "2.5", "300", "1e150", "1e200", "1e308"]
+_MATRIX_BAD = ["-1", "nan", "inf", "1e400", "", "x", '"', "P_s1", "1" * 200_000]
+
+
+@st.composite
+def _fuzzed_matrix(draw):
+    """Bytes near a matrix CSV: up to four labels, mostly distinct and
+    well formed, over rows of counts from tiny to near the float range, and
+    at times a bad cell, a row of another width or a few bytes put in."""
+    n = draw(st.integers(1, 4))
+    labels = _MATRIX_LABELS[:n] if draw(st.integers(0, 4)) else draw(
+        st.lists(st.sampled_from(_MATRIX_LABELS + ["x", "_s1", ""]), min_size=n, max_size=n))
+    lines = [",".join(["", *labels])]
+    for label in labels:
+        width = n if draw(st.integers(0, 9)) else draw(st.integers(0, n + 1))
+        lines.append(",".join([label, *(draw(st.sampled_from(
+            _MATRIX_CELLS if draw(st.integers(0, 19)) else _MATRIX_BAD)) for _ in range(width))]))
+    data = "\n".join(lines).encode("utf-8")
+    if not draw(st.integers(0, 4)):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.binary(min_size=1, max_size=3)) + data[cut:]
+    return data
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_matrix()),
+       st.sampled_from(["gradient", "hits_pm_norm", "pagerank_norm"]),
+       st.sampled_from(["authority", "hub"]))
+@settings(max_examples=300, deadline=None)
+def test_rank_on_fuzzed_matrix_keeps_the_exit_contract(tmp_path_factory, data, algorithm, kind):
+    # exit 4 is the contract too: a ranking that cannot be certified
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "m.csv").write_bytes(data)
+    out = d / "rank.json"
+    _assert_exit_contract(["rank", "--matrix", d / "m.csv", "--algorithm", algorithm,
+                           "--kind", kind, "--out", out], [out], codes=(0, 3, 4))
 
 
 class TestUntracked:

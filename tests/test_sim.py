@@ -1,10 +1,16 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import simulate_loop
 from trackmine.errors import ConfigError
 from trackmine.eventlog import precision
-from trackmine.events import DetectionConfig, detect_streams
-from trackmine.sim import Actor, Scenario, cell_layout, simulate
+from trackmine.events import DetectionConfig, detect_streams, zone_from_json
+from trackmine.sim import _BOX_SIZES, Actor, Scenario, cell_layout, simulate
 
 
 def single_worker_scenario(dwell=5.0, **noise):
@@ -80,3 +86,45 @@ class TestRoundTrip:
             averages.append(float(np.mean(values)))
         assert averages[0] >= averages[1] >= averages[2]
         assert averages[0] == 1.0
+
+
+# a pixel coordinate as JSON spells it, with up to two decimals
+_COORD = st.integers(0, 200_000).map(lambda n: json.loads(f"{n // 100}.{n % 100:02d}"))
+
+
+@st.composite
+def _scenarios(draw):
+    """1-5 zones on 1-2 cameras and 1-3 actors of 1-7 stops, which may
+    repeat a zone back to back (a zero-length leg)."""
+    zones = []
+    for i in range(draw(st.integers(1, 5))):
+        for cam in draw(st.sampled_from([["cam1"], ["cam2"], ["cam1", "cam2"]])):
+            zones.append(zone_from_json({"location_id": f"z{i}", "camera_id": cam,
+                                         "x": draw(_COORD), "y": draw(_COORD),
+                                         "w": draw(_COORD), "h": draw(_COORD)}))
+    locations = sorted({z.location_id for z in zones})
+    dwells = st.sampled_from([0.5, 1.0, 2.5, 3.0, 5.5, 7.25]) | st.floats(0.05, 10.0)
+    actors = [Actor(draw(st.sampled_from([*_BOX_SIZES, "h"])),
+                    tuple(draw(st.lists(st.tuples(st.sampled_from(locations), dwells),
+                                        min_size=1, max_size=7))),
+                    draw(st.sampled_from(["", "T9"])))
+              for _ in range(draw(st.integers(1, 3)))]
+    return Scenario(zones=zones, actors=actors,
+                    jitter=draw(st.sampled_from([0.0, 2.0])),
+                    dropout=draw(st.sampled_from([0.0, 0.1, 1.0])),
+                    sample_period=draw(st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.3, 2.0])
+                                       | st.floats(0.1, 2.0)),
+                    seed=draw(st.integers(0, 2**32)))
+
+
+@given(_scenarios(), st.sampled_from([0.0, 3.0, 5.5]))
+@settings(max_examples=300, deadline=None)
+def test_array_sampling_matches_the_waypoint_scan(sc, min_duration):
+    # the same samples and truth to the last bit, in the same order, and
+    # with no warning from the lanes the moving mask drops
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples, truth = simulate(sc, min_duration)
+    expected_samples, expected_truth = simulate_loop(sc, min_duration)
+    assert repr(samples) == repr(expected_samples)
+    assert repr(truth) == repr(expected_truth)
