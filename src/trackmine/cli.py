@@ -93,7 +93,6 @@ def _report_json(ranked, result, stats):
         "algorithm": result.algorithm,
         "alpha": result.alpha,
         "kind": result.matrix_kind,
-        "convention": result.convention,
         "scores": [{"node": lbl.render(), "value": value} for lbl, value in ranked],
         "entropy": stats.shannon_entropy,
         "participation_ratio": stats.participation_ratio,
@@ -135,7 +134,7 @@ def cmd_gantt(args) -> int:
     svg = eventlog.gantt(log, lane_key=args.lane_key)
     write_atomic(args.out, svg)
     if args.json:
-        lanes = {g.location_id if args.lane_key == "location" else e.prop or e.entity_id
+        lanes = {eventlog.gantt_lane(g, e, args.lane_key)
                  for r in log.records for g in r.groups for e in g.entities}
         print(json.dumps({"out": args.out, "lanes": len(lanes)}))
     return EXIT_OK
@@ -182,7 +181,6 @@ def cmd_rank(args) -> int:
         algorithm=args.algorithm,
         kind=args.kind,
         alpha=args.alpha,
-        convention=args.convention,
         k=args.k,
     )
     report = _report_json(ranked, result, stats)
@@ -247,35 +245,28 @@ def cmd_simulate(args) -> int:
 
 def cmd_tables(args) -> int:
     from . import ranking
+    columns = [  # (JSON key, text header, ranking)
+        ("gradient", "gradient", ranking.gradient_ranking),
+        ("hits_pm_norm_0.8", "hits a=0.8", lambda lm: ranking.hits_pm_norm(lm, alpha=0.8)),
+        ("hits_pm_norm_0.3", "hits a=0.3", lambda lm: ranking.hits_pm_norm(lm, alpha=0.3)),
+        ("pagerank_norm_0.8", "pagerank a=0.8", lambda lm: ranking.pagerank_norm(lm, alpha=0.8)),
+    ]
     rows = {}
     for name in ("L0", "L1"):
         lm = _builtin_lm(name)
-        grad = ranking.gradient_ranking(lm, kind="authority")
-        h8 = ranking.hits_pm_norm(lm, alpha=0.8)
-        h3 = ranking.hits_pm_norm(lm, alpha=0.3)
-        pr = ranking.pagerank_norm(lm, alpha=0.8)
-        rows[name] = {
-            "nodes": [lbl.render() for lbl in lm.labels],
-            "gradient": [grad.scores[lbl] for lbl in lm.labels],
-            "hits_pm_norm_0.8": [h8.scores[lbl] for lbl in lm.labels],
-            "hits_pm_norm_0.3": [h3.scores[lbl] for lbl in lm.labels],
-            "pagerank_norm_0.8": [pr.scores[lbl] for lbl in lm.labels],
-        }
+        rows[name] = {"nodes": [lbl.render() for lbl in lm.labels]}
+        for key, _, solve in columns:
+            scores = solve(lm).scores
+            rows[name][key] = [scores[lbl] for lbl in lm.labels]
     if args.json:
         print(json.dumps(rows))
         return EXIT_OK
     for name, table in rows.items():
         print(f"link matrix {name}")
-        header = ["node", "gradient", "hits a=0.8", "hits a=0.3", "pagerank a=0.8"]
-        print("  " + "  ".join(f"{h:>14}" for h in header))
+        print("  " + "  ".join(f"{h:>14}" for h in ["node"] + [h for _, h, _ in columns]))
         for i, node in enumerate(table["nodes"]):
-            cells = [
-                table["gradient"][i],
-                table["hits_pm_norm_0.8"][i],
-                table["hits_pm_norm_0.3"][i],
-                table["pagerank_norm_0.8"][i],
-            ]
-            print("  " + f"{node:>14}" + "  " + "  ".join(f"{c:>14.6e}" for c in cells))
+            cells = "  ".join(f"{table[key][i]:>14.6e}" for key, _, _ in columns)
+            print("  " + f"{node:>14}" + "  " + cells)
         print()
     return EXIT_OK
 
@@ -340,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gradient")
     p.add_argument("--kind", choices=["authority", "hub"], default="authority")
     p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--convention", choices=["squared", "raw"], default="squared")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")

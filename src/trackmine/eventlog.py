@@ -99,14 +99,14 @@ class DetectionConfig:
     sample_period: float = 1.0
     dedup_window: float = 2.0
 
-    def __post_init__(self):
-        if self.min_duration < 0:
+    def __post_init__(self):  # each check is written so that nan fails it
+        if not self.min_duration >= 0:
             raise ConfigError("min_duration must be >= 0")
         if not 0.0 <= self.min_overlap_ratio <= 1.0:
             raise ConfigError("min_overlap_ratio must be in [0, 1]")
-        if self.sample_period <= 0:
+        if not self.sample_period > 0:
             raise ConfigError("sample_period must be > 0")
-        if self.dedup_window < 0:
+        if not self.dedup_window >= 0:
             raise ConfigError("dedup_window must be >= 0")
 
 
@@ -118,7 +118,7 @@ def merge_camera_streams(
     Occurrences with identical (location, class, track) whose start times
     differ by at most dedup_window collapse to the earliest one.
     """
-    if dedup_window < 0:
+    if not dedup_window >= 0:  # nan fails too
         raise DataError("dedup_window must be >= 0")
     merged = sorted(occ for stream in streams for occ in stream)
     out: list[Occurrence] = []
@@ -514,6 +514,12 @@ _PALETTE = [
 ]
 
 
+def gantt_lane(group: Group, entity: Entity, lane_key: str) -> str:
+    """The lane ``gantt`` charts an entity in: its group's location, or its
+    class (its property, else its id)."""
+    return group.location_id if lane_key == "location" else entity.prop or entity.entity_id
+
+
 def gantt(log: EventLog, lane_key: str = "location") -> str:
     """Render event start times as an SVG chart: one lane per key, one
     tick per event start.  lane_key is 'location' or 'entity'."""
@@ -526,9 +532,8 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     for r in log.records:
         t = to_seconds(r.timestamp)
         for g in r.groups:
-            for e in g.entities:
-                cls = e.prop or e.entity_id
-                ticks.append((g.location_id if lane_key == "location" else cls, cls, t))
+            for e in g.entities:  # ticks are coloured by the entity lane
+                ticks.append((gantt_lane(g, e, lane_key), gantt_lane(g, e, "entity"), t))
 
     lanes = sorted({lane for lane, _, _ in ticks})
     rows = {lane: i for i, lane in enumerate(lanes)}
@@ -602,7 +607,7 @@ def precision(
     (location, entity_class) within match_window.  An empty detected
     stream scores 1.0 (no false positives).
     """
-    if match_window < 0:
+    if not match_window >= 0:  # nan fails too
         raise DataError("match_window must be >= 0")
     detected = sorted(detected)
     if not detected:

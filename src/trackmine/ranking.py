@@ -4,10 +4,11 @@ Three solvers share one contract: score every node by the dominant
 eigenvector of a matrix derived from the weighted directly-follows
 network.  Each is one dense direct solve:
 
-* ``gradient`` — ``np.linalg.eigh`` of the authority matrix ``L.T @ L``
-  or hub matrix ``L @ L.T`` (``grad_dominant_eigvec``).
-* ``hits_pm_norm`` — ``eigh`` of the primitivity-adjusted symmetric
-  matrix ``alpha * L.T @ L + (1 - alpha) / n * ones``.
+* ``hits_pm_norm`` — ``np.linalg.eigh`` of the primitivity-adjusted
+  symmetric matrix ``alpha * B + (1 - alpha) / n * ones``, where ``B`` is
+  the authority matrix ``L.T @ L`` or the hub matrix ``L @ L.T``.
+* ``gradient`` — ``hits_pm_norm`` at ``alpha = 1``: ``eigh`` of ``B``
+  itself, whose dominant pair ``grad_dominant_eigvec`` returns.
 * ``pagerank_norm`` — the linear solve ``(I - alpha * S) x = (1 - alpha) / n``
   for the column-stochastic ``S`` of ``L``.
 
@@ -20,13 +21,13 @@ relabelling the nodes permutes the scores.  The unit vector v is certified,
 ``trackmine rank``).  ``rank --json`` reports that ``residual`` and the
 eigenspace's ``multiplicity``; ``iterations`` is 0.
 
-Scores are reported as components of the unit vector, either raw
-(squares sum to 1) or squared (sum to 1).
+A node's score is the square of its component of the unit vector, so the
+scores sum to 1 and their square roots are the vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +50,6 @@ class RankingResult:
     algorithm: str  # gradient | hits_pm_norm | pagerank_norm
     matrix_kind: str  # authority | hub | stochastic
     alpha: float | None
-    convention: str  # squared | raw
     scores: dict[NodeLabel, float]
     iterations: int  # 0: every solve is direct
     residual: float
@@ -131,35 +131,23 @@ def grad_dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, int]:
     return vec, lam, 0
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in ("squared", "raw"):
-        raise DataError(f"unknown convention {convention!r}")
-
-
 def _as_result(
-    lm: LinkMatrix, algorithm, matrix_kind, alpha, convention, vec, residual, multiplicity=1
+    lm: LinkMatrix, algorithm, matrix_kind, alpha, vec, residual, multiplicity=1
 ) -> RankingResult:
-    values = vec**2 if convention == "squared" else vec
-    scores = {lbl: float(values[i]) for i, lbl in enumerate(lm.labels)}
-    return RankingResult(algorithm, matrix_kind, alpha, convention, scores, 0, residual,
-                         multiplicity)
+    scores = {lbl: float(value) for lbl, value in zip(lm.labels, vec**2)}
+    return RankingResult(algorithm, matrix_kind, alpha, scores, 0, residual, multiplicity)
 
 
-def hits_pm_norm(
-    lm: LinkMatrix,
-    alpha: float = 0.8,
-    kind: str = "authority",
-    convention: str = "squared",
-) -> RankingResult:
+def hits_pm_norm(lm: LinkMatrix, alpha: float = 0.8, kind: str = "authority") -> RankingResult:
     """Dominant eigenvector of the primitivity-adjusted authority or hub
-    matrix."""
+    matrix.  At ``alpha = 1`` the matrix is the base matrix: its entries
+    are non-negative, so ``1.0 * x + 0.0`` is ``x``."""
     if not 0.0 < alpha <= 1.0:
         raise DataError(f"alpha must be in (0, 1], got {alpha}")
-    _check_convention(convention)
     base = _base_matrix(lm, kind)
     M = alpha * base + (1.0 - alpha) / base.shape[0]
     vec, _, res, multiplicity = _dominant_eigvec(M)
-    return _as_result(lm, "hits_pm_norm", kind, alpha, convention, vec, res, multiplicity)
+    return _as_result(lm, "hits_pm_norm", kind, alpha, vec, res, multiplicity)
 
 
 def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
@@ -176,16 +164,13 @@ def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
     return alpha * S + (1.0 - alpha) / n
 
 
-def pagerank_norm(
-    lm: LinkMatrix, alpha: float = 0.8, convention: str = "squared"
-) -> RankingResult:
+def pagerank_norm(lm: LinkMatrix, alpha: float = 0.8) -> RankingResult:
     """Perron vector of the teleport-adjusted column-stochastic matrix
     ``G = alpha * S + (1 - alpha) / n * ones``, L2-normalised.  G is
-    positive, so the vector is positive and unique; squared scores form a
+    positive, so the vector is positive and unique; its scores form a
     probability distribution."""
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    _check_convention(convention)
     G = stochastic_matrix(lm, alpha)
     n = G.shape[0]
     teleport = (1.0 - alpha) / n
@@ -193,15 +178,13 @@ def pagerank_norm(
     x = np.linalg.solve(np.eye(n) - (G - teleport), np.full(n, teleport))
     vec = x / np.linalg.norm(x)
     _, res = _certify(G, vec, 1.0)  # every entry of G is at most 1
-    return _as_result(lm, "pagerank_norm", "stochastic", alpha, convention, vec, res)
+    return _as_result(lm, "pagerank_norm", "stochastic", alpha, vec, res)
 
 
-def gradient_ranking(
-    lm: LinkMatrix, kind: str = "authority", convention: str = "squared"
-) -> RankingResult:
-    _check_convention(convention)
-    vec, _, res, multiplicity = _dominant_eigvec(_base_matrix(lm, kind))
-    return _as_result(lm, "gradient", kind, None, convention, vec, res, multiplicity)
+def gradient_ranking(lm: LinkMatrix, kind: str = "authority") -> RankingResult:
+    """Dominant eigenvector of the authority or hub matrix itself:
+    ``hits_pm_norm`` at ``alpha = 1``, reported with no alpha."""
+    return replace(hits_pm_norm(lm, 1.0, kind), algorithm="gradient", alpha=None)
 
 
 def rank_nodes(
@@ -209,18 +192,17 @@ def rank_nodes(
     algorithm: str = "gradient",
     kind: str = "authority",
     alpha: float = 0.8,
-    convention: str = "squared",
     k: int = 10,
 ) -> tuple[list[tuple[NodeLabel, float]], RankingResult, DispersionStats]:
     """Top-k nodes under one algorithm; descending score, ties by label."""
     if k < 1:
         raise DataError("k must be >= 1")
     if algorithm == "gradient":
-        result = gradient_ranking(lm, kind=kind, convention=convention)
+        result = gradient_ranking(lm, kind=kind)
     elif algorithm == "hits_pm_norm":
-        result = hits_pm_norm(lm, alpha=alpha, kind=kind, convention=convention)
+        result = hits_pm_norm(lm, alpha=alpha, kind=kind)
     elif algorithm == "pagerank_norm":
-        result = pagerank_norm(lm, alpha=alpha, convention=convention)
+        result = pagerank_norm(lm, alpha=alpha)
     else:
         raise DataError(f"unknown algorithm {algorithm!r}")
     ranked = sorted(result.scores.items(), key=lambda kv: (-kv[1], kv[0].render()))
@@ -230,8 +212,7 @@ def rank_nodes(
 def dispersion(result: RankingResult) -> DispersionStats:
     """Entropy and participation ratio of the squared-component
     distribution behind a ranking."""
-    values = np.array([result.scores[lbl] for lbl in sorted(result.scores, key=NodeLabel.render)])
-    p = values**2 if result.convention == "raw" else values
+    p = np.array([result.scores[lbl] for lbl in sorted(result.scores, key=NodeLabel.render)])
     total = p.sum()
     if total <= 0:
         raise DataError("ranking scores sum to zero; no distribution to analyze")

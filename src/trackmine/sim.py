@@ -87,6 +87,8 @@ def simulate(
     run per sample, dropout first and then the x and y jitter, so each
     seed gives the same random stream.
     """
+    if not min_duration >= 0:  # nan fails too
+        raise ConfigError("min_duration must be >= 0")
     rng = np.random.default_rng(sc.seed)
     cameras = sorted({z.camera_id for z in sc.zones})
     centers = {}

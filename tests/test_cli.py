@@ -245,6 +245,27 @@ class TestTables:
         _, out2 = run(capsys, "tables", "--json")
         assert out1 == out2
 
+    def test_text_table_prints_the_json_numbers(self, capsys):
+        # one block per matrix: a title, a header, then a node and 7
+        # significant digits of each JSON column, in the JSON's order
+        rc, text = run(capsys, "tables")
+        assert rc == 0
+        rows = json.loads(run(capsys, "tables", "--json")[1])
+        blocks = text.split("\n\n")
+        assert blocks.pop() == ""
+        assert len(blocks) == len(rows)
+        for block, (name, table) in zip(blocks, rows.items()):
+            title, header, *lines = block.splitlines()
+            assert title == f"link matrix {name}"
+            assert header.split()[:2] == ["node", "gradient"]
+            keys = [key for key in table if key != "nodes"]
+            cells = [line.split() for line in lines]
+            assert [row[0] for row in cells] == table["nodes"]
+            for row in cells:
+                assert len(row) == 1 + len(keys)
+            for j, key in enumerate(keys, start=1):
+                assert [float(row[j]) for row in cells] == pytest.approx(table[key], rel=1e-6)
+
 
 TRACKS_HEADER = "camera_id,time,entity_class,track_id,x,y,w,h\n"
 ZONE = {"location_id": "s1", "camera_id": "cam1", "x": 0, "y": 0, "w": 100, "h": 100}
@@ -266,9 +287,11 @@ class TestExitCodes:
         assert rc == 3
 
     def test_l1_convention_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main("rank --matrix L.csv --convention l1".split())
-        assert exc.value.code == 2
+        # scores are always squared components; there is no --convention
+        for convention in ("l1", "raw"):
+            with pytest.raises(SystemExit) as exc:
+                main(f"rank --matrix L.csv --convention {convention}".split())
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "text",
@@ -906,6 +929,33 @@ def test_rank_on_fuzzed_matrix_keeps_the_exit_contract(tmp_path_factory, data, a
     out = d / "rank.json"
     _assert_exit_contract(["rank", "--matrix", d / "m.csv", "--algorithm", algorithm,
                            "--kind", kind, "--out", out], [out], codes=(0, 3, 4))
+
+
+@pytest.mark.parametrize("argv", [
+    "precision --detected {occ} --truth {occ} --window nan",
+    "merge {occ} {occ} --out {out} --dedup-window nan",
+    "detect --tracks {tracks} --zones {zones} --out {out} --dedup-window nan",
+    "detect --tracks {tracks} --zones {zones} --out {out} --min-duration nan",
+    "detect --tracks {tracks} --zones {zones} --out {out} --sample-period nan",
+    "simulate --scenario {scenario} --out-tracks {out} --out-truth {out2} --min-duration nan",
+], ids=["precision_window", "merge_dedup_window", "detect_dedup_window",
+        "detect_min_duration", "detect_sample_period", "simulate_min_duration"])
+def test_nan_setting_is_data_error(tmp_path, capsys, scenario_file, argv):
+    # nan passes a check written `x < 0`, and then gives a wrong answer
+    occ = tmp_path / "occ.csv"
+    occ.write_text(MIXED_TRACKS_CSV)
+    tracks, zones = tmp_path / "tracks.csv", tmp_path / "zones.json"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-tracks", str(tracks),
+                 "--out-truth", str(tmp_path / "truth.csv"), "--out-zones", str(zones)]) == 0
+    capsys.readouterr()
+    out, out2 = tmp_path / "out", tmp_path / "out2"
+    rc = main(argv.format(occ=occ, tracks=tracks, zones=zones, scenario=scenario_file,
+                          out=out, out2=out2).split())
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("trackmine ") and captured.err.count("\n") == 1
+    assert not out.exists() and not out2.exists()
 
 
 class TestUntracked:

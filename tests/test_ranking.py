@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from trackmine import ranking
 from trackmine.errors import ConvergenceError, DataError
-from trackmine.procnet import LinkMatrix, NodeLabel
+from trackmine.eventlog import Cycle, parse_log
+from trackmine.procnet import LinkMatrix, NodeLabel, build_dfg, link_matrix
 from trackmine.ranking import (
     DispersionStats,
     authority_matrix,
@@ -43,6 +44,16 @@ def lm(values):
 
 
 LM0, LM1 = lm(L0), lm(L1)
+
+# two roles over three locations, with self-loops and a pair seen twice
+DFG_CYCLE = Cycle(index=1, cycle_time=50.0, records=parse_log("""\
+EL1: {s1, (E1,RP), 2024/08/15/10:00:00}
+EL1: {s1, (E1,RP), 2024/08/15/10:00:10}
+EL1: {s2, (E1,RP); k3, (E2,LP), 2024/08/15/10:00:20}
+EL1: {s1, (E1,RP), 2024/08/15/10:00:30}
+EL1: {s2, (E1,RP); k3, (E2,LP), 2024/08/15/10:00:40}
+EL1: {k3, (E2,LP), 2024/08/15/10:00:50}
+""").records)
 
 
 class TestAuthorityHub:
@@ -164,10 +175,18 @@ class TestHitsPmNorm:
         assert scores == pytest.approx([0.172, 0.171, 0.310, 0.347], abs=0.02)
 
     def test_alpha_one_matches_gradient(self):
-        h = hits_pm_norm(LM1, alpha=1.0)
-        g = gradient_ranking(LM1)
-        for lbl in h.scores:
-            assert h.scores[lbl] == pytest.approx(g.scores[lbl], abs=1e-8)
+        # gradient has no solve of its own: at alpha = 1 the teleport term
+        # adds 0.0, so eigh sees the base matrix, and the scores are the
+        # squares of grad_dominant_eigvec's vector, to the last bit
+        for matrix in (LM0, LM1, link_matrix(build_dfg(DFG_CYCLE))):
+            for kind, base in (("authority", authority_matrix), ("hub", hub_matrix)):
+                g = gradient_ranking(matrix, kind)
+                h = hits_pm_norm(matrix, 1.0, kind)
+                assert (g.algorithm, g.matrix_kind, g.alpha) == ("gradient", kind, None)
+                assert repr(g.scores) == repr(h.scores)
+                assert (g.multiplicity, g.residual) == (h.multiplicity, h.residual)
+                v, _, _ = grad_dominant_eigvec(base(matrix))
+                assert [g.scores[lbl] for lbl in matrix.labels] == (v**2).tolist()
 
     def test_squared_scores_sum_to_one(self):
         for alpha in (0.3, 0.8, 1.0):
@@ -234,11 +253,11 @@ class TestPagerankNorm:
     ids=["hits_pm_norm", "pagerank_norm"],
 )
 def test_power_residual_matches_dense(values, solve, base):
-    # the residual reported from inside the power loop is ||M v - lam v||
-    # of the returned vector, recomputed here from the dense matrix
+    # the reported residual is ||M v - lam v|| of the returned vector,
+    # recomputed here from the dense matrix
     tol, alpha, n = 1e-10, 0.8, values.shape[0]
-    result = solve(lm(values), alpha=alpha, convention="raw")
-    v = np.array(list(result.scores.values()))
+    result = solve(lm(values), alpha=alpha)
+    v = np.sqrt(list(result.scores.values()))  # the scores are squared components
     M = alpha * base(values) + (1 - alpha) / n * np.ones((n, n))
     lam = float(v @ M @ v)
     assert result.residual == pytest.approx(np.linalg.norm(M @ v - lam * v), abs=1e-14)
@@ -270,14 +289,6 @@ class TestRankNodes:
         assert ranked[0][1] == pytest.approx(0.553, abs=0.005)
         assert ranked[1][1] == pytest.approx(0.446, abs=0.005)
 
-    def test_raw_vs_squared_same_order(self):
-        for algorithm in ("gradient", "hits_pm_norm"):
-            raw, _, _ = rank_nodes(LM1, algorithm=algorithm, convention="raw", k=4)
-            sq, _, _ = rank_nodes(LM1, algorithm=algorithm, convention="squared", k=4)
-            assert [r[0] for r in raw] == [r[0] for r in sq]
-            for (lbl_r, v_r), (lbl_s, v_s) in zip(raw, sq):
-                assert v_r**2 == pytest.approx(v_s, abs=1e-9)
-
     def test_multiplicity(self):
         eye2 = lm(np.eye(2))
         for algorithm, alpha, expected in [
@@ -291,20 +302,6 @@ class TestRankNodes:
             assert list(result.scores.values()) == pytest.approx([0.5, 0.5], abs=1e-15)
         _, result, _ = rank_nodes(LM1, algorithm="gradient")
         assert result.multiplicity == 1
-
-    def test_raw_convention_squares_sum_to_one(self):
-        _, result, _ = rank_nodes(LM1, algorithm="gradient", convention="raw", k=4)
-        assert sum(v**2 for v in result.scores.values()) == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
-    def test_bad_convention_rejected_before_solve(self, monkeypatch, algorithm):
-        def solver_called(*args, **kwargs):
-            raise AssertionError("solver ran before the convention was checked")
-
-        monkeypatch.setattr(ranking.np.linalg, "eigh", solver_called)
-        monkeypatch.setattr(ranking.np.linalg, "solve", solver_called)
-        with pytest.raises(DataError, match="convention"):
-            rank_nodes(LM1, algorithm=algorithm, convention="bogus")
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -324,7 +321,7 @@ class TestRankNodes:
 
 
 class TestDispersion:
-    def result(self, scores, convention="squared"):
+    def result(self, scores):
         from trackmine.ranking import RankingResult
 
         labels = [NodeLabel("x", str(i + 1)) for i in range(len(scores))]
@@ -332,7 +329,6 @@ class TestDispersion:
             algorithm="gradient",
             matrix_kind="authority",
             alpha=None,
-            convention=convention,
             scores=dict(zip(labels, scores)),
             iterations=1,
             residual=0.0,

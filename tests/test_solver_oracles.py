@@ -112,15 +112,13 @@ def _loop_ranking(lm, algorithm, kind, alpha):
     return vec, res, M
 
 
-@given(_SEEDS, _FAMILIES, st.integers(2, 14), _LAYOUTS, _ALGORITHMS, _KINDS,
-       st.sampled_from(["squared", "raw"]), _ALPHAS)
+@given(_SEEDS, _FAMILIES, st.integers(2, 14), _LAYOUTS, _ALGORITHMS, _KINDS, _ALPHAS)
 @settings(max_examples=300, deadline=None)
-def test_rank_nodes_matches_oracle(seed, family, n, layout, algorithm, kind, convention, alpha):
+def test_rank_nodes_matches_oracle(seed, family, n, layout, algorithm, kind, alpha):
     rng = np.random.default_rng(seed)
     L = _layout(_link_values(family, rng, n), layout)
     lm = LinkMatrix(labels=_labels(L), values=L)
-    _, got, _ = rank_nodes(lm, algorithm=algorithm, kind=kind, alpha=alpha,
-                           convention=convention, k=5)
+    _, got, _ = rank_nodes(lm, algorithm=algorithm, kind=kind, alpha=alpha, k=5)
     try:
         vec, res, M = _loop_ranking(lm, algorithm, kind, alpha)
     except ConvergenceError:
@@ -137,7 +135,7 @@ def test_rank_nodes_matches_oracle(seed, family, n, layout, algorithm, kind, con
         if not _simple(top, gap, TOL):
             return  # the loops' answer depends on node order
         bound = _davis_kahan(top, gap, residual)
-    want = vec**2 if convention == "squared" else vec
+    want = vec**2
     err = max(abs(got.scores[lbl] - float(want[i])) for i, lbl in enumerate(lm.labels))
     assert err <= bound
 
@@ -171,15 +169,14 @@ def test_grad_dominant_eigvec_matches_oracle(seed, family, n, layout, source):
     assert np.abs(v - ref).max() <= _davis_kahan(top, gap, residual)
 
 
-@given(_SEEDS, _FAMILIES, st.integers(2, 14), _ALGORITHMS, _KINDS,
-       st.sampled_from(["squared", "raw"]), _ALPHAS)
+@given(_SEEDS, _FAMILIES, st.integers(2, 14), _ALGORITHMS, _KINDS, _ALPHAS)
 @settings(max_examples=300, deadline=None)
-def test_relabelling_permutes_scores(seed, family, n, algorithm, kind, convention, alpha):
+def test_relabelling_permutes_scores(seed, family, n, algorithm, kind, alpha):
     rng = np.random.default_rng(seed)
     L = _link_values(family, rng, n)
     labels = _labels(L)
     perm = rng.permutation(len(labels))
-    args = dict(algorithm=algorithm, kind=kind, alpha=alpha, convention=convention, k=5)
+    args = dict(algorithm=algorithm, kind=kind, alpha=alpha, k=5)
     _, a, _ = rank_nodes(LinkMatrix(labels=labels, values=L), **args)
     relabelled = LinkMatrix(labels=[labels[i] for i in perm], values=L[np.ix_(perm, perm)])
     _, b, _ = rank_nodes(relabelled, **args)
