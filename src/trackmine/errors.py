@@ -15,7 +15,3 @@ class ConfigError(TrackmineError):
 
 class ConvergenceError(TrackmineError):
     """A solver's residual exceeds the tolerance the matrix's own scale sets."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import re
-import warnings
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -264,6 +264,8 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class EventLog:
+    """Records in time order (equal timestamps allowed) under one label."""
+
     records: tuple[EventRecord, ...]
     label: str = ""
 
@@ -272,14 +274,11 @@ class EventLog:
             raise DataError(f"log label {self.label!r} holds a character other than "
                             f"A-Z, a-z, 0-9 and _")
         times = [r.timestamp for r in self.records]
-        for a, b in zip(times, times[1:]):
+        for i, (a, b) in enumerate(zip(times, times[1:]), start=2):
             if b < a:
-                warnings.warn(
-                    f"event log {self.label!r}: decreasing timestamp {b} after {a}; "
-                    f"order preserved as given",
-                    stacklevel=2,
-                )
-                break
+                raise DataError(
+                    f"event log {self.label!r}: record {i} at {format_timestamp(b)} is "
+                    f"earlier than record {i - 1} at {format_timestamp(a)}")
 
 
 @dataclass(frozen=True)
@@ -287,12 +286,6 @@ class Cycle:
     index: int
     records: tuple[EventRecord, ...]
     cycle_time: float
-
-    def __post_init__(self):
-        if not self.records:
-            raise DataError(f"cycle {self.index} is empty")
-        if self.cycle_time < 0:
-            raise DataError(f"cycle {self.index} has negative cycle_time")
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +351,18 @@ def _record(groups, ts: str, lineno: int) -> EventRecord:
 
 
 def parse_log(text: str) -> EventLog:
-    """Parse a document with one record per line."""
-    parsed = [
-        parse_record(line, lineno)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    label = next((lbl for lbl, _ in parsed if lbl), "")
-    return EventLog(records=tuple(r for _, r in parsed), label=label)
+    """Parse a document with one record per line; every labeled line
+    carries the same label."""
+    label, records = "", []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        lbl, record = parse_record(line, lineno)
+        if lbl and label and lbl != label:
+            raise DataError(f"line {lineno}: label {lbl!r} differs from the log's label {label!r}")
+        label = label or lbl
+        records.append(record)
+    return EventLog(records=tuple(records), label=label)
 
 
 def serialize_record(record: EventRecord, label: str = "") -> str:
@@ -488,12 +485,9 @@ def segment_cycles(
             )
         start_times = [records[i].timestamp for i in starts]
     else:
-        # a linear scan, not bisect: timestamps may decrease (EventLog warns)
         start_times = sorted(boundaries)
-        starts = [
-            next((i for i, r in enumerate(records) if r.timestamp >= b), n)
-            for b in start_times
-        ]
+        times = [r.timestamp for r in records]
+        starts = [bisect_left(times, b) for b in start_times]
 
     cycles = []
     for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
@@ -574,7 +568,8 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         t = t0 + frac * span
-        label = to_datetime(t).strftime("%H:%M:%S")
+        # the time of day; the axis may run past the calendar's last second
+        label = to_datetime(t % 86400.0).strftime("%H:%M:%S")
         out.append(
             f'<text x="{sx(t):.1f}" y="{axis_y + 16}" text-anchor="middle">{label}</text>'
         )

@@ -107,14 +107,6 @@ def build_dfg(cycle: Cycle) -> ProcessNetwork:
     return ProcessNetwork(nodes=list(activities), edges=edges, activities=activities)
 
 
-def activity_ranking(net: ProcessNetwork, k: int) -> list[tuple[NodeLabel, int]]:
-    """Top-k nodes by occurrence count, ties broken by rendered label."""
-    if k < 1:
-        raise DataError("k must be >= 1")
-    ranked = sorted(net.activities.items(), key=lambda kv: (-kv[1], kv[0].render()))
-    return ranked[:k]
-
-
 def compare_topk(a, b, k: int) -> dict:
     """Set algebra on two ranked label lists truncated to k."""
     def labels(seq):

@@ -94,7 +94,7 @@ def _certify(M: np.ndarray, v: np.ndarray, scale: float) -> tuple[float, float]:
         res = float(np.linalg.norm(Mv - lam * v))
     if not res <= RTOL * scale:  # a nan residual fails too
         raise ConvergenceError(f"dominant eigenvector residual {res:.3e} exceeds "
-                               f"tol={RTOL * scale:.3e}", residual=res)
+                               f"tol={RTOL * scale:.3e}")
     return lam, res
 
 

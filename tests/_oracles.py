@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConfigError, ConvergenceError, DataError
-from trackmine.eventlog import (TIMESTAMP_FMT, Entity, EventRecord, Group, Occurrence, _csv_rows,
-                                parse_time)
+from trackmine.eventlog import (TIMESTAMP_FMT, Cycle, Entity, EventLog, EventRecord, Group,
+                                Occurrence, _csv_rows, parse_time)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
@@ -105,9 +105,7 @@ def grad_dominant_eigvec_loop(S: np.ndarray, tol: float = 1e-10) -> tuple[np.nda
         x /= np.linalg.norm(x)
     raise ConvergenceError(
         f"gradient eigensolver did not reach tol={tol} in {MAX_ITERATIONS} iterations "
-        f"(residual {rnorm:.3e})",
-        residual=rnorm,
-        iterations=MAX_ITERATIONS,
+        f"(residual {rnorm:.3e})"
     )
 
 
@@ -125,7 +123,7 @@ def power_iteration_loop(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, 
     for it in range(1, MAX_ITERATIONS + 1):
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
-            raise ConvergenceError("power iteration collapsed to zero", residual=math.inf)
+            raise ConvergenceError("power iteration collapsed to zero")
         x_new = y / norm
         y = M @ x_new
         lam = float(x_new @ y)
@@ -135,9 +133,8 @@ def power_iteration_loop(M: np.ndarray, tol: float) -> tuple[np.ndarray, float, 
         if stalled or res <= tol:
             return _fix_sign(x), lam, res, it
     raise ConvergenceError(
-        f"power iteration did not converge in {MAX_ITERATIONS} iterations",
-        residual=res,
-        iterations=MAX_ITERATIONS,
+        f"power iteration did not converge in {MAX_ITERATIONS} iterations "
+        f"(residual {res:.3e})"
     )
 
 
@@ -424,6 +421,28 @@ def parse_record_split_top(line: str, lineno: int = 0) -> tuple[str, EventRecord
             entities.append(Entity(pm.group(1), pm.group(2)))
         groups.append(Group(location_id=head, entities=tuple(entities)))
     return label, EventRecord(groups=tuple(groups), timestamp=timestamp)
+
+
+# ``segment_cycles`` by boundaries as it ran while a log's timestamps could
+# still decrease: a linear scan from the first record for each boundary.
+
+def segment_cycles_scan(log: EventLog, boundaries: Sequence[datetime]) -> list[Cycle]:
+    """Cycles between sorted boundaries; a cycle starts at the first record
+    at or after its boundary, and empty cycles are dropped."""
+    records, n = log.records, len(log.records)
+    start_times = sorted(boundaries)
+    starts = [
+        next((i for i, r in enumerate(records) if r.timestamp >= b), n)
+        for b in start_times
+    ]
+    cycles = []
+    for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
+        recs = records[lo:hi]
+        if not recs:
+            continue
+        end = start_times[k + 1] if k + 1 < len(starts) else recs[-1].timestamp
+        cycles.append(Cycle(len(cycles) + 1, recs, (end - start_times[k]).total_seconds()))
+    return cycles
 
 
 # The simulator before it sampled from arrays: a per-sample scan of the

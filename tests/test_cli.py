@@ -630,6 +630,41 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("trackmine gantt: line 1: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        "cycles --log {log} --anchor ^s11$",
+        "cycles --log {log} --boundaries 2024/08/15/10:00:00,2024/08/15/10:08:30",
+        "dfg --log {log} --anchor ^s11$ --out-matrix {out}",
+        "rank --log {log} --anchor ^s11$ --out {out}",
+        "gantt --log {log} --out {out}",
+    ], ids=["cycles_anchor", "cycles_boundaries", "dfg", "rank", "gantt"])
+    @pytest.mark.parametrize("suffix", [".log", ".jsonl"])
+    def test_decreasing_timestamp_is_data_error(self, tmp_path, capsys, argv, suffix):
+        earlier = "EL1: {s14, (E1,RP), 2024/08/15/10:09:00}\n"
+        text = LOG_TEXT + earlier
+        if suffix == ".jsonl":
+            text = log_to_jsonl(parse_log(LOG_TEXT)) + log_to_jsonl(parse_log(earlier))
+        log = tmp_path / f"el{suffix}"
+        log.write_text(text)
+        out = tmp_path / "out"
+        rc = main(argv.format(log=log, out=out).split())
+        captured = capsys.readouterr()
+        label = "'EL1'" if suffix == ".log" else "''"
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (f"trackmine {argv.split()[0]}: event log {label}: record 6 at "
+                                f"2024/08/15/10:09:00 is earlier than record 5 at "
+                                f"2024/08/15/10:10:00\n")
+        assert not out.exists()
+
+    def test_second_label_is_data_error(self, tmp_path, capsys):
+        # the first label used to win, and a rewrite gave every record that label
+        log = tmp_path / "el.log"
+        log.write_text(LOG_TEXT.replace("EL1: {k3", "EL2: {k3"))
+        rc = main(["cycles", "--log", str(log), "--anchor", "^s11$"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "trackmine cycles: line 5: label 'EL2' differs from the log's label 'EL1'\n"
+
     @pytest.mark.parametrize("name, text", [
         ("e.log", "EL1: {, (E1,v1), 2024/08/15/10:00:00}\n"),
         ("e.jsonl", '{"locations": [{"id": "", "entities": [{"id": "E1", "prop": "v1"}]}], '
@@ -929,6 +964,116 @@ def test_rank_on_fuzzed_matrix_keeps_the_exit_contract(tmp_path_factory, data, a
     out = d / "rank.json"
     _assert_exit_contract(["rank", "--matrix", d / "m.csv", "--algorithm", algorithm,
                            "--kind", kind, "--out", out], [out], codes=(0, 3, 4))
+
+
+# Names and times for fuzzed logs: the names mostly follow the grammar,
+# and the times are in calendar order, from the first year to the last.
+_LOG_LOCATIONS = ["s11", "s14", "k3"]
+_LOG_ENTITIES = ["E1", "E2", "v_1", "E;1"]
+_LOG_PROPS = ["RP", "LP", ""]
+_LOG_BAD_NAMES = ["", "s(1", "x,y", " s1", "a\nb", '"', "s;1"]
+_LOG_TIMES = ["0001/01/01/00:00:00", "2024/08/15/10:00:00", "2024-08-15T10:01:00",
+              "2024/08/15/10:01:00", "2024/08/15/10:08:30.500000", "9999/12/31/23:59:59",
+              "9999/12/31/23:59:59.999999"]
+_LOG_BAD_TIMES = ["2024/13/15/10:00:00", "2024/8/15/10:00:00", "x", ""]
+
+
+@st.composite
+def _fuzzed_records(draw):
+    """Up to six records as (label, [(location, [(entity, property)])],
+    timestamp): in time order but at times shuffled, so that a timestamp
+    decreases.  One log in four is broken: a bad name or time, a second
+    label, an empty record or group, or a location twice in one record."""
+    broken = not draw(st.integers(0, 3))
+
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if broken and not draw(st.integers(0, 9)) else good))
+
+    times = sorted(draw(st.lists(st.sampled_from(range(len(_LOG_TIMES))), max_size=6)))
+    if not draw(st.integers(0, 2)):
+        times = draw(st.permutations(times))
+    records = []
+    for t in times:
+        locations = draw(st.lists(st.sampled_from(_LOG_LOCATIONS), min_size=not broken,
+                                  max_size=2, unique=True))
+        if broken and not draw(st.integers(0, 4)):
+            locations.append(draw(st.sampled_from(_LOG_BAD_NAMES + _LOG_LOCATIONS)))
+        groups = [(loc, [(pick(_LOG_ENTITIES, _LOG_BAD_NAMES), pick(_LOG_PROPS, _LOG_BAD_NAMES))
+                         for _ in range(draw(st.integers(not broken, 2)))])
+                  for loc in locations]
+        records.append((pick(["", "EL1", "EL1"], ["EL2"]), groups,
+                        pick([_LOG_TIMES[t]], _LOG_BAD_TIMES)))
+    return records
+
+
+def _perturb(draw, data: bytes) -> bytes:
+    """`data`, at times cut short or with a few bytes put in."""
+    if not draw(st.integers(0, 9)):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.binary(min_size=0, max_size=3)) + \
+            data[cut + draw(st.integers(0, 3)):]
+    return data
+
+
+@st.composite
+def _fuzzed_text_log(draw):
+    """Bytes near a text log: full and abbreviated groups, blank and
+    comment lines, and each line ending of str.splitlines."""
+    lines = []
+    for label, groups, ts in draw(_fuzzed_records()):
+        body = "; ".join(
+            f"{ents[0][1]}_{loc}" if len(ents) == 1 and draw(st.booleans())
+            else ", ".join([loc, *(f"({e},{p})" for e, p in ents)])
+            for loc, ents in groups)
+        lines.append(f"{label}: " * bool(label) + f"{{{body}, {ts}}}")
+        if not draw(st.integers(0, 9)):
+            lines.append(draw(st.sampled_from(["", "# note", "  "])))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    return _perturb(draw, text.encode("utf-8"))
+
+
+@st.composite
+def _fuzzed_jsonl_log(draw):
+    """Bytes near a ``.jsonl`` log; now and then a field that is not a
+    string, a list or an object where the format wants one."""
+    lines = []
+    for _, groups, ts in draw(_fuzzed_records()):
+        obj = {"locations": [{"id": loc, "entities": [{"id": e, "prop": p} for e, p in ents]}
+                             for loc, ents in groups], "ts": ts}
+        if not draw(st.integers(0, 9)):
+            target = obj["locations"][0] if obj["locations"] and draw(st.booleans()) else obj
+            target[draw(st.sampled_from(sorted(target)))] = draw(
+                st.sampled_from([5, None, [], {}, "x", [5]]))
+        lines.append(json.dumps(obj))
+    return _perturb(draw, "\n".join(lines).encode("utf-8"))
+
+
+def _assert_log_commands_keep_the_exit_contract(d, log):
+    for argv, outs in [
+        (["cycles", "--log", log, "--anchor", "^s11$"], []),
+        (["cycles", "--log", log, "--boundaries", "2024/08/15/10:00:00,2024/08/15/10:01:00"],
+         []),
+        (["dfg", "--log", log, "--anchor", "s1", "--out-matrix", d / "L.csv",
+          "--out-dot", d / "net.dot"], [d / "L.csv", d / "net.dot"]),
+        (["gantt", "--log", log, "--out", d / "chart.svg"], [d / "chart.svg"]),
+    ]:
+        _assert_exit_contract(argv, outs)
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_text_log()))
+@settings(max_examples=300, deadline=None)
+def test_log_commands_on_fuzzed_text_log_keep_the_exit_contract(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "el.log").write_bytes(data)
+    _assert_log_commands_keep_the_exit_contract(d, d / "el.log")
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_jsonl_log()))
+@settings(max_examples=300, deadline=None)
+def test_log_commands_on_fuzzed_jsonl_log_keep_the_exit_contract(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "el.jsonl").write_bytes(data)
+    _assert_log_commands_keep_the_exit_contract(d, d / "el.jsonl")
 
 
 @pytest.mark.parametrize("argv", [

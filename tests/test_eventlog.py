@@ -32,7 +32,7 @@ from trackmine.eventlog import (
     write_occurrences_csv,
 )
 
-from _oracles import parse_record_split_top, precision_scan
+from _oracles import parse_record_split_top, precision_scan, segment_cycles_scan
 
 
 def rec(ts, *groups):
@@ -86,14 +86,28 @@ class TestParse:
             parse_record(f"{{s1, (a,b), {ts}}}", lineno=4)
         assert str(exc.value) == f"line 4: unparseable timestamp {ts!r}"
 
-    def test_decreasing_timestamps_warn_not_raise(self):
+    def test_decreasing_timestamp_raises(self):
         text = (
             "{s1, (E1,v1), 2024/08/15/17:40:50}\n"
             "{s2, (E1,v1), 2024/08/15/17:40:10}\n"
         )
-        with pytest.warns(UserWarning, match="decreasing"):
-            log = parse_log(text)
-        assert len(log.records) == 2
+        with pytest.raises(DataError) as exc:
+            parse_log(text)
+        assert str(exc.value) == ("event log '': record 2 at 2024/08/15/17:40:10 is earlier "
+                                  "than record 1 at 2024/08/15/17:40:50")
+
+    def test_second_label_rejected(self):
+        with pytest.raises(DataError) as exc:
+            parse_log("EL1: {s1, (E1,v1), 2024/08/15/17:40:50}\n"
+                      "{s1, (E1,v1), 2024/08/15/17:40:51}\n"
+                      "EL2: {s2, (E1,v1), 2024/08/15/17:40:52}\n")
+        assert str(exc.value) == "line 3: label 'EL2' differs from the log's label 'EL1'"
+
+    def test_unlabeled_lines_take_the_log_label(self):
+        log = parse_log("{s1, (E1,v1), 2024/08/15/17:40:50}\n"
+                        "EL1: {s1, (E1,v1), 2024/08/15/17:40:51}\n"
+                        "{s2, (E1,v1), 2024/08/15/17:40:52}\n")
+        assert log.label == "EL1" and len(log.records) == 3
 
     def test_semicolon_inside_pair(self):
         _, r = parse_record("{s1, (E;1,v); s2, (E2,v;2), 2024/08/15/17:40:50}")
@@ -330,6 +344,18 @@ class TestCycles:
         bounds = [c.records[0].timestamp for c in by_anchor]
         assert segment_cycles(log, boundaries=bounds) == by_anchor
 
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+           st.lists(st.integers(-2, 14), min_size=1, max_size=5))
+    @settings(max_examples=300)
+    def test_boundaries_match_linear_scan(self, seconds, half_seconds):
+        # records at whole seconds, repeats included; boundaries at half
+        # seconds from before the first record to after the last, so some
+        # fall on a record and some between two
+        log = EventLog(tuple(rec(T0 + timedelta(seconds=s), ("s1", [("E1", "v")]))
+                             for s in sorted(seconds)))
+        bounds = [T0 + timedelta(seconds=h / 2) for h in half_seconds]
+        assert segment_cycles(log, boundaries=bounds) == segment_cycles_scan(log, bounds)
+
     def test_translation_invariance(self):
         log = self.three_cycle_log()
         shifted = EventLog(
@@ -374,6 +400,13 @@ class TestGantt:
 
     def test_deterministic(self):
         assert gantt(self.log3()) == gantt(self.log3())
+
+    def test_last_second_of_the_calendar(self):
+        # the axis spans at least 1 s, past 9999-12-31 23:59:59
+        log = EventLog(records=(rec(datetime(9999, 12, 31, 23, 59, 59), ("s1", [("E1", "v")])),))
+        root = ET.fromstring(gantt(log))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[1:6] == ["23:59:59"] * 4 + ["00:00:00"]
 
     @pytest.mark.parametrize("lane_key", ["location", "entity"])
     def test_labels_escaped(self, lane_key):

@@ -11,7 +11,6 @@ from trackmine.procnet import (
     LinkMatrix,
     NodeLabel,
     ProcessNetwork,
-    activity_ranking,
     build_dfg,
     default_labeler,
     link_matrix,
@@ -106,23 +105,6 @@ class TestBuildDfg:
         )
         n1, n2 = build_dfg(c1), build_dfg(c2)
         assert n1.edges == n2.edges and n1.activities == n2.activities
-
-
-class TestActivityRanking:
-    def test_from_aba(self):
-        net = build_dfg(cycle_from_labels(["a_s1", "b_s2", "a_s1"]))
-        assert activity_ranking(net, 2) == [
-            (NodeLabel("a", "s1"), 2), (NodeLabel("b", "s2"), 1)
-        ]
-
-    def test_k_larger_than_nodes(self):
-        net = build_dfg(cycle_from_labels(["a_s1", "b_s2"]))
-        assert len(activity_ranking(net, 10)) == 2
-
-    def test_tie_breaks_lexicographic(self):
-        net = build_dfg(cycle_from_labels(["b_s2", "a_s1", "b_s2", "a_s1", "b_s2", "a_s1"]))
-        ranked = activity_ranking(net, 2)
-        assert ranked == [(NodeLabel("a", "s1"), 3), (NodeLabel("b", "s2"), 3)]
 
 
 class TestLinkMatrix:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import grad_dominant_eigvec_loop, power_iteration_loop, random_psd
@@ -142,6 +142,7 @@ def test_rank_nodes_matches_oracle(seed, family, n, layout, algorithm, kind, alp
 
 @given(_SEEDS, _FAMILIES, st.integers(2, 14), _LAYOUTS,
        st.sampled_from(["authority", "hub", "psd"]))
+@example(seed=2897, family="dfg", n=12, layout="C", source="psd")  # the loop gives up
 @settings(max_examples=300, deadline=None)
 def test_grad_dominant_eigvec_matches_oracle(seed, family, n, layout, source):
     rng = np.random.default_rng(seed)
