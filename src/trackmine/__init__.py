@@ -1,7 +1,7 @@
 """trackmine: camera detection tracks -> event logs -> directly-follows
 process networks -> spectral node rankings."""
 
-from .errors import ConfigError, ConvergenceError, DataError, TrackmineError
+from .errors import ConvergenceError, DataError, TrackmineError
 
-__all__ = ["ConfigError", "ConvergenceError", "DataError", "TrackmineError"]
+__all__ = ["ConvergenceError", "DataError", "TrackmineError"]
 __version__ = "0.1.0"

@@ -6,11 +6,8 @@ class TrackmineError(Exception):
 
 
 class DataError(TrackmineError):
-    """Malformed or inconsistent input data (bad file, unsorted stream, ...)."""
-
-
-class ConfigError(TrackmineError):
-    """Inconsistent configuration (unknown camera, bad threshold, ...)."""
+    """Malformed or inconsistent input: a bad file or stream, or a setting
+    out of range (a threshold, a scenario, a zone on an unknown camera, ...)."""
 
 
 class ConvergenceError(TrackmineError):

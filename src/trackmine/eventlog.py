@@ -23,7 +23,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 # ---------------------------------------------------------------------------
 # calendar time and occurrences
@@ -101,13 +101,13 @@ class DetectionConfig:
 
     def __post_init__(self):  # each check is written so that nan fails it
         if not self.min_duration >= 0:
-            raise ConfigError("min_duration must be >= 0")
+            raise DataError("min_duration must be >= 0")
         if not 0.0 <= self.min_overlap_ratio <= 1.0:
-            raise ConfigError("min_overlap_ratio must be in [0, 1]")
+            raise DataError("min_overlap_ratio must be in [0, 1]")
         if not self.sample_period > 0:
-            raise ConfigError("sample_period must be > 0")
+            raise DataError("sample_period must be > 0")
         if not self.dedup_window >= 0:
-            raise ConfigError("dedup_window must be >= 0")
+            raise DataError("dedup_window must be >= 0")
 
 
 def merge_camera_streams(
@@ -292,6 +292,7 @@ class Cycle:
 # parsing / serialization
 
 _RECORD_RE = re.compile(r"(?:([A-Za-z0-9_]+)\s*:\s*)?\{(?:(.*),)?(.*)\}", re.DOTALL)
+_LABEL_LINE_RE = re.compile(r"([A-Za-z0-9_]+)\s*:")
 _GROUP_SEP_RE = re.compile(r";(?![^()]*\))")  # a ';' whose next paren is not ')'
 _PAIR_SEP_RE = re.compile(r",(?=\s*\()")  # a ',' before a '('
 _PAIR_RE = re.compile(r"^\(\s*([^,()]+?)\s*,\s*([^,()]*?)\s*\)$")
@@ -351,17 +352,22 @@ def _record(groups, ts: str, lineno: int) -> EventRecord:
 
 
 def parse_log(text: str) -> EventLog:
-    """Parse a document with one record per line; every labeled line
-    carries the same label."""
+    """Parse a document with one record per line, or a label line,
+    ``label ":"``, which labels a log that has no records; every labeled
+    line carries the same label."""
     label, records = "", []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
-        lbl, record = parse_record(line, lineno)
+        if stripped[-1] == ":" and (m := _LABEL_LINE_RE.fullmatch(stripped)):
+            lbl = m[1]
+        else:
+            lbl, record = parse_record(line, lineno)
+            records.append(record)
         if lbl and label and lbl != label:
             raise DataError(f"line {lineno}: label {lbl!r} differs from the log's label {label!r}")
         label = label or lbl
-        records.append(record)
     return EventLog(records=tuple(records), label=label)
 
 
@@ -375,8 +381,10 @@ def serialize_record(record: EventRecord, label: str = "") -> str:
 
 
 def serialize_log(log: EventLog) -> str:
-    """Canonical full-form text; parse(serialize(log)) == log whenever log
-    has a record, since the label is written on each record line."""
+    """Canonical full-form text with the label on each record line, or on
+    a label line when the log has no records; parse(serialize(log)) == log."""
+    if log.label and not log.records:
+        return f"{log.label}:\n"
     return "".join(serialize_record(r, log.label) + "\n" for r in log.records)
 
 

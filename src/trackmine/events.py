@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
 from .eventlog import (DetectionConfig, Occurrence, _csv_error, _csv_reader, _width_error,
                        load_occurrences_csv, merge_camera_streams, parse_time,
@@ -66,11 +66,11 @@ class ZoneSpec:
 
 
 def check_unique_zones(zones: Iterable[ZoneSpec]) -> None:
-    """Raise ConfigError on a (location, camera) zone declared twice."""
+    """Raise DataError on a (location, camera) zone declared twice."""
     seen = set()
     for loc in zones:
         if (loc.camera_id, loc.location_id) in seen:
-            raise ConfigError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
+            raise DataError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
         seen.add((loc.camera_id, loc.location_id))
 
 
@@ -91,23 +91,13 @@ def _check_box(name: str, box: Rect) -> None:
 
 
 def _overlap(ex, ey, ew, eh, zx, zy, zw, zh):
-    """Overlap-ratio kernel on float64 scalars or arrays (elementwise)."""
+    """The fraction of the entity box (ex, ey, ew, eh) that the zone box
+    covers, elementwise on float64 scalars or arrays: the denominator is the
+    entity box's area, so a small entity inside a large zone scores 1.0."""
     with np.errstate(over="ignore", invalid="ignore"):
         ix = np.minimum(ex + ew, zx + zw) - np.maximum(ex, zx)
         iy = np.minimum(ey + eh, zy + zh) - np.maximum(ey, zy)
         return np.where((ix > 0) & (iy > 0), (ix * iy) / (ew * eh), 0.0)
-
-
-def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
-    """Fraction of the entity box covered by the zone.
-
-    The denominator is the entity box area, so a small entity fully inside
-    a large zone scores 1.0.
-    """
-    _check_box("entity_box", entity_box)
-    _check_box("zone_box", zone_box)
-    e, z = entity_box, zone_box
-    return float(_overlap(*np.array([e.x, e.y, e.w, e.h, z.x, z.y, z.w, z.h], dtype=float)))
 
 
 def detect_events(
@@ -134,23 +124,20 @@ def detect_events(
     if not samples:
         return []
 
-    # Stream ids numbered in sorted (camera, track, class) order, so one
-    # stable argsort lays out each camera as one slice and each stream as
-    # a contiguous block in input order.
+    # (camera, track, class) stream ids and camera ids in order of first
+    # appearance; one lexsort by (camera, stream) below lays out each camera
+    # as one slice and each stream as a contiguous block in input order.
     ids: dict[tuple, int] = {}
-    sid = [ids.setdefault((s.camera_id, s.track_id, s.entity_class), len(ids)) for s in samples]
-    keys = sorted(ids)
-    remap = np.empty(len(keys), dtype=np.intp)
-    remap[[ids[k] for k in keys]] = np.arange(len(keys))
-    sid = remap[sid]
+    sid = np.array([ids.setdefault((s.camera_id, s.track_id, s.entity_class), len(ids))
+                    for s in samples])
     cam_ids: dict[str, int] = {}
     ct_ids: dict[tuple, int] = {}
-    stream_cam = np.array([cam_ids.setdefault(k[0], len(cam_ids)) for k in keys])
-    stream_ct = np.array([ct_ids.setdefault(k[:2], len(ct_ids)) for k in keys])
+    stream_cam = np.array([cam_ids.setdefault(k[0], len(cam_ids)) for k in ids])
+    stream_ct = np.array([ct_ids.setdefault(k[:2], len(ct_ids)) for k in ids])
 
     for loc in zones:
         if loc.camera_id not in cam_ids:
-            raise ConfigError(
+            raise DataError(
                 f"zone {loc.location_id!r} references camera {loc.camera_id!r} "
                 f"absent from the sample stream"
             )
@@ -197,7 +184,7 @@ def detect_events(
         for _, loc in by_camera[cam[i]]:
             _check_box("zone_box", loc.box)
 
-    order = np.argsort(sid, kind="stable")
+    order = np.lexsort((sid, cam))
     t, x, y, w, h, sid, cam = (a[order] for a in (t, x, y, w, h, sid, cam))
     # a run cannot continue across a stream boundary or a gap longer than
     # one missing sample

@@ -183,12 +183,19 @@ def matrix_from_csv(text: str) -> LinkMatrix:
     return LinkMatrix(labels=col_labels, values=rows)
 
 
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: each backslash, then each double quote, escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def network_to_dot(net: ProcessNetwork) -> str:
     lines = ["digraph process {"]
     for lbl in net.nodes:
-        lines.append(f'  "{lbl.render()}" [label="{lbl.render()} ({net.activities.get(lbl, 0)})"];')
+        label = _dot_string(f"{lbl.render()} ({net.activities.get(lbl, 0)})")
+        lines.append(f"  {_dot_string(lbl.render())} [label={label}];")
     for (a, b), w in sorted(net.edges.items(), key=lambda kv: (kv[0][0].render(), kv[0][1].render())):
         weight = int(w) if float(w).is_integer() else w
-        lines.append(f'  "{a.render()}" -> "{b.render()}" [label="{weight}"];')
+        head, tail = _dot_string(a.render()), _dot_string(b.render())
+        lines.append(f'  {head} -> {tail} [label="{weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

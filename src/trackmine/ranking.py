@@ -218,7 +218,7 @@ def dispersion(result: RankingResult) -> DispersionStats:
         raise DataError("ranking scores sum to zero; no distribution to analyze")
     p = p / total
     nz = p[p > 0]
-    entropy = float(-(nz * np.log(nz)).sum())
+    entropy = float(0.0 - (nz * np.log(nz)).sum())  # 0.0, not -0.0, for one node
     pr = float(1.0 / (p @ p))
     return DispersionStats(shannon_entropy=entropy, participation_ratio=pr)
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .eventlog import Occurrence
-from .events import (DetectionConfig, DetectionSample, Rect, ZoneSpec, check_unique_zones,
-                     zone_from_json)
+from .errors import DataError
+from .eventlog import DetectionConfig, Occurrence
+from .events import DetectionSample, Rect, ZoneSpec, check_unique_zones, zone_from_json
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 
@@ -48,24 +47,24 @@ class Scenario:
 
     def __post_init__(self):
         if not 0.0 <= self.dropout <= 1.0:
-            raise ConfigError("dropout must be in [0, 1]")
+            raise DataError("dropout must be in [0, 1]")
         if not 0.0 <= self.jitter < math.inf:
-            raise ConfigError("jitter must be finite and >= 0")
+            raise DataError("jitter must be finite and >= 0")
         if not 0.0 < self.sample_period < math.inf:
-            raise ConfigError("sample_period must be finite and > 0")
+            raise DataError("sample_period must be finite and > 0")
         if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            raise DataError("seed must be >= 0")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
         for actor in self.actors:
             name = repr(actor.track_id or actor.entity_class)
             if not actor.itinerary:
-                raise ConfigError(f"actor {name} has an empty itinerary")
+                raise DataError(f"actor {name} has an empty itinerary")
             for loc, dwell in actor.itinerary:
                 if loc not in known:
-                    raise ConfigError(f"actor {name} visits unknown location {loc!r}")
+                    raise DataError(f"actor {name} visits unknown location {loc!r}")
                 if not 0.0 < dwell < math.inf:
-                    raise ConfigError(f"dwell at {loc!r} must be finite and > 0")
+                    raise DataError(f"dwell at {loc!r} must be finite and > 0")
 
 
 def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
@@ -88,7 +87,7 @@ def simulate(
     seed gives the same random stream.
     """
     if not min_duration >= 0:  # nan fails too
-        raise ConfigError("min_duration must be >= 0")
+        raise DataError("min_duration must be >= 0")
     rng = np.random.default_rng(sc.seed)
     cameras = sorted({z.camera_id for z in sc.zones})
     centers = {}
@@ -110,7 +109,7 @@ def simulate(
             legs[2::2] = np.hypot(np.diff(cx), np.diff(cy)) / TRAVEL_SPEED
             arr, dep = np.cumsum(legs).reshape(-1, 2).T
         if not np.isfinite(dep[-1]):
-            raise ConfigError(f"actor {track_id!r}: itinerary time overflows")
+            raise DataError(f"actor {track_id!r}: itinerary time overflows")
         for loc, dwell, start in zip(locs, dwells, arr.tolist()):
             if dwell >= min_duration:
                 truth.append(Occurrence(start, loc, actor.entity_class, track_id))
@@ -140,17 +139,17 @@ def simulate(
     return samples, truth
 
 
-def cell_layout(camera_ids: tuple[str, str] = ("cam1", "cam2")) -> list[ZoneSpec]:
-    """A 19-zone two-camera layout: collaborative areas k1-k3, right-side
-    individual areas s11-s17, left-side individual areas s21-s29.  Both
-    cameras declare every location (overlapping views)."""
+def cell_layout() -> list[ZoneSpec]:
+    """A 19-zone layout on cameras cam1 and cam2: collaborative areas k1-k3,
+    right-side individual areas s11-s17, left-side individual areas s21-s29.
+    Both cameras declare every location (overlapping views)."""
     zone_size = 120.0
     gap = 200.0
     specs = []
 
     def add(loc: str, col: int, row: int, category: str):
         x, y = 100.0 + col * gap, 100.0 + row * gap
-        for cam in camera_ids:
+        for cam in ("cam1", "cam2"):
             specs.append(
                 ZoneSpec(
                     location_id=loc,

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from trackmine.errors import ConfigError, ConvergenceError, DataError
+from trackmine.errors import ConvergenceError, DataError
 from trackmine.eventlog import (TIMESTAMP_FMT, Cycle, Entity, EventLog, EventRecord, Group,
                                 Occurrence, _csv_rows, parse_time)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
@@ -263,13 +263,13 @@ def detect_events_loop(
     for loc in zones:
         key = (loc.camera_id, loc.location_id)
         if key in seen:
-            raise ConfigError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
+            raise DataError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
         seen[key] = loc
     if samples:
         cameras = {s.camera_id for s in samples}
         for loc in zones:
             if loc.camera_id not in cameras:
-                raise ConfigError(
+                raise DataError(
                     f"zone {loc.location_id!r} references camera {loc.camera_id!r} "
                     f"absent from the sample stream"
                 )

@@ -49,9 +49,11 @@ class TestSimulateDetect:
         tracks = tmp_path / "tracks.csv"
         truth = tmp_path / "truth.csv"
         zones = tmp_path / "zones.json"
-        rc, _ = run(capsys, "simulate", "--scenario", scenario_file,
-                    "--out-tracks", tracks, "--out-truth", truth, "--out-zones", zones)
+        rc, out = run(capsys, "simulate", "--scenario", scenario_file,
+                      "--out-tracks", tracks, "--out-truth", truth, "--out-zones", zones, "--json")
         assert rc == 0
+        assert json.loads(out) == {"samples": len(tracks.read_text().splitlines()) - 1,
+                                   "truth": len(load_occurrences_csv(truth))}
 
         log = tmp_path / "events.log"
         rc, out = run(capsys, "detect", "--tracks", tracks, "--zones", zones,
@@ -218,6 +220,25 @@ class TestAnalysis:
         payload = json.loads(out)
         assert sorted(payload["common"]) == ["LP_k3", "RP_s11"]
         assert payload["jaccard"] == pytest.approx(0.5)
+
+    def test_one_node_score_has_zero_entropy(self, tmp_path, capsys):
+        # the authority matrix diag(4, 1) puts the whole score on x_1; the
+        # entropy of that distribution printed as -0.0
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",x_1,x_2\nx_1,0,1\nx_2,2,0\n")
+        rc, out = run(capsys, "rank", "--matrix", matrix, "--json")
+        assert rc == 0
+        assert '"entropy": 0.0,' in out
+        assert [s["value"] for s in json.loads(out)["scores"]] == [1.0, 0.0]
+
+    def test_blank_matrix_row_is_skipped(self, tmp_path, capsys):
+        outs = []
+        for name, text in (("m.csv", ",x_1,x_2\nx_1,0,1\nx_2,2,1\n"),
+                           ("blank.csv", ",x_1,x_2\nx_1,0,1\n\nx_2,2,1\n")):
+            (tmp_path / name).write_text(text)
+            outs.append(run(capsys, "rank", "--matrix", tmp_path / name, "--json"))
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
 
     def test_dfg_matrix_bytes(self, tmp_path, capsys):
         # a self-loop, a pair seen twice, and a last node without out-edges
@@ -419,6 +440,47 @@ class TestExitCodes:
         assert (rc, err) == (0, "")
         assert load_occurrences_csv(tmp_path / "d.csv") == []
 
+    def test_zones_json_object_is_data_error(self, tmp_path, capsys):
+        rc, err = self._detect(tmp_path, capsys, ["cam1,0,h,T1,0,0,10,10"], {})
+        assert rc == 3
+        assert err == (f"trackmine detect: {tmp_path / 'zones.json'}: expected a JSON array "
+                       f"of zones\n")
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "detect --tracks {big} --zones {big} --out {out}",
+        "precision --detected {big} --truth {big}",
+    ], ids=["tracks", "occurrences"])
+    def test_header_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys, argv):
+        big = tmp_path / "big.csv"
+        big.write_text("x" * 200_000 + ",y\n")
+        out = tmp_path / "out"
+        rc = main(argv.format(big=big, out=out).split())
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (f"trackmine {argv.split()[0]}: {big}:1: field larger than "
+                                f"field limit (131072)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ("rank --matrix {matrix} --k 0", "k must be >= 1"),
+        ("detect --tracks {tracks} --zones {zones} --out {out} --min-overlap-ratio 1.5",
+         "min_overlap_ratio must be in [0, 1]"),
+    ], ids=["rank_k_zero", "detect_min_overlap_ratio_over_one"])
+    def test_setting_out_of_range_is_data_error(self, tmp_path, capsys, argv, message):
+        tracks, zones = tmp_path / "tracks.csv", tmp_path / "zones.json"
+        tracks.write_text(DWELL_TRACKS)
+        zones.write_text(json.dumps([ZONE]))
+        out = tmp_path / "out"
+        rc = main(argv.format(matrix=_count_matrix(tmp_path), tracks=tracks, zones=zones,
+                              out=out).split())
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"trackmine {argv.split()[0]}: {message}\n"
+        assert not out.exists()
+
     def test_time_outside_the_calendar_is_data_error(self, tmp_path, capsys):
         rows = [f"cam1,{10**12 + t},h,T1,0,0,10,10" for t in range(6)]
         rc, err = self._detect(tmp_path, capsys, rows, [ZONE], out="e.log")
@@ -446,7 +508,23 @@ class TestExitCodes:
                    "--out-zones", str(tmp_path / "z.json")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err == "trackmine simulate: duplicate zone 's1' on camera 'cam1'\n"
+        assert err == (f"trackmine simulate: {scenario}: bad scenario: duplicate zone 's1' on "
+                       f"camera 'cam1'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"noise": {"dropout": 2.0}}, "dropout must be in [0, 1]"),
+        ({"actors": [{"entity_class": "h", "itinerary": [["nowhere", 5.0]]}]},
+         "actor 'h' visits unknown location 'nowhere'"),
+    ], ids=["dropout_over_one", "unknown_location"])
+    def test_scenario_check_names_the_file(self, tmp_path, capsys, change, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(SCENARIO, **change)))
+        rc = main(["simulate", "--scenario", str(path), "--out-tracks", str(tmp_path / "t.csv"),
+                   "--out-truth", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"trackmine simulate: {path}: bad scenario: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize("scenario, extra, message", [
@@ -1117,8 +1195,9 @@ class TestUntracked:
 
     def test_merge(self, tmp_path, occ_file, capsys):
         merged = tmp_path / "merged.csv"
-        rc, _ = run(capsys, "merge", occ_file, occ_file, "--out", merged)
+        rc, out = run(capsys, "merge", occ_file, occ_file, "--out", merged, "--json")
         assert rc == 0
+        assert json.loads(out) == {"occurrences": 2, "out": str(merged)}
         assert merged.read_text() == MIXED_TRACKS_CSV
 
 

@@ -103,6 +103,11 @@ class TestParse:
                       "EL2: {s2, (E1,v1), 2024/08/15/17:40:52}\n")
         assert str(exc.value) == "line 3: label 'EL2' differs from the log's label 'EL1'"
 
+    def test_label_line_is_checked_like_a_record_label(self):
+        with pytest.raises(DataError) as exc:
+            parse_log("EL1:\nEL2: {s1, (E1,v1), 2024/08/15/17:40:50}\n")
+        assert str(exc.value) == "line 2: label 'EL2' differs from the log's label 'EL1'"
+
     def test_unlabeled_lines_take_the_log_label(self):
         log = parse_log("{s1, (E1,v1), 2024/08/15/17:40:50}\n"
                         "EL1: {s1, (E1,v1), 2024/08/15/17:40:51}\n"
@@ -221,6 +226,14 @@ class TestRoundTrip:
         text = serialize_log(log)
         assert serialize_log(parse_log(text)) == text
 
+    @pytest.mark.parametrize("label, text", [("EL1", "EL1:\n"), ("", "")],
+                             ids=["labelled", "unlabelled"])
+    def test_empty_log_keeps_its_label(self, label, text):
+        # the label has no record line to ride on, so it gets a line of its own
+        log = EventLog((), label)
+        assert serialize_log(log) == text
+        assert parse_log(text) == log
+
     @given(logs())
     @settings(max_examples=40)
     def test_jsonl_mirror(self, log):
@@ -338,6 +351,12 @@ class TestCycles:
         with pytest.raises(DataError, match="s11"):
             segment_cycles(log, anchor="nothing-matches-this")
 
+    @pytest.mark.parametrize("split", [{}, {"anchor": "s11", "boundaries": [T0]}],
+                             ids=["neither", "both"])
+    def test_one_split_required(self, split):
+        with pytest.raises(DataError, match="exactly one of anchor or boundaries"):
+            segment_cycles(self.three_cycle_log(), **split)
+
     def test_anchor_timestamps_as_boundaries(self):
         log = self.three_cycle_log()
         by_anchor = segment_cycles(log, anchor=r"^s11$")
@@ -397,6 +416,10 @@ class TestGantt:
     def test_empty_log_rejected(self):
         with pytest.raises(DataError):
             gantt(EventLog(records=()), lane_key="location")
+
+    def test_unknown_lane_key_rejected(self):
+        with pytest.raises(DataError, match="lane_key must be 'location' or 'entity', got 'x'"):
+            gantt(self.log3(), "x")
 
     def test_deterministic(self):
         assert gantt(self.log3()) == gantt(self.log3())
@@ -534,7 +557,7 @@ def test_occurrence_csv_round_trip(tmp_path_factory, occurrences):
     location_id=st.sampled_from(["s1", "s2"]),
     entity_class=st.sampled_from(["h", "v"]),
     track_id=st.sampled_from(["", "T1"]),
-), min_size=1, max_size=8))  # an empty text log has no line to carry its label
+), max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_sub_second_log_round_trip(occurrences):
     log = occurrences_to_log(occurrences, label="EL1")

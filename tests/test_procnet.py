@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -164,6 +165,11 @@ class TestLinkMatrix:
         with pytest.raises(DataError, match="label P_s1 appears more than once"):
             LinkMatrix(labels=[a, b, a], values=np.eye(3))
 
+    def test_shape_mismatch_rejected(self):
+        labels = [NodeLabel("P", f"s{i}") for i in range(3)]
+        with pytest.raises(DataError, match=r"shape \(2, 2\) does not match 3 labels"):
+            LinkMatrix(labels=labels, values=np.eye(2))
+
     def test_bad_csv(self):
         with pytest.raises(DataError):
             matrix_from_csv("not,a\nmatrix,1\n")
@@ -174,3 +180,13 @@ def test_dot_export_lists_all_edges():
     dot = network_to_dot(net)
     assert '"a_s1" -> "b_s2"' in dot and '"b_s2" -> "a_s1"' in dot
     assert dot.startswith("digraph")
+
+
+def test_dot_strings_read_back_as_the_names():
+    # a role holding a double quote and a backslash, and one ending in a
+    # backslash, which would otherwise escape the closing quote
+    a, b = 'R"\\P_s11', "R\\_s12"
+    dot = network_to_dot(build_dfg(cycle_from_labels([a, b])))
+    strings = [re.sub(r"\\(.)", r"\1", s) for s in re.findall(r'"((?:[^"\\]|\\.)*)"', dot)]
+    assert strings == [a, f"{a} (1)", b, f"{b} (1)", a, b, "1"]
+    assert '"R\\"\\\\P_s11" [label="R\\"\\\\P_s11 (1)"];' in dot

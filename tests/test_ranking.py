@@ -283,6 +283,10 @@ class TestRankNodes:
         ranked, _, _ = rank_nodes(LM1, algorithm="gradient", k=1)
         assert ranked[0][0] == NodeLabel("x", "4")
 
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(DataError, match="unknown algorithm 'x'"):
+            rank_nodes(LM1, algorithm="x")
+
     def test_table2_top2_order(self):
         ranked, _, _ = rank_nodes(LM1, algorithm="gradient", kind="authority", k=2)
         assert [r[0].render() for r in ranked] == ["x_4", "x_3"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import simulate_loop
-from trackmine.errors import ConfigError
+from trackmine.errors import DataError
 from trackmine.eventlog import precision
 from trackmine.events import DetectionConfig, detect_streams, zone_from_json
 from trackmine.sim import _BOX_SIZES, Actor, Scenario, cell_layout, simulate
@@ -41,7 +41,7 @@ class TestSimulate:
         assert detect_streams(samples, sc.zones, DetectionConfig()) == []
 
     def test_unknown_itinerary_location(self):
-        with pytest.raises(ConfigError, match="nowhere"):
+        with pytest.raises(DataError, match="nowhere"):
             Scenario(
                 zones=cell_layout(),
                 actors=[Actor(entity_class="worker-right", itinerary=(("nowhere", 5.0),))],
