@@ -15,7 +15,6 @@ from .errors import ConvergenceError, DataError, TrackmineError
 from .eventlog import write_atomic
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
@@ -41,9 +40,16 @@ def _builtin_lm(name: str) -> procnet.LinkMatrix:
     return procnet.LinkMatrix(labels=labels, values=values)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_log(path: str) -> eventlog.EventLog:
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if path.endswith(".jsonl"):
         return eventlog.log_from_jsonl(text)
     return eventlog.parse_log(text)
@@ -103,9 +109,9 @@ def _report_json(ranked, result, stats):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its --json report, or None if it printed its own, or raises
 
-def cmd_detect(args) -> int:
+def cmd_detect(args):
     from . import events
     cfg = _detection_config(args)
     samples = events.load_tracks_csv(args.tracks)
@@ -115,32 +121,25 @@ def cmd_detect(args) -> int:
         eventlog.write_occurrences_csv(args.out, occurrences)
     else:
         _write_log(args.out, eventlog.occurrences_to_log(occurrences, label=args.label))
-    if args.json:
-        print(json.dumps({"occurrences": len(occurrences), "out": args.out}))
-    return EXIT_OK
+    return {"occurrences": len(occurrences), "out": args.out}
 
 
-def cmd_merge(args) -> int:
+def cmd_merge(args):
     streams = [eventlog.load_occurrences_csv(p) for p in args.inputs]
     merged = eventlog.merge_camera_streams(streams, args.dedup_window)
     eventlog.write_occurrences_csv(args.out, merged)
-    if args.json:
-        print(json.dumps({"occurrences": len(merged), "out": args.out}))
-    return EXIT_OK
+    return {"occurrences": len(merged), "out": args.out}
 
 
-def cmd_gantt(args) -> int:
+def cmd_gantt(args):
     log = _read_log(args.log)
-    svg = eventlog.gantt(log, lane_key=args.lane_key)
-    write_atomic(args.out, svg)
-    if args.json:
-        lanes = {eventlog.gantt_lane(g, e, args.lane_key)
-                 for r in log.records for g in r.groups for e in g.entities}
-        print(json.dumps({"out": args.out, "lanes": len(lanes)}))
-    return EXIT_OK
+    write_atomic(args.out, eventlog.gantt(log, lane_key=args.lane_key))
+    lanes = {eventlog.gantt_lane(g, e, args.lane_key)
+             for r in log.records for g in r.groups for e in g.entities}
+    return {"out": args.out, "lanes": len(lanes)}
 
 
-def cmd_cycles(args) -> int:
+def cmd_cycles(args):
     log = _read_log(args.log)
     cycles = _cycles_from_args(args, log)
     payload = [
@@ -148,31 +147,27 @@ def cmd_cycles(args) -> int:
         for c in cycles
     ]
     print(json.dumps({"label": log.label, "cycles": payload}, indent=None if args.json else 2))
-    return EXIT_OK
 
 
-def cmd_dfg(args) -> int:
+def cmd_dfg(args):
     cycle = _cycle_from_args(args, _read_log(args.log))
     net = procnet.build_dfg(cycle)
     if args.out_matrix:
         write_atomic(args.out_matrix, procnet.matrix_to_csv(net))
     if args.out_dot:
         write_atomic(args.out_dot, procnet.network_to_dot(net))
-    if args.json:
-        print(json.dumps({
-            "cycle": cycle.index,
-            "nodes": [lbl.render() for lbl in net.nodes],
-            "edges": len(net.edges),
-            "events": sum(net.activities.values()),
-        }))
-    return EXIT_OK
+    return {
+        "cycle": cycle.index,
+        "nodes": [lbl.render() for lbl in net.nodes],
+        "edges": len(net.edges),
+        "events": sum(net.activities.values()),
+    }
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args):
     from . import ranking
     if args.matrix is not None:
-        with open(args.matrix, encoding="utf-8-sig") as fh:
-            lm = procnet.matrix_from_csv(fh.read())
+        lm = procnet.load_matrix_csv(args.matrix)
     else:
         cycle = _cycle_from_args(args, _read_log(args.log))
         lm = procnet.link_matrix(procnet.build_dfg(cycle))
@@ -186,49 +181,41 @@ def cmd_rank(args) -> int:
     report = _report_json(ranked, result, stats)
     if args.out:
         write_atomic(args.out, json.dumps(report, indent=2) + "\n")
-    if args.json or not args.out:
+    elif not args.json:
         print(json.dumps(report))
-    return EXIT_OK
+    return report
 
 
 def _read_node_list(path: str) -> list[str]:
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        try:
-            data = json.loads(text)
-            if isinstance(data, dict) and "scores" in data:
-                data = [entry["node"] for entry in data["scores"]]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise DataError(f"{path} is not a node list or rank report: {exc!r}") from None
-        if not (isinstance(data, list) and all(isinstance(x, str) for x in data)):
-            raise DataError(f"{path} is not a list of node strings or a rank report")
-        return data
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    if not path.endswith(".json"):
+        return [line.strip() for line in _read_text(path).splitlines() if line.strip()]
+    data = eventlog.load_json(path)
+    try:
+        if isinstance(data, dict) and "scores" in data:
+            data = [entry["node"] for entry in data["scores"]]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path} is not a node list or rank report: {exc!r}") from None
+    if not (isinstance(data, list) and all(isinstance(x, str) for x in data)):
+        raise DataError(f"{path} is not a list of node strings or a rank report")
+    return data
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     a = _read_node_list(args.a)
     b = _read_node_list(args.b)
     result = procnet.compare_topk(a, b, args.k)
-    print(json.dumps({
-        "common": sorted(result["common"]),
-        "only_a": sorted(result["only_a"]),
-        "only_b": sorted(result["only_b"]),
-        "jaccard": result["jaccard"],
-    }))
-    return EXIT_OK
+    sets = {key: sorted(result[key]) for key in ("common", "only_a", "only_b")}
+    print(json.dumps({**sets, "jaccard": result["jaccard"]}))
 
 
-def cmd_precision(args) -> int:
+def cmd_precision(args):
     detected = eventlog.load_occurrences_csv(args.detected)
     truth = eventlog.load_occurrences_csv(args.truth)
     value = eventlog.precision(detected, truth, args.window)
     print(json.dumps({"precision": value, "detected": len(detected), "truth": len(truth)}))
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     from . import events, sim
     sc = sim.scenario_from_json(args.scenario)
     if args.seed is not None:
@@ -238,12 +225,10 @@ def cmd_simulate(args) -> int:
     eventlog.write_occurrences_csv(args.out_truth, truth)
     if args.out_zones:
         write_atomic(args.out_zones, events.zones_to_json(sc.zones))
-    if args.json:
-        print(json.dumps({"samples": len(samples), "truth": len(truth)}))
-    return EXIT_OK
+    return {"samples": len(samples), "truth": len(truth)}
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args):
     from . import ranking
     columns = [  # (JSON key, text header, ranking)
         ("gradient", "gradient", ranking.gradient_ranking),
@@ -259,8 +244,7 @@ def cmd_tables(args) -> int:
             scores = solve(lm).scores
             rows[name][key] = [scores[lbl] for lbl in lm.labels]
     if args.json:
-        print(json.dumps(rows))
-        return EXIT_OK
+        return rows
     for name, table in rows.items():
         print(f"link matrix {name}")
         print("  " + "  ".join(f"{h:>14}" for h in ["node"] + [h for _, h, _ in columns]))
@@ -268,7 +252,6 @@ def cmd_tables(args) -> int:
             cells = "  ".join(f"{table[key][i]:>14.6e}" for key, _, _ in columns)
             print("  " + f"{node:>14}" + "  " + cells)
         print()
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="EL1")
     _add_detection_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("merge", help="merge occurrence CSV streams")
@@ -295,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--dedup-window", type=float, dest="dedup_window",
                    default=eventlog.DetectionConfig.dedup_window)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("gantt", help="event log -> SVG start-time chart")
@@ -303,13 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lane-key", choices=["location", "entity"], default="location",
                    dest="lane_key")
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gantt)
 
     p = sub.add_parser("cycles", help="segment an event log into cycles")
     p.add_argument("--log", required=True)
     _add_split_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("dfg", help="mine the directly-follows network of one cycle")
@@ -318,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, default=1)
     p.add_argument("--out-matrix", dest="out_matrix")
     p.add_argument("--out-dot", dest="out_dot")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dfg)
 
     p = sub.add_parser("rank", help="rank nodes of a cycle network or matrix CSV")
@@ -333,21 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("compare", help="top-k overlap between two ranked node lists")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("precision", help="detected vs ground-truth occurrence streams")
     p.add_argument("--detected", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--window", type=float, default=2.0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_precision)
 
     p = sub.add_parser("simulate", help="run a scenario JSON into tracks + ground truth")
@@ -358,28 +333,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--min-duration", type=float, dest="min_duration",
                    default=eventlog.DetectionConfig.min_duration)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tables", help="score the built-in worked matrices with all "
                        "three algorithms")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tables)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except ConvergenceError as exc:
         print(f"trackmine {args.command}: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (TrackmineError, OSError, UnicodeDecodeError) as exc:
+    except (TrackmineError, OSError) as exc:
         print(f"trackmine {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if args.json and report is not None:
+        print(json.dumps(report))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

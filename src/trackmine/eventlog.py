@@ -133,41 +133,45 @@ def merge_camera_streams(
 
 
 def _csv_error(path, reader, exc: Exception) -> DataError:
-    """A csv.Error (a field over csv's size limit, a NUL on Python 3.10) as
-    a DataError at the reader's line."""
-    return DataError(f"{path}:{reader.line_num}: {exc}")
+    """A csv.Error (a field over csv's size limit, a NUL on Python 3.10) as a DataError at the
+    reader's line; a UnicodeDecodeError, raised a chunk ahead of the reader, as one on the file."""
+    where = f":{reader.line_num}" if isinstance(exc, csv.Error) else ""
+    return DataError(f"{path}{where}: {exc}")
 
 
-def _csv_reader(fh, path, expected: list[str]):
-    """A csv.reader past the header of `fh`, which must be exactly `expected`."""
+def _csv_reader(fh, path, expected: list[str] | None):
+    """(a csv.reader past the header of `fh`, the header), which must be
+    exactly `expected` unless that is None."""
     reader = csv.reader(fh)
     try:
         header = next(reader, [])
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise _csv_error(path, reader, exc) from None
-    if header != expected:
+    if expected is not None and header != expected:
         raise DataError(
             f"{path}: expected header {','.join(expected)}, got {','.join(header)!r}"
         )
-    return reader
+    return reader, header
 
 
 def _width_error(path, reader, expected: list[str], row: list[str]) -> DataError:
     return DataError(f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}")
 
 
-def _csv_rows(fh, path, expected: list[str]):
-    """Yield (line number, row) for each non-blank data row of a CSV whose
-    header must be exactly `expected` and whose rows have as many fields."""
-    reader = _csv_reader(fh, path, expected)
+def _csv_rows(fh, path, expected: list[str] | None = None):
+    """Yield (line number, row) for the header when `expected` is None, else check it is exactly
+    `expected`; then for each non-blank data row, which must be as wide as the header."""
+    reader, header = _csv_reader(fh, path, expected)
     try:
+        if expected is None:
+            yield reader.line_num, header
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(expected):
-                raise _width_error(path, reader, expected, row)
+            if len(row) != len(header):
+                raise _width_error(path, reader, header, row)
             yield reader.line_num, row
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise _csv_error(path, reader, exc) from None
 
 
@@ -406,6 +410,22 @@ def _string(value, field: str) -> str:
     if not isinstance(value, str):
         raise DataError(f"{field} must be a string, got {value!r}")
     return value
+
+
+def _number(value, field: str) -> float:
+    # float() alone would also take a string or a boolean
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{field} must be a number")
+    return float(value)
+
+
+def load_json(path):
+    """The JSON value in the UTF-8 file at `path`, a leading BOM skipped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
 
 
 def log_from_jsonl(text: str, label: str = "") -> EventLog:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (DetectionConfig, Occurrence, _csv_error, _csv_reader, _width_error,
-                       load_occurrences_csv, merge_camera_streams, parse_time,
-                       write_occurrences_csv)
+from .eventlog import (DetectionConfig, Occurrence, _csv_error, _csv_reader, _number, _string,
+                       _width_error, load_json, load_occurrences_csv, merge_camera_streams,
+                       parse_time, write_occurrences_csv)
 
 _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
 
@@ -260,7 +260,7 @@ def load_tracks_csv(path) -> list[DetectionSample]:
     samples = []
     append, isfinite = samples.append, math.isfinite
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_reader(fh, path, _TRACKS_FIELDS)
+        reader, _ = _csv_reader(fh, path, _TRACKS_FIELDS)
         try:
             for row in reader:
                 try:
@@ -281,7 +281,7 @@ def load_tracks_csv(path) -> list[DetectionSample]:
                                            _parse_box(x, y, w, h)))
                 except (ValueError, DataError) as exc:
                     raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise _csv_error(path, reader, exc) from None
     return samples
 
@@ -303,31 +303,28 @@ def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
 
 
 def zone_from_json(item) -> ZoneSpec:
-    """One zone from its JSON object {location_id, camera_id, x, y, w, h, category};
-    the caller adds its prefix to the KeyError, TypeError, ValueError or
-    DataError (non-finite coordinate) this raises on a bad item."""
+    """One zone from its JSON object {location_id, camera_id, x, y, w, h, category}:
+    strings and finite numbers; the caller adds its prefix to the KeyError,
+    TypeError, OverflowError (an integer past the float range) or DataError
+    this raises on a bad item."""
     return ZoneSpec(
-        location_id=str(item["location_id"]),
-        camera_id=str(item["camera_id"]),
-        box=_parse_box(item["x"], item["y"], item["w"], item["h"]),
-        category=str(item.get("category", "")),
+        location_id=_string(item["location_id"], "location_id"),
+        camera_id=_string(item["camera_id"], "camera_id"),
+        box=_parse_box(*(_number(item[k], k) for k in "xywh")),
+        category=_string(item.get("category", ""), "category"),
     )
 
 
 def load_zones_json(path) -> list[ZoneSpec]:
     """Read zones from a JSON array of zone objects (see ``zone_from_json``)."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
+    raw = load_json(path)
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON array of zones")
     zones = []
     for i, item in enumerate(raw):
         try:
             zones.append(zone_from_json(item))
-        except (KeyError, TypeError, ValueError, DataError) as exc:
+        except (KeyError, TypeError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: zone #{i}: {exc}") from None
     return zones
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .eventlog import Cycle, EventRecord
+from .eventlog import Cycle, EventRecord, _csv_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,7 +147,7 @@ def link_matrix(net: ProcessNetwork) -> LinkMatrix:
 
 def matrix_to_csv(net: ProcessNetwork) -> str:
     """The dense ``link_matrix(net)`` as a labeled CSV: first row and first
-    column carry rendered node labels; ``matrix_from_csv`` reads it back."""
+    column carry rendered node labels; ``load_matrix_csv`` reads it back."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + [lbl.render() for lbl in net.nodes])
@@ -157,30 +157,27 @@ def matrix_to_csv(net: ProcessNetwork) -> str:
     return buf.getvalue()
 
 
-def matrix_from_csv(text: str) -> LinkMatrix:
-    rows_in = csv.reader(io.StringIO(text))
-    try:
-        reader = list(rows_in)
-    except csv.Error as exc:  # a field over csv's size limit
-        raise DataError(f"matrix CSV line {rows_in.line_num}: {exc}") from None
-    if not reader or len(reader[0]) < 2:
-        raise DataError("matrix CSV needs a label header row")
-    col_labels = [NodeLabel.parse(t) for t in reader[0][1:]]
-    rows = []
-    row_labels = []
-    for lineno, row in enumerate(reader[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(col_labels) + 1:
-            raise DataError(f"matrix CSV line {lineno}: expected {len(col_labels) + 1} cells")
-        row_labels.append(row[0])
+def load_matrix_csv(path) -> LinkMatrix:
+    """The labeled CSV that ``matrix_to_csv`` writes; errors name the file, and a line at fault."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = _csv_rows(fh, path)
+        lineno, header = next(rows)
+        if len(header) < 2:
+            raise DataError(f"{path}: matrix CSV needs a label header row")
         try:
-            rows.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise DataError(f"matrix CSV line {lineno}: {exc}") from None
-    if row_labels != reader[0][1:]:
-        raise DataError("matrix CSV row labels do not match column labels")
-    return LinkMatrix(labels=col_labels, values=rows)
+            labels = [NodeLabel.parse(t) for t in header[1:]]
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        row_labels, values = [], []
+        for lineno, (label, *cells) in rows:
+            row_labels.append(label)
+            try:
+                values.append([float(v) for v in cells])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    if row_labels != header[1:]:
+        raise DataError(f"{path}: matrix CSV row labels do not match column labels")
+    return LinkMatrix(labels=labels, values=values)
 
 
 def _dot_string(text: str) -> str:

@@ -7,14 +7,13 @@ and the ground-truth occurrence stream the detector should recover.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .eventlog import DetectionConfig, Occurrence
+from .eventlog import DetectionConfig, Occurrence, _number, _string, load_json
 from .events import DetectionSample, Rect, ZoneSpec, check_unique_zones, zone_from_json
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
@@ -65,10 +64,30 @@ class Scenario:
                     raise DataError(f"actor {name} visits unknown location {loc!r}")
                 if not 0.0 < dwell < math.inf:
                     raise DataError(f"dwell at {loc!r} must be finite and > 0")
+            if not np.isfinite(_clock(actor, self.zones)[3][-1]):
+                raise DataError(f"actor {name}: itinerary time overflows")
 
 
 def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
     return (zone.box.x + zone.box.w / 2.0, zone.box.y + zone.box.h / 2.0)
+
+
+def _clock(actor: Actor, zones: list[ZoneSpec]):
+    """(x, y, arrival, departure) arrays over an actor's stops, at the centre of each location's
+    first zone; a time past the float range is inf or nan."""
+    centers = {}
+    for z in zones:
+        centers.setdefault(z.location_id, _zone_center(z))
+    locs, dwells = zip(*actor.itinerary)
+    cx, cy = np.array([centers[loc] for loc in locs]).T
+    # cumsum over [0, dwell0, travel1, dwell1, ...] adds in sequence,
+    # giving each stop's (arrival, departure)
+    legs = np.zeros(2 * len(locs))
+    legs[1::2] = dwells
+    with np.errstate(over="ignore", invalid="ignore"):
+        legs[2::2] = np.hypot(np.diff(cx), np.diff(cy)) / TRAVEL_SPEED
+        arr, dep = np.cumsum(legs).reshape(-1, 2).T
+    return cx, cy, arr, dep
 
 
 def simulate(
@@ -90,34 +109,21 @@ def simulate(
         raise DataError("min_duration must be >= 0")
     rng = np.random.default_rng(sc.seed)
     cameras = sorted({z.camera_id for z in sc.zones})
-    centers = {}
-    for z in sc.zones:
-        centers.setdefault(z.location_id, _zone_center(z))
 
     samples: list[DetectionSample] = []
     truth: list[Occurrence] = []
     for idx, actor in enumerate(sc.actors):
         track_id = actor.track_id or f"T{idx}"
         bw, bh = _BOX_SIZES.get(actor.entity_class, _DEFAULT_BOX)
-        locs, dwells = zip(*actor.itinerary)
-        cx, cy = np.array([centers[loc] for loc in locs]).T
-        # the clock: cumsum over [0, dwell0, travel1, dwell1, ...] adds in
-        # sequence, giving each stop's (arrival, departure)
-        legs = np.zeros(2 * len(locs))
-        legs[1::2] = dwells
-        with np.errstate(over="ignore", invalid="ignore"):
-            legs[2::2] = np.hypot(np.diff(cx), np.diff(cy)) / TRAVEL_SPEED
-            arr, dep = np.cumsum(legs).reshape(-1, 2).T
-        if not np.isfinite(dep[-1]):
-            raise DataError(f"actor {track_id!r}: itinerary time overflows")
-        for loc, dwell, start in zip(locs, dwells, arr.tolist()):
+        cx, cy, arr, dep = _clock(actor, sc.zones)
+        for (loc, dwell), start in zip(actor.itinerary, arr.tolist()):
             if dwell >= min_duration:
                 truth.append(Occurrence(start, loc, actor.entity_class, track_id))
 
         # k: the first stop the actor has not yet left (else the last one);
         # before its arrival the actor is on the way there from stop p
         at = np.arange(int(np.floor(dep[-1] / sc.sample_period)) + 1) * sc.sample_period
-        k = np.minimum(np.searchsorted(dep, at), len(locs) - 1)
+        k = np.minimum(np.searchsorted(dep, at), len(dep) - 1)
         p = np.maximum(k - 1, 0)
         # a zero-length leg gives 0/0 only in lanes where the actor is not moving
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,24 +177,13 @@ def cell_layout() -> list[ZoneSpec]:
 # ---------------------------------------------------------------------------
 # JSON scenario files
 
-def _number(value, what: str) -> float:
-    # float() alone would also take a string or a boolean
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{what} must be a number")
-    return float(value)
-
-
 def scenario_from_json(path) -> Scenario:
     """A scenario from a JSON object: ``zones`` (see ``events.zone_from_json``)
     or ``"layout": "cell19"``; ``actors``, each with an ``entity_class``, an
     ``itinerary`` of ``[location_id, dwell]`` pairs and an optional
     ``track_id``; and optional ``noise`` (``{"jitter", "dropout"}``),
     ``sample_period`` and integer ``seed``."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
+    raw = load_json(path)
     try:
         if not isinstance(raw, dict):
             raise DataError("expected a JSON object")
@@ -204,10 +199,10 @@ def scenario_from_json(path) -> Scenario:
             zones = [zone_from_json(z) for z in raw["zones"]]
         actors = [
             Actor(
-                entity_class=str(a["entity_class"]),
-                itinerary=tuple((str(loc), _number(dwell, "dwell"))
+                entity_class=_string(a["entity_class"], "entity_class"),
+                itinerary=tuple((_string(loc, "location"), _number(dwell, "dwell"))
                                 for loc, dwell in a["itinerary"]),
-                track_id=str(a.get("track_id", "")),
+                track_id=_string(a.get("track_id", ""), "track_id"),
             )
             for a in raw["actors"]
         ]

@@ -516,7 +516,11 @@ class TestExitCodes:
         ({"noise": {"dropout": 2.0}}, "dropout must be in [0, 1]"),
         ({"actors": [{"entity_class": "h", "itinerary": [["nowhere", 5.0]]}]},
          "actor 'h' visits unknown location 'nowhere'"),
-    ], ids=["dropout_over_one", "unknown_location"])
+        ({"layout": None,
+          "zones": [dict(ZONE, x=-1.7e308, w=0), dict(ZONE, location_id="s2", x=1e308)],
+          "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0], ["s2", 5.0]]}]},
+         "actor 'h': itinerary time overflows"),
+    ], ids=["dropout_over_one", "unknown_location", "zones_a_float_range_apart"])
     def test_scenario_check_names_the_file(self, tmp_path, capsys, change, message):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dict(SCENARIO, **change)))
@@ -538,11 +542,8 @@ class TestExitCodes:
         (dict(SCENARIO, seed=-1), [], "seed must be >= 0"),
         (SCENARIO, ["--seed", "-1"], "seed must be >= 0"),
         (dict(SCENARIO, noise={"jitter": float("nan")}), [], "jitter must be finite and >= 0"),
-        ({"zones": [dict(ZONE, x=-1.7e308, w=0), dict(ZONE, location_id="s2", x=1e308)],
-          "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0], ["s2", 5.0]]}]}, [],
-         "actor 'T0': itinerary time overflows"),
     ], ids=["top_level_list", "noise_list", "empty_itinerary", "nan_dwell", "nan_period",
-            "negative_seed", "negative_seed_flag", "nan_jitter", "zones_a_float_range_apart"])
+            "negative_seed", "negative_seed_flag", "nan_jitter"])
     def test_bad_scenario_is_data_error(self, tmp_path, capsys, scenario, extra, message):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -559,7 +560,7 @@ class TestExitCodes:
         tracks = tmp_path / "tracks.csv"
         tracks.write_text(TRACKS_HEADER + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(6)))
         zones = tmp_path / "zones.json"
-        zones.write_text(json.dumps([dict(ZONE, x=value)]))
+        zones.write_text(json.dumps([dict(ZONE, x=float(value))]))
         rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones),
                    "--out", str(tmp_path / "d.csv")])
         err = capsys.readouterr().err
@@ -608,8 +609,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert captured.err == ("trackmine rank: matrix CSV line 2: field larger than field "
-                                "limit (131072)\n")
+        assert captured.err == (f"trackmine rank: {matrix}:2: field larger than field "
+                                f"limit (131072)\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algorithm, entry, message", [
@@ -660,7 +661,7 @@ class TestExitCodes:
     def test_non_finite_scenario_zone_is_data_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({
-            "zones": [dict(ZONE, x="nan")],
+            "zones": [dict(ZONE, x=float("nan"))],
             "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0]]}],
         }))
         rc = main(["simulate", "--scenario", str(scenario),
@@ -670,6 +671,37 @@ class TestExitCodes:
         assert "scenario.json: bad scenario: " in err and "non-finite coordinate" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv, data, message", [
+        ("detect --tracks {tracks} --zones {inp} --out {out}", [dict(ZONE, location_id=None)],
+         "zone #0: location_id must be a string, got None"),
+        ("detect --tracks {tracks} --zones {inp} --out {out}", [dict(ZONE, x=True)],
+         "zone #0: x must be a number"),
+        ("simulate --scenario {inp} --out-tracks {out} --out-truth {out}",
+         {"zones": [ZONE], "actors": [{"entity_class": None, "itinerary": [["s1", 5.0]]}]},
+         "bad scenario: entity_class must be a string, got None"),
+    ], ids=["zone_null_id", "zone_boolean_x", "actor_null_class"])
+    def test_json_value_of_the_wrong_type_is_data_error(self, tmp_path, capsys, argv, data,
+                                                        message):
+        tracks, inp, out = tmp_path / "tracks.csv", tmp_path / "inp.json", tmp_path / "out.csv"
+        tracks.write_text(DWELL_TRACKS)
+        inp.write_text(json.dumps(data))
+        rc = main(argv.format(tracks=tracks, inp=inp, out=out).split())
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"trackmine {argv.split()[0]}: {inp}: {message}\n"
+        assert not out.exists()
+
+    def test_matrix_error_names_the_physical_line(self, tmp_path, capsys):
+        # the first label holds a quoted line break, so the bad cell is on line 5
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(',"x\n_1",x_2\n"x\n_1",1,0\nx_2,x,0\n')
+        rc = main(["rank", "--matrix", str(matrix)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (f"trackmine rank: {matrix}:5: could not convert string to "
+                                f"float: 'x'\n")
 
     @pytest.mark.parametrize("ts", ["2024/13/15/10:00:00", "2024-02-30T10:00:00"],
                              ids=["month_13", "feb_30_iso"])
@@ -821,6 +853,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith(f"trackmine {argv.split()[0]}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bad.csv", "detect --tracks {bad} --zones {zones} --out {out}"),
+        ("bad.json", "detect --tracks {tracks} --zones {bad} --out {out}"),
+        ("bad.csv", "merge {occ} {bad} --out {out}"),
+        ("bad.log", "gantt --log {bad} --out {out}"),
+        ("bad.jsonl", "cycles --log {bad} --anchor s"),
+        ("bad.log", "dfg --log {bad} --anchor s --out-matrix {out}"),
+        ("bad.csv", "rank --matrix {bad} --out {out}"),
+        ("bad.log", "rank --log {bad} --anchor s --out {out}"),
+        ("bad.txt", "compare --a {bad} --b {nodes} --k 1"),
+        ("bad.json", "compare --a {nodes} --b {bad} --k 1"),
+        ("bad.csv", "precision --detected {bad} --truth {occ}"),
+        ("bad.csv", "precision --detected {occ} --truth {bad}"),
+        ("bad.json", "simulate --scenario {bad} --out-tracks {out} --out-truth {out}"),
+    ], ids=["detect_tracks", "detect_zones", "merge", "gantt_log", "cycles_log", "dfg_log",
+            "rank_matrix", "rank_log", "compare_a", "compare_b", "precision_detected",
+            "precision_truth", "simulate_scenario"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, name, argv):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe" + "s1\n".encode("utf-16-le"))
+        inputs = {"tracks": DWELL_TRACKS, "zones": json.dumps([ZONE]),
+                  "occ": MIXED_TRACKS_CSV, "nodes": "RP_s11\n"}
+        for key, text in inputs.items():
+            (tmp_path / key).write_text(text)
+        out = tmp_path / "out"
+        rc = main([a.format(bad=bad, out=out, **{k: tmp_path / k for k in inputs})
+                   for a in argv.split()])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"trackmine {argv.split()[0]}: {bad}") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix", [".log", ".jsonl"])
@@ -1004,6 +1068,82 @@ def test_simulate_on_fuzzed_scenario_keeps_the_exit_contract(tmp_path_factory, d
     outs = [d / "t.csv", d / "g.csv", d / "z.json"]
     _assert_exit_contract(["simulate", "--scenario", d / "scenario.json", "--out-tracks", outs[0],
                            "--out-truth", outs[1], "--out-zones", outs[2]], outs)
+
+
+# JSON values that a zone field mostly refuses: strings where a number
+# belongs, other types, non-finite numbers and an integer past the float
+# range; a fuzzed zone field draws one about once in twenty (hypothesis
+# draws an end of a range more often than a middle value).
+_ZONE_BAD = ["", "1", "nan", None, True, False, [], [0], float("nan"), float("inf"),
+             float("-inf"), 10**400]
+
+
+@st.composite
+def _fuzzed_zones(draw):
+    """Bytes of a JSON array of zone objects on the tracks' camera or
+    another, with at times a bad value, a key left out, or the text cut."""
+    zones = []
+    for loc in draw(st.lists(st.sampled_from(["s1", "s2", "s3", "s(1"]), min_size=1,
+                             max_size=3, unique=True)):
+        zone = {"location_id": loc, "camera_id": draw(st.sampled_from(["cam1"] * 4 + ["cam2"])),
+                "x": draw(st.sampled_from([0, 0, 50, -20.5, -1e308])), "y": 0,
+                "w": draw(st.sampled_from([100, 100, 12.5, 0, -100, 1e308])), "h": 100,
+                "category": "c"}
+        for key in zone:
+            if draw(st.integers(0, 19)) == 10:
+                zone[key] = draw(st.sampled_from(_ZONE_BAD))
+        if draw(st.integers(0, 19)) == 10:
+            del zone[draw(st.sampled_from(sorted(zone)))]
+        zones.append(zone)
+    data = json.dumps(draw(st.sampled_from([zones] * 9 + [zones[0], None]))).encode("utf-8")
+    return data[:draw(st.integers(0, len(data)))] if draw(st.integers(0, 9)) == 5 else data
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_zones()), st.sampled_from(["d.csv", "e.log"]))
+@settings(max_examples=300, deadline=None)
+def test_detect_on_fuzzed_zones_keeps_the_exit_contract(tmp_path_factory, data, out_name):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "tracks.csv").write_text(DWELL_TRACKS)
+    (d / "zones.json").write_bytes(data)
+    out = d / out_name
+    _assert_exit_contract(["detect", "--tracks", d / "tracks.csv", "--zones", d / "zones.json",
+                           "--out", out], [out])
+
+
+_NODES = ["RP_s11", "P_s1", "BV_k3", "RP_s11 ", "", "x"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_NODES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["node", "value", "scores"]), inner, max_size=2),
+    max_leaves=8)
+
+
+@st.composite
+def _fuzzed_node_list(draw):
+    """Bytes near a node list: lines of text, a JSON value, or a rank report
+    whose scores are mostly {"node", "value"} objects."""
+    kind = draw(st.sampled_from(["text", "value", "report"]))
+    if kind == "text":
+        lines = draw(st.lists(st.sampled_from(_NODES) | st.text(max_size=4), max_size=6))
+        return draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode("utf-8")
+    if kind == "value":
+        return json.dumps(draw(_JSON_VALUES)).encode("utf-8")
+    entry = st.fixed_dictionaries({"node": st.sampled_from(_NODES), "value": st.floats()})
+    scores = draw(st.lists(entry if draw(st.integers(0, 4)) else _JSON_VALUES, max_size=5))
+    return json.dumps({"algorithm": "gradient", "scores": scores}).encode("utf-8")
+
+
+@given(st.one_of(st.binary(max_size=200), _fuzzed_node_list()), _fuzzed_node_list(),
+       st.sampled_from([".txt", ".json"]), st.sampled_from([".txt", ".json"]),
+       st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_compare_on_fuzzed_node_lists_keeps_the_exit_contract(tmp_path_factory, a, b,
+                                                              suffix_a, suffix_b, k):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / f"a{suffix_a}").write_bytes(a)
+    (d / f"b{suffix_b}").write_bytes(b)
+    _assert_exit_contract(["compare", "--a", d / f"a{suffix_a}", "--b", d / f"b{suffix_b}",
+                           "--k", k], [])
 
 
 _MATRIX_LABELS = ["P_s1", "P_s2", "RP_k3", "BV_s11"]

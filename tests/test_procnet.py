@@ -1,4 +1,6 @@
+import os
 import re
+import tempfile
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -15,7 +17,7 @@ from trackmine.procnet import (
     build_dfg,
     default_labeler,
     link_matrix,
-    matrix_from_csv,
+    load_matrix_csv,
     matrix_to_csv,
     network_to_dot,
 )
@@ -37,6 +39,15 @@ def cycle_from_labels(labels):
             )
         )
     return Cycle(index=1, records=tuple(records), cycle_time=10.0 * len(labels))
+
+
+def read_matrix(text):
+    """``load_matrix_csv`` on `text` written to a file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_matrix_csv(path)
 
 
 class TestBuildDfg:
@@ -132,7 +143,7 @@ class TestLinkMatrix:
         edges = {(labels[i], labels[j]): float(values[i, j])
                  for i in range(3) for j in range(3) if values[i, j]}
         net = ProcessNetwork(nodes=labels, edges=edges, activities={})
-        again = matrix_from_csv(matrix_to_csv(net))
+        again = read_matrix(matrix_to_csv(net))
         assert again.labels == labels
         assert np.array_equal(again.values, values)
 
@@ -146,7 +157,7 @@ class TestLinkMatrix:
             st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
             st.integers(1, 500) | st.floats(0.0, 1e300, allow_subnormal=True)))
         net = ProcessNetwork(nodes=nodes, edges=edges, activities={})
-        lm, again = link_matrix(net), matrix_from_csv(matrix_to_csv(net))
+        lm, again = link_matrix(net), read_matrix(matrix_to_csv(net))
         assert again.labels == lm.labels
         assert again.values.tolist() == lm.values.tolist()
 
@@ -172,7 +183,7 @@ class TestLinkMatrix:
 
     def test_bad_csv(self):
         with pytest.raises(DataError):
-            matrix_from_csv("not,a\nmatrix,1\n")
+            read_matrix("not,a\nmatrix,1\n")
 
 
 def test_dot_export_lists_all_edges():
