@@ -37,10 +37,19 @@ _EPOCH = datetime(1970, 1, 1)
 def parse_timestamp(text: str) -> datetime:
     """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
     ``YYYY-MM-DD[T ]hh:mm:ss``, either with an optional ``.ffffff``
-    -> datetime; the one calendar-time parser."""
+    -> datetime; the one calendar-time parser.
+
+    The regex fixes the shape; ASCII text is then read by
+    ``datetime.fromisoformat`` with ``TIMESTAMP_FMT``'s slashes made ISO, any
+    other (non-ASCII digits) field by field.  Both raise on the same
+    out-of-range fields; hour 24 always takes the field path, so it stays an
+    error whatever ``fromisoformat`` accepts.  Nothing is cached: the log
+    readers memoize groups, not times, which rarely repeat."""
     text = text.strip()
     m = _TIMESTAMP_RE.fullmatch(text)
     try:
+        if m and text.isascii() and m[6] != "24":
+            return datetime.fromisoformat(text.replace("/", "-", 2).replace("/", "T", 1))
         if m:
             return datetime(*(int(g) for g in m.groups() if g))
     except ValueError:  # the right shape but out of range, e.g. month 13
@@ -257,9 +266,10 @@ class EventRecord:
     def __post_init__(self):
         if not self.groups:
             raise DataError("record has no location groups")
-        locs = [g.location_id for g in self.groups]
-        if len(set(locs)) != len(locs):
-            raise DataError(f"duplicate location within one record: {locs}")
+        if len(self.groups) > 1:  # most records have one group, which cannot repeat
+            locs = [g.location_id for g in self.groups]
+            if len(set(locs)) != len(locs):
+                raise DataError(f"duplicate location within one record: {locs}")
 
     @property
     def event_count(self) -> int:
@@ -316,41 +326,54 @@ def parse_record(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
     may be empty, and neither holds ``,()`` (both may hold ``;``); no name
     has a line break or whitespace at an end.
     """
+    label, chunks, ts = _split_record(line, lineno)
+    return label, _record({}, chunks, ts, lineno, _raw_group)
+
+
+def _split_record(line: str, lineno: int) -> tuple[str, list[str], str]:
+    """(label or '', the group texts, the timestamp text) of a record line."""
     m = _RECORD_RE.fullmatch(line.strip())
     if not m:
         raise DataError(f"line {lineno}: record must be enclosed in braces: {line!r}")
     label, payload, ts = m.groups()
     if payload is None:
         raise DataError(f"line {lineno}: record needs at least a label and a timestamp")
-
-    groups = []
-    for chunk in _GROUP_SEP_RE.split(payload):
-        head, *pairs = (tok.strip() for tok in _PAIR_SEP_RE.split(chunk))
-        if not pairs:
-            if "_" not in head:
-                raise DataError(f"line {lineno}: location {head!r} has no entities")
-            # abbreviated form: property_location fused into one token
-            prop, loc = head.rsplit("_", 1)
-            groups.append((loc, [(head, prop)]))
-            continue
-        entities = []
-        for tok in pairs:
-            pm = _PAIR_RE.match(tok)
-            if not pm:
-                raise DataError(f"line {lineno}: malformed (entity,property) pair {tok!r}")
-            entities.append(pm.groups())
-        groups.append((head, entities))
-    return label or "", _record(groups, ts, lineno)
+    return label or "", _GROUP_SEP_RE.split(payload), ts
 
 
-def _record(groups, ts: str, lineno: int) -> EventRecord:
-    """The record of (location id, [(entity id, property)]) groups at
-    timestamp text ts; its errors, the name rules' included, name the line."""
+def _raw_group(chunk: str) -> tuple[str, list[tuple[str, str]]]:
+    """(location id, [(entity id, property)]) of one group text, names unchecked."""
+    head, *pairs = (tok.strip() for tok in _PAIR_SEP_RE.split(chunk))
+    if not pairs:
+        if "_" not in head:
+            raise DataError(f"location {head!r} has no entities")
+        # abbreviated form: property_location fused into one token
+        prop, loc = head.rsplit("_", 1)
+        return loc, [(head, prop)]
+    entities = []
+    for tok in pairs:
+        pm = _PAIR_RE.match(tok)
+        if not pm:
+            raise DataError(f"malformed (entity,property) pair {tok!r}")
+        entities.append(pm.groups())
+    return head, entities
+
+
+def _record(memo: dict, keys: list, ts: str, lineno: int, parse) -> EventRecord:
+    """The record at timestamp text ts of the groups that `keys` name.
+
+    ``parse`` reads each key not in `memo` into (location id, [(entity id,
+    property)]), all of them before any name is checked; each one's checked
+    Group is then stored in `memo`.  A key in `memo` raises nothing, so the
+    first error is the one a read of every key would give.  Errors name the
+    line."""
     try:
-        return EventRecord(
-            tuple(Group(loc, tuple(Entity(*e) for e in ents)) for loc, ents in groups),
-            parse_timestamp(ts),
-        )
+        new = [k for k in keys if k not in memo]
+        if new:
+            raw = [parse(k) for k in new]
+            memo.update(zip(new, (Group(loc, tuple(Entity(*e) for e in ents))
+                                  for loc, ents in raw)))
+        return EventRecord(tuple([memo[k] for k in keys]), parse_timestamp(ts))
     except DataError as exc:
         raise DataError(f"line {lineno}: {exc}") from None
 
@@ -358,8 +381,14 @@ def _record(groups, ts: str, lineno: int) -> EventRecord:
 def parse_log(text: str) -> EventLog:
     """Parse a document with one record per line, or a label line,
     ``label ":"``, which labels a log that has no records; every labeled
-    line carries the same label."""
+    line carries the same label.
+
+    Each distinct group text (a ``;``-separated part of a record) is parsed
+    and checked once per call: a dict that lives for the call maps it to its
+    Group, which every record holding that text shares.  Errors and their
+    line numbers are those of ``parse_record`` on each line."""
     label, records = "", []
+    memo: dict[str, Group] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
@@ -367,8 +396,8 @@ def parse_log(text: str) -> EventLog:
         if stripped[-1] == ":" and (m := _LABEL_LINE_RE.fullmatch(stripped)):
             lbl = m[1]
         else:
-            lbl, record = parse_record(line, lineno)
-            records.append(record)
+            lbl, chunks, ts = _split_record(line, lineno)
+            records.append(_record(memo, chunks, ts, lineno, _raw_group))
         if lbl and label and lbl != label:
             raise DataError(f"line {lineno}: label {lbl!r} differs from the log's label {label!r}")
         label = label or lbl
@@ -407,8 +436,14 @@ def log_to_jsonl(log: EventLog) -> str:
 
 
 def _string(value, field: str) -> str:
+    """`value` if it is a str that UTF-8 can encode: a JSON escape such as
+    ``"\\ud800"`` gives a lone surrogate, which no writer could store."""
     if not isinstance(value, str):
         raise DataError(f"{field} must be a string, got {value!r}")
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        raise DataError(f"{field} {value!r} holds a lone surrogate") from None
     return value
 
 
@@ -430,24 +465,29 @@ def load_json(path):
 
 def log_from_jsonl(text: str, label: str = "") -> EventLog:
     """One ``{"locations": [{"id", "entities": [{"id", "prop"}]}], "ts"}``
-    object per line; every id, prop and ts is a string, and prop may be omitted."""
+    object per line; every id, prop and ts is a string, and prop may be omitted.
+
+    Each distinct group, a location id with its (entity id, property)
+    pairs, is checked once per call: a dict that lives for the call maps it
+    to its Group, which every record holding that group shares."""
     records = []
+    memo: dict[tuple, Group] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
             groups = [
-                (_string(g["id"], "id"), [
+                (_string(g["id"], "id"), tuple(
                     (_string(e["id"], "id"), _string(e.get("prop", ""), "prop"))
                     for e in g["entities"]
-                ])
+                ))
                 for g in obj["locations"]
             ]
             ts = _string(obj["ts"], "ts")
         except (ValueError, KeyError, TypeError, RecursionError, DataError) as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-        records.append(_record(groups, ts, lineno))
+        records.append(_record(memo, groups, ts, lineno, lambda group: group))
     return EventLog(records=tuple(records), label=label)
 
 

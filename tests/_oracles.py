@@ -3,6 +3,7 @@
 These deliberately avoid the library's own code paths.
 """
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -12,8 +13,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConvergenceError, DataError
-from trackmine.eventlog import (TIMESTAMP_FMT, Cycle, Entity, EventLog, EventRecord, Group,
-                                Occurrence, _csv_rows, parse_time)
+from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _RECORD_RE,
+                                _TIMESTAMP_RE, TIMESTAMP_FMT, Cycle, Entity, EventLog, EventRecord,
+                                Group, Occurrence, _csv_rows, _string, parse_time)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
@@ -421,6 +423,107 @@ def parse_record_split_top(line: str, lineno: int = 0) -> tuple[str, EventRecord
             entities.append(Entity(pm.group(1), pm.group(2)))
         groups.append(Group(location_id=head, entities=tuple(entities)))
     return label, EventRecord(groups=tuple(groups), timestamp=timestamp)
+
+
+# The event-log readers before they memoized groups: every record line is
+# parsed and checked on its own, and every timestamp field by field.
+
+def parse_timestamp_fields(text: str) -> datetime:
+    """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
+    ``YYYY-MM-DD[T ]hh:mm:ss``, either with an optional ``.ffffff``
+    -> datetime; the one calendar-time parser."""
+    text = text.strip()
+    m = _TIMESTAMP_RE.fullmatch(text)
+    try:
+        if m:
+            return datetime(*(int(g) for g in m.groups() if g))
+    except ValueError:  # the right shape but out of range, e.g. month 13
+        pass
+    raise DataError(f"unparseable timestamp {text!r}")
+
+
+def parse_record_per_line(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
+    """Parse one record line; returns (log label or '', record)."""
+    m = _RECORD_RE.fullmatch(line.strip())
+    if not m:
+        raise DataError(f"line {lineno}: record must be enclosed in braces: {line!r}")
+    label, payload, ts = m.groups()
+    if payload is None:
+        raise DataError(f"line {lineno}: record needs at least a label and a timestamp")
+
+    groups = []
+    for chunk in _GROUP_SEP_RE.split(payload):
+        head, *pairs = (tok.strip() for tok in _PAIR_SEP_RE.split(chunk))
+        if not pairs:
+            if "_" not in head:
+                raise DataError(f"line {lineno}: location {head!r} has no entities")
+            # abbreviated form: property_location fused into one token
+            prop, loc = head.rsplit("_", 1)
+            groups.append((loc, [(head, prop)]))
+            continue
+        entities = []
+        for tok in pairs:
+            pm = _PAIR_RE.match(tok)
+            if not pm:
+                raise DataError(f"line {lineno}: malformed (entity,property) pair {tok!r}")
+            entities.append(pm.groups())
+        groups.append((head, entities))
+    return label or "", _record_per_line(groups, ts, lineno)
+
+
+def _record_per_line(groups, ts: str, lineno: int) -> EventRecord:
+    """The record of (location id, [(entity id, property)]) groups at
+    timestamp text ts; its errors, the name rules' included, name the line."""
+    try:
+        return EventRecord(
+            tuple(Group(loc, tuple(Entity(*e) for e in ents)) for loc, ents in groups),
+            parse_timestamp_fields(ts),
+        )
+    except DataError as exc:
+        raise DataError(f"line {lineno}: {exc}") from None
+
+
+def parse_log_per_line(text: str) -> EventLog:
+    """Parse a document with one record per line, or a label line,
+    ``label ":"``, which labels a log that has no records; every labeled
+    line carries the same label."""
+    label, records = "", []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        if stripped[-1] == ":" and (m := _LABEL_LINE_RE.fullmatch(stripped)):
+            lbl = m[1]
+        else:
+            lbl, record = parse_record_per_line(line, lineno)
+            records.append(record)
+        if lbl and label and lbl != label:
+            raise DataError(f"line {lineno}: label {lbl!r} differs from the log's label {label!r}")
+        label = label or lbl
+    return EventLog(records=tuple(records), label=label)
+
+
+def log_from_jsonl_per_line(text: str, label: str = "") -> EventLog:
+    """One ``{"locations": [{"id", "entities": [{"id", "prop"}]}], "ts"}``
+    object per line; every id, prop and ts is a string, and prop may be omitted."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            groups = [
+                (_string(g["id"], "id"), [
+                    (_string(e["id"], "id"), _string(e.get("prop", ""), "prop"))
+                    for e in g["entities"]
+                ])
+                for g in obj["locations"]
+            ]
+            ts = _string(obj["ts"], "ts")
+        except (ValueError, KeyError, TypeError, RecursionError, DataError) as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        records.append(_record_per_line(groups, ts, lineno))
+    return EventLog(records=tuple(records), label=label)
 
 
 # ``segment_cycles`` by boundaries as it ran while a log's timestamps could

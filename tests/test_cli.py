@@ -568,6 +568,30 @@ class TestExitCodes:
         assert "zone #0: " in err and "non-finite coordinate" in err
         assert err.count("\n") == 1
 
+    def test_lone_surrogate_zone_is_data_error(self, tmp_path, capsys):
+        # "\ud800" is a valid JSON escape, but UTF-8 cannot encode what it reads as
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(6)))
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([dict(ZONE, location_id="s\ud800")]))
+        rc = main(["detect", "--tracks", str(tracks), "--zones", str(zones),
+                   "--out", str(tmp_path / "d.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (f"trackmine detect: {zones}: zone #0: location_id 's\\ud800' holds a "
+                       f"lone surrogate\n")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_lone_surrogate_in_jsonl_log_is_data_error(self, tmp_path, capsys):
+        log = tmp_path / "el.jsonl"
+        log.write_text(json.dumps({"locations": [{"id": "s1", "entities": [{"id": "\ud800"}]}],
+                                   "ts": "2024/08/15/10:00:00"}) + "\n")
+        rc = main(["gantt", "--log", str(log), "--out", str(tmp_path / "chart.svg")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "trackmine gantt: line 1: id '\\ud800' holds a lone surrogate\n"
+        assert not (tmp_path / "chart.svg").exists()
+
     def test_negative_zone_box_is_data_error(self, tmp_path, capsys):
         # the square that ZONE covers, spelled with a negative width and height
         tracks = tmp_path / "tracks.csv"

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from trackmine.eventlog import (
     occurrences_to_log,
     parse_log,
     parse_record,
+    parse_timestamp,
     precision,
     segment_cycles,
     serialize_log,
@@ -32,7 +34,8 @@ from trackmine.eventlog import (
     write_occurrences_csv,
 )
 
-from _oracles import parse_record_split_top, precision_scan, segment_cycles_scan
+from _oracles import (log_from_jsonl_per_line, parse_log_per_line, parse_record_split_top,
+                      parse_timestamp_fields, precision_scan, segment_cycles_scan)
 
 
 def rec(ts, *groups):
@@ -255,6 +258,209 @@ class TestJsonl:
         with pytest.raises(DataError, match="^line 1: property "):
             log_from_jsonl('{"locations": [{"id": "s1", "entities": [{"id": "E1", '
                            '"prop": "h\\nx"}]}], "ts": "2024/08/15/17:40:50"}\n')
+
+
+def assert_same_outcome(read, oracle, *args):
+    """read(*args) equals oracle(*args), or both raise a DataError with one message."""
+    try:
+        want = oracle(*args)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read(*args)
+        assert str(got.value) == str(exc)
+    else:
+        assert read(*args) == want
+
+
+_TIMESTAMP_EDGES = {
+    "month_13": ["2024/13/15/10:00:00", "2024-13-15T10:00:00"],
+    "month_0": ["2024/00/15/10:00:00"],
+    "february_30": ["2024/02/30/10:00:00", "2024-02-30 10:00:00"],
+    "february_29": ["2023/02/29/10:00:00", "2024/02/29/10:00:00"],
+    "hour_24": ["2024/08/15/24:00:00", "2024-08-15T24:00:00", "2024-12-31 24:00:00.000000"],
+    "minute_60": ["2024/08/15/10:60:00", "2024-08-15T10:60:00"],
+    "second_60": ["2024/08/15/23:59:60", "2024-08-15T23:59:60.000000"],
+    "year_0000": ["0000/01/01/00:00:00", "0000-01-01T00:00:00"],
+    "calendar_ends": ["0001/01/01/00:00:00", "9999-12-31T23:59:59.999999"],
+    "full_width_digits": ["\uff12\uff10\uff12\uff14/08/15/10:00:00",
+                          "2024-08-15T10:00:0\uff10", "\u0662\u0660\u0662\u0664/13/15/10:00:00"],
+    "fraction_5_digits": ["2024/08/15/10:00:00.12345", "2024-08-15T10:00:00.12345"],
+    "fraction_7_digits": ["2024/08/15/10:00:00.1234567"],
+    "fraction_comma": ["2024-08-15T10:00:00,123456"],
+    "whitespace": ["  2024/08/15/10:00:00 ", "\t2024-08-15T10:00:00.000001\n",
+                   "\u30002024-08-15 10:00:00\u3000"],
+    "mixed_separators": ["2024/08/15T10:00:00", "2024-08-15/10:00:00", "2024-08-15x10:00:00"],
+    "offset": ["2024-08-15T10:00:00+00:00", "2024/08/15/10:00:00Z"],
+    "short_fields": ["2024/8/15/10:00:00", "24/08/15/10:00:00", "2024-08-15T10:00"],
+}
+
+
+@pytest.mark.parametrize("text", [t for ts in _TIMESTAMP_EDGES.values() for t in ts],
+                         ids=[f"{k}{i}" for k, ts in _TIMESTAMP_EDGES.items()
+                              for i in range(len(ts))])
+def test_timestamp_edges_match_field_parser(text):
+    assert_same_outcome(parse_timestamp, parse_timestamp_fields, text)
+
+
+# mostly names the grammar takes, now and then one it rejects or splits elsewhere
+_NAMES = st.sampled_from(["E1", "E2", "W0", "v1", "big-AGV"] * 20 + ["E 1", "", "E;1", "a)"])
+_ODD_LOCATIONS = ["k_3", "s;1", "s(1", "", "s1 x"]
+_SPACING = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def group_specs(draw, i):
+    """(location id, fused?, [(entity id, property)]) of the i-th group of a pool."""
+    loc = f"s{i}" if draw(st.integers(0, 19)) else draw(st.sampled_from(_ODD_LOCATIONS))
+    pairs = draw(st.lists(st.tuples(_NAMES, _NAMES), min_size=1 if draw(st.integers(0, 19)) else 0,
+                          max_size=3))
+    return loc, not draw(st.integers(0, 3)), pairs
+
+
+def group_text(draw, spec):
+    """A group's text: mostly canonical, so that texts repeat exactly; else
+    spaced another way, its pairs perhaps reordered."""
+    loc, fused, pairs = spec
+    spaced = not draw(st.integers(0, 3))
+
+    def sp():
+        return draw(_SPACING) if spaced else ""
+    if fused:
+        return f"{sp()}{pairs[0][1] if pairs else ''}_{loc}{sp()}"
+    if spaced:
+        pairs = draw(st.permutations(pairs))
+    return ", ".join([f"{sp()}{loc}{sp()}"] + [f"{sp()}({sp()}{e}{sp()},{sp()}{p}{sp()}){sp()}"
+                                               for e, p in pairs])
+
+
+_BAD_TIMES = ["2024/13/01/00:00:00", "2024-02-30T00:00:00", "2024/08/15/24:00:00", "x"]
+
+
+@st.composite
+def timestamp_texts(draw, t):
+    """Time t (seconds past a base) in one of the accepted forms, or now and then a bad one."""
+    if not draw(st.integers(0, 49)):
+        return draw(st.sampled_from(_BAD_TIMES))
+    when = datetime(2024, 8, 15) + timedelta(seconds=t)
+    fraction = draw(st.sampled_from(["", "", ".000000", ".000001", ".999999"]))
+    form = draw(st.sampled_from(["%Y/%m/%d/%H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S"]))
+    return when.strftime(form) + fraction
+
+
+@st.composite
+def pooled_records(draw):
+    """(pool of group specs, [(seconds, [pool index])]): records of distinct
+    groups, now and then one repeated, at times that now and then go back."""
+    pool = [draw(group_specs(i)) for i in range(draw(st.integers(1, 5)))]
+    records, t = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        t += draw(st.integers(-2 if not draw(st.integers(0, 9)) else 0, 90))
+        idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3, unique=True))
+        if not draw(st.integers(0, 14)):
+            idx.append(idx[0])
+        records.append((t, idx))
+    return pool, records
+
+
+@st.composite
+def text_logs(draw):
+    """Record lines over a pool of groups, so group texts repeat, exactly or
+    spaced and ordered otherwise; labelled and unlabelled, with blank and
+    comment lines; at times a last bad line of an earlier line's group
+    texts, with a bad time or a repeated location."""
+    pool, records = draw(pooled_records())
+    lines, used = [], []
+    for t, idx in records:
+        if not draw(st.integers(0, 5)):
+            lines.append(draw(st.sampled_from(["", "# note", "   ", "EL1:"])))
+        chunks = [group_text(draw, pool[i]) for i in idx]
+        used.append(chunks)
+        label = draw(st.sampled_from(["", "", "EL1: ", "EL1:", "EL1 : "] * 2 + ["EL2: "]))
+        sep = draw(st.sampled_from(["; ", ";", " ; "]))
+        lines.append(f"{label}{{{sep.join(chunks)}, {draw(timestamp_texts(t))}}}")
+    if used and draw(st.booleans()):
+        chunks = draw(st.sampled_from(used))
+        if draw(st.booleans()):
+            lines.append(f"{{{'; '.join(chunks)}, {draw(st.sampled_from(_BAD_TIMES))}}}")
+        else:
+            lines.append(f"{{{'; '.join(chunks + chunks[:1])}, 2024/08/16/00:00:00}}")
+    return "\n".join(lines)
+
+
+@given(text_logs())
+@example("{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1), 2024/13/15/17:40:51}")
+@example("{s1, (E1,v1); s2, (E2,v2), 2024/08/15/17:40:50}\n"
+         "{s2, (E2,v2); s1, (E1,v1); s2, (E2,v2), 2024/08/15/17:40:51}")
+# a bad name in a group before a malformed one: the malformed group is reported
+@example("{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1); v(1_s2; s3, (E(,y), "
+         "2024/08/15/17:40:51}")
+@settings(max_examples=300)
+def test_parse_log_matches_per_line_reader(text):
+    assert_same_outcome(parse_log, parse_log_per_line, text)
+
+
+@st.composite
+def jsonl_logs(draw):
+    """``.jsonl`` lines over a pool of groups, some given again with their
+    entities reordered or a prop left out; now and then a value that is not
+    a string; at times a last bad line of an earlier line's groups, with a
+    bad time or a repeated location."""
+    pool, records = draw(pooled_records())
+
+    def as_json(spec):
+        loc, _, pairs = spec
+        if not draw(st.integers(0, 3)):
+            pairs = draw(st.permutations(pairs))
+        ents = [{"id": e, "prop": p} if p or draw(st.booleans()) else {"id": e} for e, p in pairs]
+        if ents and not draw(st.integers(0, 79)):
+            ents[0]["id"] = draw(st.sampled_from([5, None]))
+        return {"id": loc, "entities": ents}
+
+    lines, used = [], []
+    for t, idx in records:
+        if not draw(st.integers(0, 7)):
+            lines.append(draw(st.sampled_from(["", "  "])))
+        used.append(idx)
+        lines.append(json.dumps({"locations": [as_json(pool[i]) for i in idx],
+                                 "ts": draw(timestamp_texts(t))}))
+    if used and draw(st.booleans()):
+        idx = draw(st.sampled_from(used))
+        bad_time = draw(st.booleans())
+        lines.append(json.dumps({
+            "locations": [as_json(pool[i]) for i in (idx if bad_time else idx + idx[:1])],
+            "ts": draw(st.sampled_from(_BAD_TIMES)) if bad_time else "2024/08/16/00:00:00"}))
+    return "\n".join(lines)
+
+
+@given(jsonl_logs(), st.sampled_from(["", "EL1"]))
+@settings(max_examples=300)
+def test_log_from_jsonl_matches_per_line_reader(text, label):
+    assert_same_outcome(log_from_jsonl, log_from_jsonl_per_line, text, label)
+
+
+def jsonl_line(ts, *locations):
+    return json.dumps({"locations": [{"id": loc, "entities": [{"id": "E1", "prop": "v1"}]}
+                                     for loc in locations], "ts": ts})
+
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse_log, "{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1), 2024/13/15/17:40:51}\n",
+     "line 2: unparseable timestamp '2024/13/15/17:40:51'"),
+    (parse_log, "{s1, (E1,v1);s2, (E2,v2), 2024/08/15/17:40:50}\n\n"
+                "{s1, (E1,v1);s1, (E1,v1), 2024/08/15/17:40:51}\n",
+     "line 3: duplicate location within one record: ['s1', 's1']"),
+    (log_from_jsonl, "\n".join([jsonl_line("2024/08/15/17:40:50", "s1"),
+                                 jsonl_line("2024/13/15/17:40:51", "s1")]),
+     "line 2: unparseable timestamp '2024/13/15/17:40:51'"),
+    (log_from_jsonl, "\n".join([jsonl_line("2024/08/15/17:40:50", "s1", "s2"), "",
+                                 jsonl_line("2024/08/15/17:40:51", "s1", "s1")]),
+     "line 3: duplicate location within one record: ['s1', 's1']"),
+], ids=["text_timestamp", "text_duplicate", "jsonl_timestamp", "jsonl_duplicate"])
+def test_errors_on_memoized_groups_name_their_line(read, text, message):
+    with pytest.raises(DataError) as exc:
+        read(text)
+    assert str(exc.value) == message
 
 
 # names from the characters the text grammar uses as separators, plus
