@@ -1,16 +1,17 @@
 """Command-line pipeline: tracks -> events -> logs -> cycles -> network -> rankings.
 
+Importing this module loads only what every subcommand needs.  ``dfg``,
+``rank``, ``compare`` and ``tables`` import ``procnet`` themselves;
 ``detect``, ``rank``, ``simulate`` and ``tables`` import the numpy layers
-(``events``, ``ranking``, ``sim``) themselves; the others run without numpy."""
+(``events``, ``ranking``, ``sim``); the others run without numpy."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 
-from . import eventlog, procnet
+from . import eventlog
 from .errors import ConvergenceError, DataError, TrackmineError
 from .eventlog import write_atomic
 
@@ -34,7 +35,8 @@ BUILTIN_MATRICES = {
 }
 
 
-def _builtin_lm(name: str) -> procnet.LinkMatrix:
+def _builtin_lm(name: str):
+    from . import procnet
     values = BUILTIN_MATRICES[name]
     labels = [procnet.NodeLabel("x", str(i + 1)) for i in range(len(values))]
     return procnet.LinkMatrix(labels=labels, values=values)
@@ -63,13 +65,13 @@ def _write_log(path: str, log: eventlog.EventLog) -> None:
 
 
 def _detection_config(args) -> eventlog.DetectionConfig:
-    return eventlog.DetectionConfig(**{f.name: getattr(args, f.name)
-                                       for f in fields(eventlog.DetectionConfig)})
+    cls = eventlog.DetectionConfig
+    return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
 def _add_detection_flags(p):
-    for f in fields(eventlog.DetectionConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name, default=f.default)
+    for name, default in eventlog.DetectionConfig._field_defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=float, dest=name, default=default)
 
 
 def _add_split_flags(p):
@@ -150,6 +152,7 @@ def cmd_cycles(args):
 
 
 def cmd_dfg(args):
+    from . import procnet
     cycle = _cycle_from_args(args, _read_log(args.log))
     net = procnet.build_dfg(cycle)
     if args.out_matrix:
@@ -165,7 +168,7 @@ def cmd_dfg(args):
 
 
 def cmd_rank(args):
-    from . import ranking
+    from . import procnet, ranking
     if args.matrix is not None:
         lm = procnet.load_matrix_csv(args.matrix)
     else:
@@ -201,6 +204,7 @@ def _read_node_list(path: str) -> list[str]:
 
 
 def cmd_compare(args):
+    from . import procnet
     a = _read_node_list(args.a)
     b = _read_node_list(args.b)
     result = procnet.compare_topk(a, b, args.k)
@@ -216,6 +220,8 @@ def cmd_precision(args):
 
 
 def cmd_simulate(args):
+    from dataclasses import replace
+
     from . import events, sim
     sc = sim.scenario_from_json(args.scenario)
     if args.seed is not None:
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
     p.add_argument("--dedup-window", type=float, dest="dedup_window",
-                   default=eventlog.DetectionConfig.dedup_window)
+                   default=eventlog.DetectionConfig._field_defaults["dedup_window"])
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("gantt", help="event log -> SVG start-time chart")
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-zones", dest="out_zones")
     p.add_argument("--seed", type=int)
     p.add_argument("--min-duration", type=float, dest="min_duration",
-                   default=eventlog.DetectionConfig.min_duration)
+                   default=eventlog.DetectionConfig._field_defaults["min_duration"])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tables", help="score the built-in worked matrices with all "

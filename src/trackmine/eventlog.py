@@ -2,6 +2,10 @@
 settings, atomic file writes, and event logs: model, text and JSONL formats,
 cycles, Gantt charts, precision; no numpy.
 
+The record types are immutable NamedTuples.  Those with checks are a fields
+base plus a subclass whose ``__new__`` checks, then builds; ``_make`` and
+``_replace`` build without the checks.
+
 One record per line, e.g. ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
 or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the grammar.
 """
@@ -9,7 +13,6 @@ or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the gr
 from __future__ import annotations
 
 import csv
-import html
 import io
 import json
 import math
@@ -17,11 +20,10 @@ import os
 import re
 from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError
 
@@ -87,8 +89,7 @@ def parse_time(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """One detected event: an entity started a task at a location."""
 
     start_time: float
@@ -101,14 +102,21 @@ class Occurrence:
         return (self.location_id, self.entity_class, self.track_id)
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
+class _DetectionFields(NamedTuple):
     min_duration: float = 3.0
     min_overlap_ratio: float = 0.10
     sample_period: float = 1.0
     dedup_window: float = 2.0
 
-    def __post_init__(self):  # each check is written so that nan fails it
+
+class DetectionConfig(_DetectionFields):
+    """The detection thresholds; ``_field_defaults`` holds the defaults."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # each check is written so that nan fails it
         if not self.min_duration >= 0:
             raise DataError("min_duration must be >= 0")
         if not 0.0 <= self.min_overlap_ratio <= 1.0:
@@ -117,6 +125,7 @@ class DetectionConfig:
             raise DataError("sample_period must be > 0")
         if not self.dedup_window >= 0:
             raise DataError("dedup_window must be >= 0")
+        return self
 
 
 def merge_camera_streams(
@@ -186,17 +195,23 @@ def _csv_rows(fh, path, expected: list[str] | None = None):
 
 def write_atomic(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename; the file
-    gets the permissions ``open`` gives a new file."""
+    gets the permissions ``open`` gives a new file.  An OSError that names
+    the temp file is raised again naming `path`."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
-    fh = open(tmp, "x", newline="", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", newline="", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
@@ -234,69 +249,84 @@ def _name_error(kind: str, name: str, chars: str) -> DataError:
                      f"or whitespace at an end")
 
 
-@dataclass(frozen=True)
-class Entity:
+class _EntityFields(NamedTuple):
     entity_id: str
-    prop: str = ""
-
-    def __post_init__(self):
-        if not _ENTITY_RE.fullmatch(self.entity_id):
-            raise _name_error("entity id", self.entity_id, ",()")
-        if self.prop and not _ENTITY_RE.fullmatch(self.prop):
-            raise _name_error("property", self.prop, ",()")
+    prop: str
 
 
-@dataclass(frozen=True)
-class Group:
+class Entity(_EntityFields):
+    __slots__ = ()
+
+    def __new__(cls, entity_id: str, prop: str = ""):
+        if not _ENTITY_RE.fullmatch(entity_id):
+            raise _name_error("entity id", entity_id, ",()")
+        if prop and not _ENTITY_RE.fullmatch(prop):
+            raise _name_error("property", prop, ",()")
+        return super().__new__(cls, entity_id, prop)
+
+
+class _GroupFields(NamedTuple):
     location_id: str
     entities: tuple[Entity, ...]
 
-    def __post_init__(self):
-        if not _LOCATION_RE.fullmatch(self.location_id):
-            raise _name_error("location id", self.location_id, ",;()")
-        if not self.entities:
-            raise DataError(f"group at {self.location_id!r} has no entities")
+
+class Group(_GroupFields):
+    __slots__ = ()
+
+    def __new__(cls, location_id: str, entities: tuple[Entity, ...]):
+        if not _LOCATION_RE.fullmatch(location_id):
+            raise _name_error("location id", location_id, ",;()")
+        if not entities:
+            raise DataError(f"group at {location_id!r} has no entities")
+        return super().__new__(cls, location_id, entities)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class _EventRecordFields(NamedTuple):
     groups: tuple[Group, ...]
     timestamp: datetime
 
-    def __post_init__(self):
-        if not self.groups:
+
+class EventRecord(_EventRecordFields):
+    __slots__ = ()
+
+    def __new__(cls, groups: tuple[Group, ...], timestamp: datetime):
+        if not groups:
             raise DataError("record has no location groups")
-        if len(self.groups) > 1:  # most records have one group, which cannot repeat
-            locs = [g.location_id for g in self.groups]
+        if len(groups) > 1:  # most records have one group, which cannot repeat
+            locs = [g.location_id for g in groups]
             if len(set(locs)) != len(locs):
                 raise DataError(f"duplicate location within one record: {locs}")
+        return super().__new__(cls, groups, timestamp)
 
     @property
     def event_count(self) -> int:
         return sum(len(g.entities) for g in self.groups)
 
 
-@dataclass(frozen=True)
-class EventLog:
+class _EventLogFields(NamedTuple):
+    records: tuple[EventRecord, ...]
+    label: str
+
+
+class EventLog(_EventLogFields):
     """Records in time order (equal timestamps allowed) under one label."""
 
-    records: tuple[EventRecord, ...]
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _LABEL_RE.fullmatch(self.label):
-            raise DataError(f"log label {self.label!r} holds a character other than "
+    def __new__(cls, records: tuple[EventRecord, ...], label: str = ""):
+        if not _LABEL_RE.fullmatch(label):
+            raise DataError(f"log label {label!r} holds a character other than "
                             f"A-Z, a-z, 0-9 and _")
-        times = [r.timestamp for r in self.records]
+        times = [r.timestamp for r in records]
         for i, (a, b) in enumerate(zip(times, times[1:]), start=2):
             if b < a:
                 raise DataError(
-                    f"event log {self.label!r}: record {i} at {format_timestamp(b)} is "
+                    f"event log {label!r}: record {i} at {format_timestamp(b)} is "
                     f"earlier than record {i - 1} at {format_timestamp(a)}")
+        return super().__new__(cls, records, label)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     index: int
     records: tuple[EventRecord, ...]
     cycle_time: float
@@ -539,7 +569,10 @@ def segment_cycles(
 
     records, n = log.records, len(log.records)
     if anchor is not None:
-        pattern = re.compile(anchor)
+        try:
+            pattern = re.compile(anchor)
+        except re.error as exc:
+            raise DataError(f"bad anchor pattern {anchor!r}: {exc}") from None
         starts = [
             i
             for i, r in enumerate(records)
@@ -585,6 +618,8 @@ def gantt_lane(group: Group, entity: Entity, lane_key: str) -> str:
 def gantt(log: EventLog, lane_key: str = "location") -> str:
     """Render event start times as an SVG chart: one lane per key, one
     tick per event start.  lane_key is 'location' or 'entity'."""
+    import html
+
     if not log.records:
         raise DataError("cannot chart an empty event log")
     if lane_key not in ("location", "entity"):

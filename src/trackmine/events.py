@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -55,8 +54,7 @@ class DetectionSample(NamedTuple):
     box: Rect
 
 
-@dataclass(frozen=True)
-class ZoneSpec:
+class ZoneSpec(NamedTuple):
     """A named location with its rectangle in the owning camera's frame."""
 
     location_id: str

@@ -9,7 +9,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError
 from .eventlog import Cycle, EventRecord, _csv_rows
@@ -27,14 +27,20 @@ _DEFAULT_ROLES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class NodeLabel:
+class _NodeLabelFields(NamedTuple):
     entity_role: str
     location_id: str
 
-    def __post_init__(self):
-        if not self.entity_role or not self.location_id:
+
+class NodeLabel(_NodeLabelFields):
+    """An immutable (role, location) node; ``_make`` and ``_replace`` skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, entity_role: str, location_id: str):
+        if not entity_role or not location_id:
             raise DataError("node label needs a non-empty role and location")
+        return super().__new__(cls, entity_role, location_id)
 
     def render(self) -> str:
         return f"{self.entity_role}_{self.location_id}"
@@ -108,12 +114,15 @@ def build_dfg(cycle: Cycle) -> ProcessNetwork:
 
 
 def compare_topk(a, b, k: int) -> dict:
-    """Set algebra on two ranked label lists truncated to k."""
+    """Set algebra on two ranked lists truncated to k, over rendered labels;
+    an item is a NodeLabel, a rendered label or a (label, score) pair."""
     def labels(seq):
         out = []
         for item in seq:
-            lbl = item[0] if isinstance(item, tuple) else item
-            out.append(lbl.render() if isinstance(lbl, NodeLabel) else str(lbl))
+            # a (label, score) pair; a NodeLabel is a tuple too
+            if isinstance(item, tuple) and not isinstance(item, NodeLabel):
+                item = item[0]
+            out.append(item.render() if isinstance(item, NodeLabel) else str(item))
         return out
 
     if k < 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ _BOX_SIZES = {
 _DEFAULT_BOX = (40.0, 40.0)
 
 
-@dataclass(frozen=True)
-class Actor:
+class Actor(NamedTuple):
     entity_class: str
     itinerary: tuple[tuple[str, float], ...]  # (location_id, dwell seconds)
     track_id: str = ""
@@ -91,7 +91,7 @@ def _clock(actor: Actor, zones: list[ZoneSpec]):
 
 
 def simulate(
-    sc: Scenario, min_duration: float = DetectionConfig.min_duration
+    sc: Scenario, min_duration: float = DetectionConfig._field_defaults["min_duration"]
 ) -> tuple[list[DetectionSample], list[Occurrence]]:
     """Run the scenario; returns (samples, ground-truth occurrences).
 

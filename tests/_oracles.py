@@ -552,7 +552,7 @@ def segment_cycles_scan(log: EventLog, boundaries: Sequence[datetime]) -> list[C
 # actor's stops from the first one.
 
 def simulate_loop(
-    sc: Scenario, min_duration: float = DetectionConfig.min_duration
+    sc: Scenario, min_duration: float = DetectionConfig._field_defaults["min_duration"]
 ) -> tuple[list[DetectionSample], list[Occurrence]]:
     """Run the scenario; returns (samples, ground-truth occurrences).
 

@@ -307,6 +307,50 @@ class TestExitCodes:
         rc = main(["cycles", "--log", str(log_file), "--anchor", "zzz"])
         assert rc == 3
 
+    @pytest.mark.parametrize("pattern", ["(", "["])
+    @pytest.mark.parametrize("argv", [
+        "cycles --log {log} --anchor {anchor}",
+        "dfg --log {log} --anchor {anchor} --out-matrix {out}",
+        "rank --log {log} --anchor {anchor} --cycle 1 --out {out}",
+    ], ids=["cycles", "dfg", "rank"])
+    def test_invalid_anchor_regex_is_data_error(self, tmp_path, log_file, capsys, argv,
+                                                pattern):
+        out = tmp_path / "out"
+        rc = main(argv.format(log=log_file, anchor=pattern, out=out).split())
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"bad anchor pattern {pattern!r}: " in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "gantt --log {log} --out {out}",
+        "detect --tracks {tracks} --zones {zones} --out {out}",
+        "dfg --log {log} --anchor ^s11$ --out-matrix {out}",
+    ], ids=["gantt", "detect", "dfg"])
+    def test_write_into_missing_directory_names_the_target(self, tmp_path, log_file, capsys,
+                                                            argv):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "cam1,0,h,T1,0,0,10,10\n")
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([ZONE]))
+        out = tmp_path / "missing" / "out.txt"
+        rc = main(argv.format(log=log_file, tracks=tracks, zones=zones, out=out).split())
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1
+        assert "No such file or directory" in err and repr(str(out)) in err
+        assert ".tmp-" not in err
+
+    def test_write_onto_a_directory_names_the_target(self, tmp_path, log_file, capsys):
+        out = tmp_path / "chart"
+        out.mkdir()
+        rc = main(["gantt", "--log", str(log_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"trackmine gantt: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert list(out.iterdir()) == [] and sorted(p.name for p in tmp_path.iterdir()) == [
+            "chart", log_file.name]
+
     def test_l1_convention_is_usage_error(self):
         # scores are always squared components; there is no --convention
         for convention in ("l1", "raw"):
@@ -1408,6 +1452,35 @@ def test_non_computing_subcommands_leave_numpy_unloaded(tmp_path, log_file, comm
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 0, "numpy": False}
+
+
+# which of the modules that not every subcommand needs each one loads
+LEAN_LOADS = {
+    "import": [],
+    "cycles": [],
+    "gantt": ["html"],
+    "precision": [],
+    "merge": [],
+    "compare": ["dataclasses", "trackmine.procnet"],
+    "dfg": ["dataclasses", "trackmine.procnet"],
+}
+LEAN_PROBE = NUMPY_PROBE.replace(
+    '"numpy": "numpy" in sys.modules',
+    '"loaded": sorted({"dataclasses", "html", "trackmine.procnet"} & set(sys.modules))')
+
+
+@pytest.mark.parametrize("command", list(NUMPY_FREE_ARGV))
+def test_subcommands_load_only_the_modules_they_use(tmp_path, log_file, command):
+    occ = tmp_path / "occ.csv"
+    occ.write_text(MIXED_TRACKS_CSV)
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("RP_s11\nRP_s14\n")
+    argv = NUMPY_FREE_ARGV[command].format(log=log_file, tmp=tmp_path, occ=occ, nodes=nodes)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LEAN_PROBE, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 0, "loaded": LEAN_LOADS[command]}
 
 
 @pytest.mark.parametrize("argv", [

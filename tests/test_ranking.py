@@ -380,3 +380,16 @@ class TestCompareTopk:
         ranked, _, _ = rank_nodes(LM1, algorithm="gradient", k=4)
         out = compare_topk(ranked, ranked, 4)
         assert out["jaccard"] == 1.0
+
+    @pytest.mark.parametrize("form", ["labels", "pairs", "strings"])
+    def test_labels_pairs_and_strings_compare_rendered_labels(self, form):
+        # a NodeLabel is a tuple: it must not be read as a (label, score) pair
+        a = [NodeLabel("RP", "s1"), NodeLabel("RP", "s2")]
+        b = [NodeLabel("RP", "s1"), NodeLabel("LP", "s3")]
+        if form == "pairs":
+            a, b = [(lbl, 0.5) for lbl in a], [(lbl, 0.5) for lbl in b]
+        elif form == "strings":
+            a, b = [lbl.render() for lbl in a], [lbl.render() for lbl in b]
+        out = compare_topk(a, b, 2)
+        assert out == {"common": {"RP_s1"}, "only_a": {"RP_s2"}, "only_b": {"LP_s3"},
+                       "jaccard": 1 / 3}

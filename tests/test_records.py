@@ -1,0 +1,108 @@
+"""The immutable record types: frozen, checked on construction, and hashed,
+compared and sorted as their field tuples."""
+
+import math
+import re
+from datetime import datetime
+
+import pytest
+
+from trackmine.errors import DataError
+from trackmine.eventlog import (Cycle, DetectionConfig, Entity, EventLog, EventRecord, Group,
+                                Occurrence)
+from trackmine.events import Rect, ZoneSpec
+from trackmine.procnet import NodeLabel
+from trackmine.sim import Actor
+
+T0 = datetime(2024, 8, 15, 10, 0, 0)
+T1 = datetime(2024, 8, 15, 10, 0, 10)
+ENTITY = Entity("E1", "RP")
+GROUP = Group("s1", (ENTITY,))
+RECORD = EventRecord((GROUP,), T0)
+
+RECORDS = {
+    "Occurrence": Occurrence(1.5, "s1", "worker", "T1"),
+    "DetectionConfig": DetectionConfig(),
+    "Entity": ENTITY,
+    "Group": GROUP,
+    "EventRecord": RECORD,
+    "EventLog": EventLog((RECORD,), "EL1"),
+    "Cycle": Cycle(1, (RECORD,), 10.0),
+    "NodeLabel": NodeLabel("RP", "s1"),
+    "ZoneSpec": ZoneSpec("s1", "cam1", Rect(0.0, 0.0, 10.0, 10.0), "station"),
+    "Actor": Actor("worker", (("s1", 5.0),), "T1"),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_fields_are_read_only(name):
+    record = RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_hashes_and_equals_its_field_tuple(name):
+    record = RECORDS[name]
+    assert hash(record) == hash(tuple(record))
+    assert record == tuple(record)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_repr_names_each_field(name):
+    record = RECORDS[name]
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+    assert repr(record) == f"{name}({fields})"
+
+
+def test_occurrences_sort_as_field_tuples():
+    occs = [Occurrence(2.0, "s1", "h"), Occurrence(1.0, "s2", "h", "T2"),
+            Occurrence(1.0, "s2", "h", "T1"), Occurrence(1.0, "s1", "v")]
+    assert sorted(occs) == sorted(occs, key=tuple)
+    assert sorted(occs)[0] == Occurrence(1.0, "s1", "v")
+
+
+def test_node_labels_sort_as_field_tuples():
+    labels = [NodeLabel("RP", "s2"), NodeLabel("LP", "s3"), NodeLabel("RP", "s1")]
+    assert sorted(labels) == sorted(labels, key=tuple)
+    assert [lbl.render() for lbl in sorted(labels)] == ["LP_s3", "RP_s1", "RP_s2"]
+
+
+BAD = "is empty or holds one of {}, a line break or whitespace at an end"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Entity(""), "entity id '' " + BAD.format(",()")),
+    (lambda: Entity("E1", "a,b"), "property 'a,b' " + BAD.format(",()")),
+    (lambda: Group("s;1", (ENTITY,)), "location id 's;1' " + BAD.format(",;()")),
+    (lambda: Group("s1", ()), "group at 's1' has no entities"),
+    (lambda: EventRecord((), T0), "record has no location groups"),
+    (lambda: EventRecord((GROUP, GROUP), T0),
+     "duplicate location within one record: ['s1', 's1']"),
+    (lambda: EventLog((), "EL-1"),
+     "log label 'EL-1' holds a character other than A-Z, a-z, 0-9 and _"),
+    (lambda: EventLog((EventRecord((GROUP,), T1), RECORD), "EL1"),
+     "event log 'EL1': record 2 at 2024/08/15/10:00:00 is earlier than record 1 at "
+     "2024/08/15/10:00:10"),
+    (lambda: NodeLabel("", "s1"), "node label needs a non-empty role and location"),
+    (lambda: NodeLabel("RP", ""), "node label needs a non-empty role and location"),
+    (lambda: DetectionConfig(min_duration=-1.0), "min_duration must be >= 0"),
+    (lambda: DetectionConfig(min_duration=math.nan), "min_duration must be >= 0"),
+    (lambda: DetectionConfig(0.0, 1.5), "min_overlap_ratio must be in [0, 1]"),
+    (lambda: DetectionConfig(min_overlap_ratio=math.nan), "min_overlap_ratio must be in [0, 1]"),
+    (lambda: DetectionConfig(sample_period=0.0), "sample_period must be > 0"),
+    (lambda: DetectionConfig(sample_period=math.nan), "sample_period must be > 0"),
+    (lambda: DetectionConfig(dedup_window=math.nan), "dedup_window must be >= 0"),
+], ids=["entity_id", "property", "location_id", "no_entities", "no_groups",
+        "duplicate_location", "label", "time_order", "node_role", "node_location",
+        "min_duration", "min_duration_nan", "overlap_ratio", "overlap_ratio_nan",
+        "sample_period", "sample_period_nan", "dedup_window_nan"])
+def test_construction_checks_each_field(build, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_detection_defaults_are_field_defaults():
+    assert DetectionConfig._field_defaults == {"min_duration": 3.0, "min_overlap_ratio": 0.10,
+                                               "sample_period": 1.0, "dedup_window": 2.0}
+    assert DetectionConfig() == (3.0, 0.10, 1.0, 2.0)
