@@ -52,9 +52,12 @@ def _read_text(path: str) -> str:
 
 def _read_log(path: str) -> eventlog.EventLog:
     text = _read_text(path)
-    if path.endswith(".jsonl"):
-        return eventlog.log_from_jsonl(text)
-    return eventlog.parse_log(text)
+    try:
+        if path.endswith(".jsonl"):
+            return eventlog.log_from_jsonl(text)
+        return eventlog.parse_log(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _write_log(path: str, log: eventlog.EventLog) -> None:
@@ -69,9 +72,10 @@ def _detection_config(args) -> eventlog.DetectionConfig:
     return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
-def _add_detection_flags(p):
-    for name, default in eventlog.DetectionConfig._field_defaults.items():
-        p.add_argument("--" + name.replace("_", "-"), type=float, dest=name, default=default)
+def _add_detection_flags(p, *names):
+    defaults = eventlog.DetectionConfig._field_defaults
+    for name in names or defaults:
+        p.add_argument("--" + name.replace("_", "-"), type=float, dest=name, default=defaults[name])
 
 
 def _add_split_flags(p):
@@ -81,10 +85,10 @@ def _add_split_flags(p):
 
 
 def _cycles_from_args(args, log):
-    if args.boundaries:
+    if args.boundaries is not None:
         bounds = [eventlog.to_datetime(eventlog.parse_time(b)) for b in args.boundaries.split(",")]
         return eventlog.segment_cycles(log, boundaries=bounds)
-    if args.anchor:
+    if args.anchor is not None:
         return eventlog.segment_cycles(log, anchor=args.anchor)
     raise DataError("either --anchor or --boundaries is required")
 
@@ -281,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="merge occurrence CSV streams")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--dedup-window", type=float, dest="dedup_window",
-                   default=eventlog.DetectionConfig._field_defaults["dedup_window"])
+    _add_detection_flags(p, "dedup_window")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("gantt", help="event log -> SVG start-time chart")
@@ -337,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-truth", required=True, dest="out_truth")
     p.add_argument("--out-zones", dest="out_zones")
     p.add_argument("--seed", type=int)
-    p.add_argument("--min-duration", type=float, dest="min_duration",
-                   default=eventlog.DetectionConfig._field_defaults["min_duration"])
+    _add_detection_flags(p, "min_duration")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tables", help="score the built-in worked matrices with all "

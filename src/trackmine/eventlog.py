@@ -30,38 +30,32 @@ from .errors import DataError
 # ---------------------------------------------------------------------------
 # calendar time and occurrences
 
-TIMESTAMP_FMT = "%Y/%m/%d/%H:%M:%S"
 _TIMESTAMP_RE = re.compile(
-    r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)(?:\.(\d{6}))?")
+    r"\d{4}(?:/\d\d/\d\d/|-\d\d-\d\d[T ])(?:[01]\d|2[0-3]):\d\d:\d\d(?:\.\d{6})?", re.ASCII)
 _EPOCH = datetime(1970, 1, 1)
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
-    ``YYYY-MM-DD[T ]hh:mm:ss``, either with an optional ``.ffffff``
-    -> datetime; the one calendar-time parser.
+    """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` or ISO ``YYYY-MM-DD[T ]hh:mm:ss``,
+    either with an optional ``.ffffff`` -> datetime; the one calendar-time
+    parser.
 
-    The regex fixes the shape; ASCII text is then read by
-    ``datetime.fromisoformat`` with ``TIMESTAMP_FMT``'s slashes made ISO, any
-    other (non-ASCII digits) field by field.  Both raise on the same
-    out-of-range fields; hour 24 always takes the field path, so it stays an
-    error whatever ``fromisoformat`` accepts.  Nothing is cached: the log
-    readers memoize groups, not times, which rarely repeat."""
+    ``_TIMESTAMP_RE`` fixes the shape (ASCII digits, hours 00-23), and
+    ``datetime.fromisoformat`` reads the text with its slashes made ISO and
+    rejects out-of-range fields.  Nothing is cached: the log readers memoize
+    groups, not times, which rarely repeat."""
     text = text.strip()
-    m = _TIMESTAMP_RE.fullmatch(text)
-    try:
-        if m and text.isascii() and m[6] != "24":
+    if _TIMESTAMP_RE.fullmatch(text):
+        try:
             return datetime.fromisoformat(text.replace("/", "-", 2).replace("/", "T", 1))
-        if m:
-            return datetime(*(int(g) for g in m.groups() if g))
-    except ValueError:  # the right shape but out of range, e.g. month 13
-        pass
+        except ValueError:  # the right shape but out of range, e.g. month 13
+            pass
     raise DataError(f"unparseable timestamp {text!r}")
 
 
 def format_timestamp(ts: datetime) -> str:
-    """``TIMESTAMP_FMT`` with a four-digit year, plus ``.ffffff`` when the
-    microsecond is nonzero; ``parse_timestamp`` reads it back."""
+    """``YYYY/MM/DD/hh:mm:ss`` with a four-digit year, plus ``.ffffff`` when
+    the microsecond is nonzero; ``parse_timestamp`` reads it back."""
     # isoformat pads the year to four digits; strftime's %Y does not everywhere
     return ts.isoformat("/").replace("-", "/")
 

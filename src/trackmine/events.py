@@ -223,7 +223,7 @@ def detect_events(
         s = samples[start_at[k]]
         out.append(Occurrence(float(s.time), zones[zone_at[k]].location_id,
                               s.entity_class, s.track_id))
-    out.sort(key=attrgetter("start_time", "location_id", "entity_class", "track_id"))
+    out.sort()
     return out
 
 

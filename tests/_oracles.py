@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConvergenceError, DataError
-from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _RECORD_RE,
-                                _TIMESTAMP_RE, TIMESTAMP_FMT, Cycle, Entity, EventLog, EventRecord,
-                                Group, Occurrence, _csv_rows, _string, parse_time)
+from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _RECORD_RE, Cycle,
+                                Entity, EventLog, EventRecord, Group, Occurrence, _csv_rows,
+                                _string, parse_time)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
@@ -344,6 +344,8 @@ def detect_streams_split(
     return merge_camera_streams(streams, cfg.dedup_window)
 
 
+TIMESTAMP_FMT = "%Y/%m/%d/%H:%M:%S"
+
 # The event-log record parser the library used before its regex parser: a
 # depth-counting character splitter applied three times, and strptime for
 # the timestamp.
@@ -426,12 +428,17 @@ def parse_record_split_top(line: str, lineno: int = 0) -> tuple[str, EventRecord
 
 
 # The event-log readers before they memoized groups: every record line is
-# parsed and checked on its own, and every timestamp field by field.
+# parsed and checked on its own, and every timestamp field by field.  The
+# grouped regex is the library's old one, made ASCII as the library's is.
+
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4})(?:/(\d\d)/(\d\d)/|-(\d\d)-(\d\d)[T ])(\d\d):(\d\d):(\d\d)(?:\.(\d{6}))?", re.ASCII)
+
 
 def parse_timestamp_fields(text: str) -> datetime:
     """Zero-padded ``YYYY/MM/DD/hh:mm:ss`` (``TIMESTAMP_FMT``) or ISO
     ``YYYY-MM-DD[T ]hh:mm:ss``, either with an optional ``.ffffff``
-    -> datetime; the one calendar-time parser."""
+    -> datetime, read field by field with ``int``."""
     text = text.strip()
     m = _TIMESTAMP_RE.fullmatch(text)
     try:

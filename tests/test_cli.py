@@ -166,6 +166,17 @@ class TestAnalysis:
         payload = json.loads(out)
         assert [c["cycle_time"] for c in payload["cycles"]] == [510.0, 90.0]
 
+    def test_empty_anchor_splits_at_every_record(self, tmp_path, capsys):
+        # "" matches every location, as segment_cycles(log, anchor="") does
+        log = tmp_path / "two.log"
+        log.write_text(LOG_TEXT[:LOG_TEXT.index("EL1", 1) * 2])
+        rc, out = run(capsys, "cycles", "--log", log, "--anchor", "", "--json")
+        assert rc == 0
+        assert [c["records"] for c in json.loads(out)["cycles"]] == [1, 1]
+        rc, out = run(capsys, "rank", "--log", log, "--anchor", "", "--cycle", "1", "--json")
+        assert rc == 0
+        assert [s["node"] for s in json.loads(out)["scores"]] == ["RP_s11"]
+
     def test_dfg_and_rank(self, tmp_path, log_file, capsys):
         matrix = tmp_path / "L.csv"
         rc, out = run(capsys, "dfg", "--log", log_file, "--anchor", "^s11$",
@@ -392,6 +403,13 @@ class TestExitCodes:
         rc = main([command, "--log", str(log_file)])
         assert rc == 3
         assert "--anchor or --boundaries" in capsys.readouterr().err
+
+    def test_empty_boundaries_is_data_error(self, log_file, capsys):
+        rc = main(["cycles", "--log", str(log_file), "--boundaries", ""])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "trackmine cycles: unparseable timestamp ''\n"
 
     def test_missing_cycle_is_data_error(self, log_file, capsys):
         rc = main(["rank", "--log", str(log_file), "--anchor", "^s11$", "--cycle", "3"])
@@ -633,7 +651,7 @@ class TestExitCodes:
         rc = main(["gantt", "--log", str(log), "--out", str(tmp_path / "chart.svg")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err == "trackmine gantt: line 1: id '\\ud800' holds a lone surrogate\n"
+        assert err == f"trackmine gantt: {log}: line 1: id '\\ud800' holds a lone surrogate\n"
         assert not (tmp_path / "chart.svg").exists()
 
     def test_negative_zone_box_is_data_error(self, tmp_path, capsys):
@@ -779,7 +797,7 @@ class TestExitCodes:
         rc = main(["cycles", "--log", str(log), "--anchor", "s1"])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err == f"trackmine cycles: line 6: unparseable timestamp {ts!r}\n"
+        assert err == f"trackmine cycles: {log}: line 6: unparseable timestamp {ts!r}\n"
 
     @pytest.mark.parametrize("line", [
         '{"locations": 5, "ts": "2024/08/15/10:00:00"}',
@@ -806,7 +824,7 @@ class TestExitCodes:
         rc = main(["gantt", "--log", str(log), "--out", str(tmp_path / "o.svg")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err.startswith("trackmine gantt: line 1: ") and err.count("\n") == 1
+        assert err.startswith(f"trackmine gantt: {log}: line 1: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         "cycles --log {log} --anchor ^s11$",
@@ -829,8 +847,8 @@ class TestExitCodes:
         label = "'EL1'" if suffix == ".log" else "''"
         assert rc == 3
         assert captured.out == ""
-        assert captured.err == (f"trackmine {argv.split()[0]}: event log {label}: record 6 at "
-                                f"2024/08/15/10:09:00 is earlier than record 5 at "
+        assert captured.err == (f"trackmine {argv.split()[0]}: {log}: event log {label}: "
+                                f"record 6 at 2024/08/15/10:09:00 is earlier than record 5 at "
                                 f"2024/08/15/10:10:00\n")
         assert not out.exists()
 
@@ -841,7 +859,8 @@ class TestExitCodes:
         rc = main(["cycles", "--log", str(log), "--anchor", "^s11$"])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err == "trackmine cycles: line 5: label 'EL2' differs from the log's label 'EL1'\n"
+        assert err == (f"trackmine cycles: {log}: line 5: label 'EL2' differs from the log's "
+                       f"label 'EL1'\n")
 
     @pytest.mark.parametrize("name, text", [
         ("e.log", "EL1: {, (E1,v1), 2024/08/15/10:00:00}\n"),
@@ -854,7 +873,7 @@ class TestExitCodes:
         rc = main(["gantt", "--log", str(log), "--out", str(tmp_path / "o.svg")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err.startswith("trackmine gantt: line 1: ") and err.count("\n") == 1
+        assert err.startswith(f"trackmine gantt: {log}: line 1: ") and err.count("\n") == 1
         assert not (tmp_path / "o.svg").exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
@@ -1029,6 +1048,39 @@ def test_leading_bom_is_ignored(tmp_path, capsys, fmt):
         results.append((rc, out, err, written))
     assert results[0][0] == 0
     assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("digits", ["\uff12\uff10\uff12\uff14", "\u0662\u0660\u0662\u0664"],
+                         ids=["full_width", "arabic_indic"])
+@pytest.mark.parametrize("reader", ["text_log", "jsonl_log", "tracks_csv", "occurrence_csv",
+                                    "boundaries"])
+def test_non_ascii_digits_are_data_error(tmp_path, capsys, reader, digits):
+    """A timestamp is ASCII digits in every input that holds one."""
+    ts = f"{digits}/08/15/10:00:00"
+    jsonl = {"locations": [{"id": "s1", "entities": [{"id": "E1", "prop": "RP"}]}], "ts": ts}
+    name, text, argv, where = {  # the input, its text, the command, the error's place
+        "text_log": ("inp.log", f"EL1: {{s1, (E1,RP), {ts}}}\n",
+                     "cycles --log {inp} --anchor s1", "{inp}: line 1: "),
+        "jsonl_log": ("inp.jsonl", json.dumps(jsonl) + "\n",
+                      "cycles --log {inp} --anchor s1", "{inp}: line 1: "),
+        "tracks_csv": ("inp.csv", TRACKS_HEADER + f"cam1,{ts},h,T1,0,0,10,10\n",
+                       "detect --tracks {inp} --zones {dir}/zones.json --out {dir}/d.csv",
+                       "{inp}:2: "),
+        "occurrence_csv": ("inp.csv", f"location_id,entity_class,track_id,start_time\n"
+                                      f"s1,h,T1,{ts}\n",
+                           "precision --detected {inp} --truth {inp}", "{inp}:2: "),
+        "boundaries": ("inp.log", LOG_TEXT, "cycles --log {inp} --boundaries " + ts, ""),
+    }[reader]
+    inp = tmp_path / name
+    inp.write_text(text, encoding="utf-8")
+    (tmp_path / "zones.json").write_text(json.dumps([ZONE]))
+    rc = main(argv.format(inp=inp, dir=tmp_path).split())
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (f"trackmine {argv.split()[0]}: {where.format(inp=inp)}"
+                            f"unparseable timestamp {ts!r}\n")
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "zones.json"])
 
 
 _FUZZ_TIMES = ["-1", "-0", "0", "1", "1.5", "2", "3", "4", "6", "10"]

@@ -302,6 +302,23 @@ def test_timestamp_edges_match_field_parser(text):
     assert_same_outcome(parse_timestamp, parse_timestamp_fields, text)
 
 
+@st.composite
+def timestamp_fields(draw):
+    """A timestamp of drawn fields, out-of-range ones included, in one of the
+    three layouts, with or without a fraction."""
+    year, month, day, *hms = (draw(st.integers(0, n)) for n in (9999, 13, 32, 25, 61, 61))
+    date, time = draw(st.sampled_from([("/", "/"), ("-", "T"), ("-", " ")]))
+    fraction = draw(st.sampled_from(["", f".{draw(st.integers(0, 999_999)):06d}"]))
+    return (f"{year:04d}{date}{month:02d}{date}{day:02d}{time}"
+            + ":".join(f"{v:02d}" for v in hms) + fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(timestamp_fields())
+def test_parse_timestamp_matches_field_parser(text):
+    assert_same_outcome(parse_timestamp, parse_timestamp_fields, text)
+
+
 # mostly names the grammar takes, now and then one it rejects or splits elsewhere
 _NAMES = st.sampled_from(["E1", "E2", "W0", "v1", "big-AGV"] * 20 + ["E 1", "", "E;1", "a)"])
 _ODD_LOCATIONS = ["k_3", "s;1", "s(1", "", "s1 x"]

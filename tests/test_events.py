@@ -570,6 +570,8 @@ def test_parse_timestamp_forms(text):
     "2024/8/15/10:00:00", "2024/08/15/1:2:3", "24/08/15/10:00:00",  # not zero-padded
     "2024/08/15T10:00:00", "2024-08-15/10:00:00", "2024-08-15  10:00:00",  # mixed forms
     "2024/08/15/10:00:00.5", "2024/08/15/10:00:00.0000005", "x", "",  # six fraction digits
+    "\uff12\uff10\uff12\uff14/08/15/10:00:00", "2024-08-15T10:00:0\uff10",  # ASCII digits only
+    "\u0662\u0660\u0662\u0664/08/15/10:00:00",
 ])
 def test_parse_timestamp_rejects(text):
     with pytest.raises(DataError) as exc:
