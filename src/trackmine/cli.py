@@ -86,7 +86,11 @@ def _add_split_flags(p):
 
 def _cycles_from_args(args, log):
     if args.boundaries is not None:
-        bounds = [eventlog.to_datetime(eventlog.parse_time(b)) for b in args.boundaries.split(",")]
+        try:
+            bounds = [eventlog.to_datetime(eventlog.parse_time(b))
+                      for b in args.boundaries.split(",")]
+        except DataError as exc:
+            raise DataError(f"--boundaries: {exc}") from None
         return eventlog.segment_cycles(log, boundaries=bounds)
     if args.anchor is not None:
         return eventlog.segment_cycles(log, anchor=args.anchor)

@@ -22,6 +22,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from datetime import datetime, timedelta
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -72,15 +73,21 @@ def to_seconds(ts: datetime) -> float:
 
 
 def parse_time(text: str) -> float:
-    """Seconds-as-decimal or a ``parse_timestamp`` form -> epoch seconds."""
+    """Decimal seconds or a ``parse_timestamp`` form -> epoch seconds.
+
+    Decimal seconds take ASCII digits and no ``_``, as a timestamp does;
+    ``float`` alone would also read ``"\uff12"`` and ``"1_0"``."""
     text = text.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        return to_seconds(parse_timestamp(text))
-    if not math.isfinite(value):
-        raise DataError(f"time {text!r} is not finite")
-    return value
+    if text.isascii() and "_" not in text:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if not math.isfinite(value):
+                raise DataError(f"time {text!r} is not finite")
+            return value
+    return to_seconds(parse_timestamp(text))
 
 
 class Occurrence(NamedTuple):
@@ -428,35 +435,45 @@ def parse_log(text: str) -> EventLog:
     return EventLog(records=tuple(records), label=label)
 
 
-def serialize_record(record: EventRecord, label: str = "") -> str:
-    body = "; ".join(
-        ", ".join([g.location_id] + [f"({e.entity_id},{e.prop})" for e in g.entities])
-        for g in record.groups
-    )
-    prefix = f"{label}: " if label else ""
-    return f"{prefix}{{{body}, {format_timestamp(record.timestamp)}}}"
-
-
 def serialize_log(log: EventLog) -> str:
     """Canonical full-form text with the label on each record line, or on
-    a label line when the log has no records; parse(serialize(log)) == log."""
+    a label line when the log has no records; parse(serialize(log)) == log.
+    Each distinct Group's text is made once per call."""
     if log.label and not log.records:
         return f"{log.label}:\n"
-    return "".join(serialize_record(r, log.label) + "\n" for r in log.records)
+    head = f"{log.label}: {{" if log.label else "{"
+    memo: dict[Group, str] = {}
+    lines = []
+    for r in log.records:
+        texts = []
+        for g in r.groups:
+            if (text := memo.get(g)) is None:
+                text = memo[g] = ", ".join(
+                    [g.location_id] + [f"({e.entity_id},{e.prop})" for e in g.entities])
+            texts.append(text)
+        lines.append(f"{head}{'; '.join(texts)}, {format_timestamp(r.timestamp)}}}\n")
+    return "".join(lines)
 
 
 def log_to_jsonl(log: EventLog) -> str:
-    return "".join(
-        json.dumps({
-            "locations": [
-                {"id": g.location_id,
-                 "entities": [{"id": e.entity_id, "prop": e.prop} for e in g.entities]}
-                for g in r.groups
-            ],
-            "ts": format_timestamp(r.timestamp),
-        }, separators=(",", ":")) + "\n"
-        for r in log.records
-    )
+    """One compact ``{"locations":[{"id":...,"entities":[{"id":...,"prop":...}]}],"ts":...}``
+    line per record, escaped as by ``json.dumps``' default ``ensure_ascii``.
+    Each distinct Group's JSON is made once per call."""
+    encode = encode_basestring_ascii
+    memo: dict[Group, str] = {}
+    lines = []
+    for r in log.records:
+        texts = []
+        for g in r.groups:
+            if (text := memo.get(g)) is None:
+                ents = ",".join([f'{{"id":{encode(e.entity_id)},"prop":{encode(e.prop)}}}'
+                                 for e in g.entities])
+                text = memo[g] = f'{{"id":{encode(g.location_id)},"entities":[{ents}]}}'
+            texts.append(text)
+        # a formatted timestamp holds only digits, "/", ":" and ".", which JSON takes as they are
+        lines.append(f'{{"locations":[{",".join(texts)}],'
+                     f'"ts":"{format_timestamp(r.timestamp)}"}}\n')
+    return "".join(lines)
 
 
 def _string(value, field: str) -> str:
@@ -521,15 +538,29 @@ def occurrences_to_log(occurrences: Sequence[Occurrence], label: str = "") -> Ev
     Occurrences sharing a start time merge into one simultaneous record;
     the entity id is the track id (or the class when untracked) and the
     property is the entity class.
+
+    Each distinct (track id, class) Entity and (location id, entities)
+    Group is built and checked once per call, in the order a build of
+    every one would take, so the first error is the same.
     """
+    entities: dict[tuple[str, str], Entity] = {}  # (track id, class) -> its Entity
+    groups: dict[tuple, Group] = {}  # (location id, entities) -> its Group
     records = []
     for t, occs in groupby(sorted(occurrences), key=attrgetter("start_time")):
-        groups: dict[str, list[Entity]] = {}
+        by_location: dict[str, list[Entity]] = {}
         for occ in occs:
-            ent = Entity(occ.track_id or occ.entity_class, occ.entity_class)
-            groups.setdefault(occ.location_id, []).append(ent)
-        grouped = tuple(Group(loc, tuple(ents)) for loc, ents in groups.items())
-        records.append(EventRecord(groups=grouped, timestamp=to_datetime(t)))
+            key = occ.track_id, occ.entity_class
+            if (ent := entities.get(key)) is None:
+                ent = entities[key] = Entity(occ.track_id or occ.entity_class, occ.entity_class)
+            by_location.setdefault(occ.location_id, []).append(ent)
+        grouped = []
+        for loc, ents in by_location.items():
+            key = loc, tuple(ents)
+            if (group := groups.get(key)) is None:
+                group = groups[key] = Group(*key)
+            grouped.append(group)
+        # the locations are dict keys, so distinct: EventRecord's check cannot fail
+        records.append(EventRecord._make((tuple(grouped), to_datetime(t))))
     return EventLog(records=tuple(records), label=label)
 
 
@@ -611,7 +642,10 @@ def gantt_lane(group: Group, entity: Entity, lane_key: str) -> str:
 
 def gantt(log: EventLog, lane_key: str = "location") -> str:
     """Render event start times as an SVG chart: one lane per key, one
-    tick per event start.  lane_key is 'location' or 'entity'."""
+    tick per event start.  lane_key is 'location' or 'entity'.
+
+    Each lane's y, each (lane, class) pair's stroke and each distinct tick
+    time's x are formatted once per call; a tick is then a concatenation."""
     import html
 
     if not log.records:
@@ -619,20 +653,21 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     if lane_key not in ("location", "entity"):
         raise DataError(f"lane_key must be 'location' or 'entity', got {lane_key!r}")
 
-    ticks = []  # (lane, class, seconds)
+    # (lane, class) -> the times of its ticks; ticks are coloured by the entity lane
+    ticks: dict[tuple[str, str], list[float]] = {}
     for r in log.records:
         t = to_seconds(r.timestamp)
         for g in r.groups:
-            for e in g.entities:  # ticks are coloured by the entity lane
-                ticks.append((gantt_lane(g, e, lane_key), gantt_lane(g, e, "entity"), t))
+            for e in g.entities:
+                ticks.setdefault((gantt_lane(g, e, lane_key), gantt_lane(g, e, "entity")),
+                                 []).append(t)
 
-    lanes = sorted({lane for lane, _, _ in ticks})
-    rows = {lane: i for i, lane in enumerate(lanes)}
-    classes = sorted({cls for _, cls, _ in ticks})
+    lanes = sorted({lane for lane, _ in ticks})
+    classes = sorted({cls for _, cls in ticks})
     colors = {cls: _PALETTE[i % len(_PALETTE)] for i, cls in enumerate(classes)}
 
-    t0 = min(t for _, _, t in ticks)
-    t1 = max(t for _, _, t in ticks)
+    t0 = min(map(min, ticks.values()))
+    t1 = max(map(max, ticks.values()))
     span = max(t1 - t0, 1.0)
 
     margin_l, margin_t, lane_h, plot_w = 110, 30, 24, 640
@@ -648,6 +683,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
         f'font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
+    tick_y: dict[str, tuple[str, str]] = {}
     for i, lane in enumerate(lanes):
         y = margin_t + i * lane_h
         out.append(
@@ -658,6 +694,8 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
             f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
             f'y2="{y + lane_h:.1f}" stroke="#ddd"/>'
         )
+        # a tick's line in this lane from after x1 to x2, and from after x2 to its colour
+        tick_y[lane] = f'" y1="{y + 4:.1f}" x2="', f'" y2="{y + lane_h - 4:.1f}" stroke="'
     axis_y = margin_t + lane_h * len(lanes)
     out.append(
         f'<line x1="{margin_l}" y1="{axis_y}" x2="{margin_l + plot_w}" y2="{axis_y}" '
@@ -670,12 +708,14 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
         out.append(
             f'<text x="{sx(t):.1f}" y="{axis_y + 16}" text-anchor="middle">{label}</text>'
         )
-    for lane, cls, t in sorted(ticks):
-        y = margin_t + rows[lane] * lane_h
-        out.append(
-            f'<line class="tick" x1="{sx(t):.1f}" y1="{y + 4:.1f}" x2="{sx(t):.1f}" '
-            f'y2="{y + lane_h - 4:.1f}" stroke="{colors[cls]}" stroke-width="3"/>'
-        )
+    xs: dict[float, str] = {}  # a tick time -> its x
+    for lane, cls in sorted(ticks):  # in (lane, class, time) order
+        mid, y2 = tick_y[lane]
+        tail = f'{y2}{colors[cls]}" stroke-width="3"/>'
+        for t in sorted(ticks[lane, cls]):
+            if (x := xs.get(t)) is None:
+                x = xs[t] = f"{sx(t):.1f}"
+            out.append(f'<line class="tick" x1="{x}{mid}{x}{tail}')
     ly = axis_y + 34
     for i, cls in enumerate(classes):
         y = ly + 20 * i

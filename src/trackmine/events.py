@@ -251,7 +251,8 @@ def load_tracks_csv(path) -> list[DetectionSample]:
     """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h.
 
     A row of 8 fields whose time and box ``float`` converts to five values
-    with a finite sum is a sample as it stands.  Only a row that fails that
+    with a finite sum, and whose time keeps ``parse_time``'s digit rule
+    (ASCII, no ``_``), is a sample as it stands.  Only a row that fails that
     takes the exact checks: a blank row is skipped, a row of another width
     or a bad value raises its ``path:line:`` error, and anything else (a
     timestamp time, finite values whose sum overflows) is a sample too."""
@@ -264,7 +265,7 @@ def load_tracks_csv(path) -> list[DetectionSample]:
                 try:
                     camera, time, cls, track, x, y, w, h = row
                     t, bx, by, bw, bh = float(time), float(x), float(y), float(w), float(h)
-                    if isfinite(t + bx + by + bw + bh):
+                    if isfinite(t + bx + by + bw + bh) and time.isascii() and "_" not in time:
                         append(DetectionSample(camera, t, cls, track, Rect(bx, by, bw, bh)))
                         continue
                 except ValueError:

@@ -8,14 +8,17 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from trackmine.errors import ConvergenceError, DataError
-from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _RECORD_RE, Cycle,
-                                Entity, EventLog, EventRecord, Group, Occurrence, _csv_rows,
-                                _string, parse_time)
+from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _PALETTE,
+                                _RECORD_RE, Cycle, Entity, EventLog, EventRecord, Group,
+                                Occurrence, _csv_rows, _string, format_timestamp, gantt_lane,
+                                parse_time, to_datetime, to_seconds)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
@@ -531,6 +534,136 @@ def log_from_jsonl_per_line(text: str, label: str = "") -> EventLog:
             raise DataError(f"line {lineno}: {exc}") from None
         records.append(_record_per_line(groups, ts, lineno))
     return EventLog(records=tuple(records), label=label)
+
+
+# The log writers as they were before each distinct group was written
+# once per call: each record, group and tick formatted, and each name
+# checked, on its own.
+
+def serialize_record(record: EventRecord, label: str = "") -> str:
+    body = "; ".join(
+        ", ".join([g.location_id] + [f"({e.entity_id},{e.prop})" for e in g.entities])
+        for g in record.groups
+    )
+    prefix = f"{label}: " if label else ""
+    return f"{prefix}{{{body}, {format_timestamp(record.timestamp)}}}"
+
+
+def serialize_log_per_record(log: EventLog) -> str:
+    """Canonical full-form text with the label on each record line, or on
+    a label line when the log has no records; parse(serialize(log)) == log."""
+    if log.label and not log.records:
+        return f"{log.label}:\n"
+    return "".join(serialize_record(r, log.label) + "\n" for r in log.records)
+
+
+def log_to_jsonl_dumps(log: EventLog) -> str:
+    return "".join(
+        json.dumps({
+            "locations": [
+                {"id": g.location_id,
+                 "entities": [{"id": e.entity_id, "prop": e.prop} for e in g.entities]}
+                for g in r.groups
+            ],
+            "ts": format_timestamp(r.timestamp),
+        }, separators=(",", ":")) + "\n"
+        for r in log.records
+    )
+
+
+def occurrences_to_log_per_occurrence(occurrences: Sequence[Occurrence], label: str = "") -> EventLog:
+    """Build an event log from detected occurrences.
+
+    Occurrences sharing a start time merge into one simultaneous record;
+    the entity id is the track id (or the class when untracked) and the
+    property is the entity class.
+    """
+    records = []
+    for t, occs in groupby(sorted(occurrences), key=attrgetter("start_time")):
+        groups: dict[str, list[Entity]] = {}
+        for occ in occs:
+            ent = Entity(occ.track_id or occ.entity_class, occ.entity_class)
+            groups.setdefault(occ.location_id, []).append(ent)
+        grouped = tuple(Group(loc, tuple(ents)) for loc, ents in groups.items())
+        records.append(EventRecord(groups=grouped, timestamp=to_datetime(t)))
+    return EventLog(records=tuple(records), label=label)
+
+
+def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
+    """Render event start times as an SVG chart: one lane per key, one
+    tick per event start.  lane_key is 'location' or 'entity'."""
+    import html
+
+    if not log.records:
+        raise DataError("cannot chart an empty event log")
+    if lane_key not in ("location", "entity"):
+        raise DataError(f"lane_key must be 'location' or 'entity', got {lane_key!r}")
+
+    ticks = []  # (lane, class, seconds)
+    for r in log.records:
+        t = to_seconds(r.timestamp)
+        for g in r.groups:
+            for e in g.entities:  # ticks are coloured by the entity lane
+                ticks.append((gantt_lane(g, e, lane_key), gantt_lane(g, e, "entity"), t))
+
+    lanes = sorted({lane for lane, _, _ in ticks})
+    rows = {lane: i for i, lane in enumerate(lanes)}
+    classes = sorted({cls for _, cls, _ in ticks})
+    colors = {cls: _PALETTE[i % len(_PALETTE)] for i, cls in enumerate(classes)}
+
+    t0 = min(t for _, _, t in ticks)
+    t1 = max(t for _, _, t in ticks)
+    span = max(t1 - t0, 1.0)
+
+    margin_l, margin_t, lane_h, plot_w = 110, 30, 24, 640
+    legend_h = 20 * len(classes) + 10
+    width = margin_l + plot_w + 40
+    height = margin_t + lane_h * len(lanes) + 40 + legend_h
+
+    def sx(t: float) -> float:
+        return margin_l + (t - t0) / span * plot_w
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'font-family="sans-serif" font-size="12">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i, lane in enumerate(lanes):
+        y = margin_t + i * lane_h
+        out.append(
+            f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
+            f"{html.escape(lane)}</text>"
+        )
+        out.append(
+            f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
+            f'y2="{y + lane_h:.1f}" stroke="#ddd"/>'
+        )
+    axis_y = margin_t + lane_h * len(lanes)
+    out.append(
+        f'<line x1="{margin_l}" y1="{axis_y}" x2="{margin_l + plot_w}" y2="{axis_y}" '
+        f'stroke="black"/>'
+    )
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        t = t0 + frac * span
+        # the time of day; the axis may run past the calendar's last second
+        label = to_datetime(t % 86400.0).strftime("%H:%M:%S")
+        out.append(
+            f'<text x="{sx(t):.1f}" y="{axis_y + 16}" text-anchor="middle">{label}</text>'
+        )
+    for lane, cls, t in sorted(ticks):
+        y = margin_t + rows[lane] * lane_h
+        out.append(
+            f'<line class="tick" x1="{sx(t):.1f}" y1="{y + 4:.1f}" x2="{sx(t):.1f}" '
+            f'y2="{y + lane_h - 4:.1f}" stroke="{colors[cls]}" stroke-width="3"/>'
+        )
+    ly = axis_y + 34
+    for i, cls in enumerate(classes):
+        y = ly + 20 * i
+        out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
+        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{html.escape(cls)}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
 
 
 # ``segment_cycles`` by boundaries as it ran while a log's timestamps could

@@ -409,7 +409,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert captured.err == "trackmine cycles: unparseable timestamp ''\n"
+        assert captured.err == "trackmine cycles: --boundaries: unparseable timestamp ''\n"
 
     def test_missing_cycle_is_data_error(self, log_file, capsys):
         rc = main(["rank", "--log", str(log_file), "--anchor", "^s11$", "--cycle", "3"])
@@ -556,8 +556,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert captured.err == ("trackmine cycles: time 1000000000000.0 s is outside the "
-                                "calendar years 1-9999\n")
+        assert captured.err == ("trackmine cycles: --boundaries: time 1000000000000.0 s is "
+                                "outside the calendar years 1-9999\n")
 
     def test_duplicate_scenario_zone_is_data_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -901,7 +901,7 @@ class TestExitCodes:
         rc = main(["cycles", "--log", str(log_file), "--boundaries", bound])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err == f"trackmine cycles: unparseable timestamp {bound!r}\n"
+        assert err == f"trackmine cycles: --boundaries: unparseable timestamp {bound!r}\n"
 
 
     @pytest.mark.parametrize("argv", [
@@ -1050,13 +1050,17 @@ def test_leading_bom_is_ignored(tmp_path, capsys, fmt):
     assert results[1] == results[0]
 
 
-@pytest.mark.parametrize("digits", ["\uff12\uff10\uff12\uff14", "\u0662\u0660\u0662\u0664"],
-                         ids=["full_width", "arabic_indic"])
+@pytest.mark.parametrize("ts", [
+    "\uff12\uff10\uff12\uff14/08/15/10:00:00", "\u0662\u0660\u0662\u0664/08/15/10:00:00",
+    "\uff12", "\u0662.5", "1_0",
+], ids=["full_width", "arabic_indic", "full_width_seconds", "arabic_indic_seconds",
+        "underscore_seconds"])
 @pytest.mark.parametrize("reader", ["text_log", "jsonl_log", "tracks_csv", "occurrence_csv",
                                     "boundaries"])
-def test_non_ascii_digits_are_data_error(tmp_path, capsys, reader, digits):
-    """A timestamp is ASCII digits in every input that holds one."""
-    ts = f"{digits}/08/15/10:00:00"
+def test_non_ascii_digits_are_data_error(tmp_path, capsys, reader, ts):
+    """A time is ASCII digits in every input that holds one, and decimal
+    seconds, which ``float`` alone would read from any Unicode digits or
+    with a ``_`` between digits, hold no ``_``."""
     jsonl = {"locations": [{"id": "s1", "entities": [{"id": "E1", "prop": "RP"}]}], "ts": ts}
     name, text, argv, where = {  # the input, its text, the command, the error's place
         "text_log": ("inp.log", f"EL1: {{s1, (E1,RP), {ts}}}\n",
@@ -1069,7 +1073,8 @@ def test_non_ascii_digits_are_data_error(tmp_path, capsys, reader, digits):
         "occurrence_csv": ("inp.csv", f"location_id,entity_class,track_id,start_time\n"
                                       f"s1,h,T1,{ts}\n",
                            "precision --detected {inp} --truth {inp}", "{inp}:2: "),
-        "boundaries": ("inp.log", LOG_TEXT, "cycles --log {inp} --boundaries " + ts, ""),
+        "boundaries": ("inp.log", LOG_TEXT, "cycles --log {inp} --boundaries " + ts,
+                       "--boundaries: "),
     }[reader]
     inp = tmp_path / name
     inp.write_text(text, encoding="utf-8")

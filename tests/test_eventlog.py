@@ -34,8 +34,10 @@ from trackmine.eventlog import (
     write_occurrences_csv,
 )
 
-from _oracles import (log_from_jsonl_per_line, parse_log_per_line, parse_record_split_top,
-                      parse_timestamp_fields, precision_scan, segment_cycles_scan)
+from _oracles import (gantt_per_tick, log_from_jsonl_per_line, log_to_jsonl_dumps,
+                      occurrences_to_log_per_occurrence, parse_log_per_line,
+                      parse_record_split_top, parse_timestamp_fields, precision_scan,
+                      segment_cycles_scan, serialize_log_per_record)
 
 
 def rec(ts, *groups):
@@ -190,30 +192,38 @@ def test_parse_record_matches_split_top_parser(line):
             parse_record(line, 7)
 
 
-_ident = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True)
+def _names(extra: str):
+    """Names by the README's rules for a location (`extra` ""), or for an
+    entity id or property (`extra` ";"): no ",", "(", ")" or line break, and
+    no whitespace at an end; drawn with the characters JSON and HTML escape,
+    non-ASCII ones and inner spaces."""
+    chars = 'a9Z_"\\<&>{}:#\u00e9\u4e2d\U0001f600' + extra
+    edge = st.sampled_from(chars)
+    inner = st.text(st.sampled_from(chars + " \t\u3000"), max_size=3)
+    return st.one_of(edge, st.builds("{}{}{}".format, edge, inner, edge))
+
+
+_LOCATIONS = _names("")
+_ENTITIES = _names(";")
 
 
 @st.composite
 def logs(draw):
-    n = draw(st.integers(1, 5))
-    base = datetime(2024, 8, 15, 10, 0, 0)
+    """Logs over a small pool of names per log, so that groups repeat, at
+    times that repeat and now and then carry microseconds."""
+    locations = draw(st.lists(_LOCATIONS, min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(_ENTITIES, st.one_of(st.just(""), _ENTITIES)),
+                          min_size=1, max_size=4))
+    t = datetime(2024, 8, 15, 10, 0, 0)
     records = []
-    t = base
-    for _ in range(n):
-        t = t + timedelta(seconds=draw(st.integers(0, 500)))
-        m = draw(st.integers(1, 3))
-        locs = draw(
-            st.lists(_ident, min_size=m, max_size=m, unique=True)
-        )
-        groups = []
-        for loc in locs:
-            ents = draw(
-                st.lists(
-                    st.tuples(_ident, _ident), min_size=1, max_size=3
-                )
-            )
-            groups.append((loc, ents))
-        records.append(rec(t, *groups))
+    for _ in range(draw(st.integers(1, 6))):
+        t += timedelta(seconds=draw(st.integers(0, 500)),
+                       microseconds=draw(st.sampled_from([0, 0, 0, 1, 999_999])))
+        m = draw(st.integers(1, min(3, len(locations))))
+        locs = draw(st.lists(st.sampled_from(locations), min_size=m, max_size=m, unique=True))
+        records.append(rec(t, *[(loc, draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                                      max_size=3)))
+                                for loc in locs]))
     return EventLog(records=tuple(records), label=draw(st.sampled_from(["", "EL1"])))
 
 
@@ -270,6 +280,35 @@ def assert_same_outcome(read, oracle, *args):
         assert str(got.value) == str(exc)
     else:
         assert read(*args) == want
+
+
+@given(logs())
+@settings(max_examples=200)
+def test_writers_match_per_record_writers(log):
+    assert serialize_log(log) == serialize_log_per_record(log)
+    assert log_to_jsonl(log) == log_to_jsonl_dumps(log)
+    for lane_key in ("location", "entity"):
+        assert gantt(log, lane_key) == gantt_per_tick(log, lane_key)
+
+
+# mostly names the record types take, now and then one they reject
+_OCC_LOCATIONS = st.sampled_from(["s1", "s2", 'a"\\b', "<&>", "\u00e9 x"] * 8
+                                 + ["s(1", "s;1", " s1", ""])
+_OCC_CLASSES = st.sampled_from(["h", "v", "E;1", "\u4e2d"] * 8 + ["", "h,1", "v\n"])
+_OCC_TRACKS = st.sampled_from(["", "", "T1", "T2", "T 3"] * 8 + ["T(1", "T1 "])
+
+
+@given(st.lists(st.builds(
+    Occurrence,
+    start_time=st.one_of(st.integers(0, 4).map(float), st.sampled_from([0.5, -1e-6, 1e12])),
+    location_id=_OCC_LOCATIONS,
+    entity_class=_OCC_CLASSES,
+    track_id=_OCC_TRACKS,
+), max_size=12), st.sampled_from(["", "EL1"] * 5 + ["E L"]))
+@settings(max_examples=300, deadline=None)
+def test_occurrences_to_log_matches_per_occurrence_builder(occurrences, label):
+    assert_same_outcome(occurrences_to_log, occurrences_to_log_per_occurrence, occurrences,
+                        label)
 
 
 _TIMESTAMP_EDGES = {
@@ -653,6 +692,14 @@ class TestGantt:
         root = ET.fromstring(gantt(log))
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts[1:6] == ["23:59:59"] * 4 + ["00:00:00"]
+
+    @given(logs(), st.sampled_from(["location", "entity"]))
+    @settings(max_examples=100)
+    def test_well_formed_with_one_tick_per_event(self, log, lane_key):
+        root = ET.fromstring(gantt(log, lane_key))
+        ticks = [line for line in root.iter("{http://www.w3.org/2000/svg}line")
+                 if line.get("class") == "tick"]
+        assert len(ticks) == sum(r.event_count for r in log.records)
 
     @pytest.mark.parametrize("lane_key", ["location", "entity"])
     def test_labels_escaped(self, lane_key):

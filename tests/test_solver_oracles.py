@@ -143,6 +143,8 @@ def test_rank_nodes_matches_oracle(seed, family, n, layout, algorithm, kind, alp
 @given(_SEEDS, _FAMILIES, st.integers(2, 14), _LAYOUTS,
        st.sampled_from(["authority", "hub", "psd"]))
 @example(seed=2897, family="dfg", n=12, layout="C", source="psd")  # the loop gives up
+# two components of near-equal magnitude, 4e-6 apart, trade places
+@example(seed=961842398, family="dfg", n=7, layout="C", source="psd")
 @settings(max_examples=300, deadline=None)
 def test_grad_dominant_eigvec_matches_oracle(seed, family, n, layout, source):
     rng = np.random.default_rng(seed)
@@ -167,7 +169,11 @@ def test_grad_dominant_eigvec_matches_oracle(seed, family, n, layout, source):
     if not _simple(top, gap, tol):
         return
     residual = lib_res + float(np.linalg.norm(S @ ref - ref_lam * ref))
-    assert np.abs(v - ref).max() <= _davis_kahan(top, gap, residual)
+    # the bound holds up to sign: where two components are nearer in
+    # magnitude than it, either may be the largest, which the sign rule
+    # makes positive, so the rule is checked on its own
+    assert v[np.argmax(np.abs(v))] > 0
+    assert min(np.abs(v - ref).max(), np.abs(v + ref).max()) <= _davis_kahan(top, gap, residual)
 
 
 @given(_SEEDS, _FAMILIES, st.integers(2, 14), _ALGORITHMS, _KINDS, _ALPHAS)
