@@ -131,7 +131,8 @@ def cmd_detect(args):
         eventlog.write_occurrences_csv(args.out, occurrences)
     else:
         _write_log(args.out, eventlog.occurrences_to_log(occurrences, label=args.label))
-    return {"occurrences": len(occurrences), "out": args.out}
+    return {"samples": len(samples), "zones": len(zones), "occurrences": len(occurrences),
+            "out": args.out}
 
 
 def cmd_merge(args):

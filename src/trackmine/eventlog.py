@@ -151,47 +151,32 @@ def merge_camera_streams(
     return out
 
 
-def _csv_error(path, reader, exc: Exception) -> DataError:
-    """A csv.Error (a field over csv's size limit, a NUL on Python 3.10) as a DataError at the
-    reader's line; a UnicodeDecodeError, raised a chunk ahead of the reader, as one on the file."""
-    where = f":{reader.line_num}" if isinstance(exc, csv.Error) else ""
-    return DataError(f"{path}{where}: {exc}")
+def _csv_rows(fh, path, expected: list[str] | None = None):
+    """Yield (line number, row) for the header when `expected` is None, else check it is exactly
+    `expected`; then for each non-blank data row, which must be as wide as the header.
 
-
-def _csv_reader(fh, path, expected: list[str] | None):
-    """(a csv.reader past the header of `fh`, the header), which must be
-    exactly `expected` unless that is None."""
+    A csv.Error (a field over csv's size limit, a NUL on Python 3.10) is a DataError at the
+    reader's line; a UnicodeDecodeError, raised a chunk ahead of the reader, is one on the file."""
     reader = csv.reader(fh)
     try:
         header = next(reader, [])
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _csv_error(path, reader, exc) from None
-    if expected is not None and header != expected:
-        raise DataError(
-            f"{path}: expected header {','.join(expected)}, got {','.join(header)!r}"
-        )
-    return reader, header
-
-
-def _width_error(path, reader, expected: list[str], row: list[str]) -> DataError:
-    return DataError(f"{path}:{reader.line_num}: expected {len(expected)} fields, got {len(row)}")
-
-
-def _csv_rows(fh, path, expected: list[str] | None = None):
-    """Yield (line number, row) for the header when `expected` is None, else check it is exactly
-    `expected`; then for each non-blank data row, which must be as wide as the header."""
-    reader, header = _csv_reader(fh, path, expected)
-    try:
+        if expected is not None and header != expected:
+            raise DataError(
+                f"{path}: expected header {','.join(expected)}, got {','.join(header)!r}"
+            )
         if expected is None:
             yield reader.line_num, header
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise _width_error(path, reader, header, row)
+                raise DataError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
             yield reader.line_num, row
     except (csv.Error, UnicodeDecodeError) as exc:
-        raise _csv_error(path, reader, exc) from None
+        where = f":{reader.line_num}" if isinstance(exc, csv.Error) else ""
+        raise DataError(f"{path}{where}: {exc}") from None
 
 
 def write_atomic(path, text: str) -> None:
@@ -645,8 +630,17 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     tick per event start.  lane_key is 'location' or 'entity'.
 
     Each lane's y, each (lane, class) pair's stroke and each distinct tick
-    time's x are formatted once per call; a tick is then a concatenation."""
+    time's x are formatted once per call; a tick is then a concatenation.
+    Lane and legend text is HTML-escaped, and each character XML 1.0 forbids
+    (it has no character reference for them) is written as U+FFFD."""
     import html
+
+    forbidden = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+    def text(name: str) -> str:
+        name = html.escape(name)
+        # a printable name holds none of them: each is a control, a surrogate or a noncharacter
+        return name if name.isprintable() else forbidden.sub("\ufffd", name)
 
     if not log.records:
         raise DataError("cannot chart an empty event log")
@@ -688,7 +682,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
         y = margin_t + i * lane_h
         out.append(
             f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
-            f"{html.escape(lane)}</text>"
+            f"{text(lane)}</text>"
         )
         out.append(
             f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
@@ -720,7 +714,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     for i, cls in enumerate(classes):
         y = ly + 20 * i
         out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
-        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{html.escape(cls)}</text>')
+        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{text(cls)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,11 +21,15 @@ import numpy as np
 
 from .errors import DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (DetectionConfig, Occurrence, _csv_error, _csv_reader, _number, _string,
-                       _width_error, load_json, load_occurrences_csv, merge_camera_streams,
-                       parse_time, write_occurrences_csv)
+from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _number, _string, load_json,
+                       load_occurrences_csv, merge_camera_streams, parse_time,
+                       write_occurrences_csv)
 
 _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
+# the header line: ending in "\n" as ``tracks_to_csv`` writes it or in "\r\n" as Excel
+# does, or alone in its file
+_TRACKS_HEADERS = tuple(",".join(_TRACKS_FIELDS) + end for end in ("", "\n", "\r\n"))
+_CHUNK = 1 << 18  # characters of whole lines per column pass
 
 
 class Rect(NamedTuple):
@@ -250,38 +255,75 @@ def _parse_box(x, y, w, h) -> Rect:
 def load_tracks_csv(path) -> list[DetectionSample]:
     """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h.
 
-    A row of 8 fields whose time and box ``float`` converts to five values
-    with a finite sum, and whose time keeps ``parse_time``'s digit rule
-    (ASCII, no ``_``), is a sample as it stands.  Only a row that fails that
-    takes the exact checks: a blank row is skipped, a row of another width
-    or a bad value raises its ``path:line:`` error, and anything else (a
-    timestamp time, finite values whose sum overflows) is a sample too."""
-    samples = []
-    append, isfinite = samples.append, math.isfinite
+    A plain file loads in column passes (``_tracks_by_columns``).  Any other
+    file is read again from its start, row by row through the exact checks
+    (``_tracks_by_rows``); an input that cannot seek, such as a pipe, which
+    could not be read again, takes only that path.  Both give the same
+    samples and the same errors."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader, _ = _csv_reader(fh, path, _TRACKS_FIELDS)
+        if fh.seekable():
+            try:
+                samples = _tracks_by_columns(fh)
+            except UnicodeDecodeError:  # the row reader raises it with its own position
+                samples = None
+            if samples is not None:
+                return samples
+            fh.seek(0)
+        return _tracks_by_rows(fh, path)
+
+
+def _tracks_by_columns(fh) -> list[DetectionSample] | None:
+    """The samples of `fh` read a chunk of lines at a time: each chunk is
+    split once, and its columns are converted and zipped into records in C,
+    with each distinct id one shared string.  None when some chunk is not plain,
+    that is when csv could read it otherwise or a row needs an exact check:
+    a header other than the exact one, a quote, a NUL, a "\\r" outside a
+    "\\r\\n", a line without exactly 7 commas (a blank line too) or longer than
+    csv's field limit, a time column that is not ASCII or holds "_", a value
+    ``float`` rejects, or a column whose values sum to a non-finite value,
+    as any nan or inf makes it (a sum that only overflows is refused too)."""
+    if fh.readline() not in _TRACKS_HEADERS:
+        return None
+    limit = csv.field_size_limit()
+    samples = []
+    share = {}.setdefault  # each distinct id as one string for the whole file
+    while lines := fh.readlines(_CHUNK):
+        text = "".join(lines)
+        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+                or set(map(str.count, lines, repeat(","))) != {7}
+                or max(map(len, lines)) > limit):
+            return None
+        # a "\r" left by a "\r\n" ends an h field, and ``float`` skips it as it does a space
+        f = text.removesuffix("\n").replace("\n", ",").split(",")
+        times = ",".join(f[1::8])
+        if not times.isascii() or "_" in times:
+            return None
         try:
-            for row in reader:
-                try:
-                    camera, time, cls, track, x, y, w, h = row
-                    t, bx, by, bw, bh = float(time), float(x), float(y), float(w), float(h)
-                    if isfinite(t + bx + by + bw + bh) and time.isascii() and "_" not in time:
-                        append(DetectionSample(camera, t, cls, track, Rect(bx, by, bw, bh)))
-                        continue
-                except ValueError:
-                    pass
-                # the exact checks, with their messages
-                if not row:
-                    continue
-                if len(row) != len(_TRACKS_FIELDS):
-                    raise _width_error(path, reader, _TRACKS_FIELDS, row)
-                try:
-                    append(DetectionSample(camera, parse_time(time), cls, track,
-                                           _parse_box(x, y, w, h)))
-                except (ValueError, DataError) as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _csv_error(path, reader, exc) from None
+            t, x, y, w, h = (list(map(float, f[i::8])) for i in (1, 4, 5, 6, 7))
+        except ValueError:
+            return None
+        # a nan or inf makes its column's sum one
+        if not all(map(math.isfinite, map(sum, (t, x, y, w, h)))):
+            return None
+        boxes = map(tuple.__new__, repeat(Rect), zip(x, y, w, h))
+        camera, cls, track = (map(share, ids, ids) for ids in (f[0::8], f[2::8], f[3::8]))
+        samples += map(tuple.__new__, repeat(DetectionSample), zip(camera, t, cls, track, boxes))
+    return samples
+
+
+def _tracks_by_rows(fh, path) -> list[DetectionSample]:
+    """The samples of `fh`, the tracks CSV at `path`, every row through
+    ``_csv_rows``, ``parse_time`` and ``_parse_box``: a blank row is skipped,
+    and a row of another width or with a bad value raises its ``path:line:``
+    error."""
+    samples = []
+    for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
+        try:
+            samples.append(
+                DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
+            )
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
 
 

@@ -589,11 +589,21 @@ def occurrences_to_log_per_occurrence(occurrences: Sequence[Occurrence], label: 
     return EventLog(records=tuple(records), label=label)
 
 
+# the code points XML 1.0 allows in no document, not even as a character reference
+_XML_FORBIDDEN = frozenset([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000),
+                            0xFFFE, 0xFFFF])
+
+
+def _xml_text(name: str) -> str:
+    """`name` HTML-escaped, with U+FFFD for each code point XML 1.0 forbids."""
+    import html
+
+    return "".join("\ufffd" if ord(c) in _XML_FORBIDDEN else c for c in html.escape(name))
+
+
 def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
     """Render event start times as an SVG chart: one lane per key, one
     tick per event start.  lane_key is 'location' or 'entity'."""
-    import html
-
     if not log.records:
         raise DataError("cannot chart an empty event log")
     if lane_key not in ("location", "entity"):
@@ -632,7 +642,7 @@ def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
         y = margin_t + i * lane_h
         out.append(
             f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
-            f"{html.escape(lane)}</text>"
+            f"{_xml_text(lane)}</text>"
         )
         out.append(
             f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
@@ -660,7 +670,7 @@ def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
     for i, cls in enumerate(classes):
         y = ly + 20 * i
         out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
-        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{html.escape(cls)}</text>')
+        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{_xml_text(cls)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -75,6 +75,19 @@ class TestSimulateDetect:
         assert rc == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_detect_json_reports_what_it_read(self, tmp_path, capsys):
+        # a 6-sample dwell with a blank row, which is no sample, on two zones
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(TRACKS_HEADER + "cam1,0,h,T1,0,0,10,10\n\n"
+                          + "".join(f"cam1,{t},h,T1,0,0,10,10\n" for t in range(1, 6)))
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps([ZONE, {**ZONE, "location_id": "s2"}]))
+        out = tmp_path / "d.csv"
+        rc, report = run(capsys, "detect", "--tracks", tracks, "--zones", zones, "--out", out,
+                         "--json")
+        assert rc == 0
+        assert json.loads(report) == {"samples": 6, "zones": 2, "occurrences": 2, "out": str(out)}
+
     def test_detect_deterministic(self, tmp_path, scenario_file, capsys):
         tracks, truth, zones = (tmp_path / n for n in ("t.csv", "g.csv", "z.json"))
         run(capsys, "simulate", "--scenario", scenario_file, "--out-tracks", tracks,

@@ -196,10 +196,11 @@ def _names(extra: str):
     """Names by the README's rules for a location (`extra` ""), or for an
     entity id or property (`extra` ";"): no ",", "(", ")" or line break, and
     no whitespace at an end; drawn with the characters JSON and HTML escape,
-    non-ASCII ones and inner spaces."""
-    chars = 'a9Z_"\\<&>{}:#\u00e9\u4e2d\U0001f600' + extra
+    ones XML 1.0 forbids (U+0001, U+001F, U+FFFE), other non-ASCII ones and
+    inner spaces."""
+    chars = 'a9Z_"\\<&>{}:#\x01\ufffe\u00e9\u4e2d\U0001f600' + extra
     edge = st.sampled_from(chars)
-    inner = st.text(st.sampled_from(chars + " \t\u3000"), max_size=3)
+    inner = st.text(st.sampled_from(chars + " \t\x1f\u3000"), max_size=3)
     return st.one_of(edge, st.builds("{}{}{}".format, edge, inner, edge))
 
 
@@ -700,6 +701,15 @@ class TestGantt:
         ticks = [line for line in root.iter("{http://www.w3.org/2000/svg}line")
                  if line.get("class") == "tick"]
         assert len(ticks) == sum(r.event_count for r in log.records)
+
+    @pytest.mark.parametrize("lane_key", ["location", "entity"])
+    def test_xml_forbidden_characters_drawn_as_replacement(self, lane_key):
+        # forbidden characters a name may hold that the name strategy does not draw
+        log = EventLog(records=(rec(T0, ("s\x00\x08\x0e", [("E1", "v\x1b\ud800x\udfff\uffff")])),))
+        root = ET.fromstring(gantt(log, lane_key=lane_key))
+        texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert "v\ufffd\ufffdx\ufffd\ufffd" in texts
+        assert ("s\ufffd\ufffd\ufffd" in texts) == (lane_key == "location")
 
     @pytest.mark.parametrize("lane_key", ["location", "entity"])
     def test_labels_escaped(self, lane_key):

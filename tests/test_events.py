@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import math
+import os
+import threading
 from datetime import datetime
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from trackmine import sim
+from trackmine import events, sim
 from trackmine.errors import DataError
 from trackmine.eventlog import format_timestamp, parse_time, parse_timestamp
 from trackmine.events import (
@@ -476,6 +478,97 @@ def test_load_tracks_csv_matches_row_oracle(tmp_path_factory, text):
     path.write_bytes(text.encode("utf-8"))
     # by repr, which tells -0.0 from 0.0
     assert _outcome(load_tracks_csv, path) == _outcome(_oracles.load_tracks_rows, path)
+
+
+_ODD_ROW = 25_000  # the data row that `_long_tracks` replaces, well past the first chunk
+
+
+def _sample_reprs(fn, path):
+    """fn(path) as a list of one repr per sample, so that a failure reports
+    the first sample that differs, or its DataError."""
+    try:
+        return list(map(repr, fn(path)))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _long_tracks(odd_row=None, newline="\n"):
+    """A tracks CSV of 30,000 plain rows, with `odd_row` in place of row _ODD_ROW.
+    The ids are numbers, so that columns misaligned by one field would
+    still convert, of two digits, so that no id is a cached 1-character
+    string."""
+    rows = [f"{10 + i % 2},{i * 0.5!r},99,{70 + i % 7},{i % 640}.25,12.5,40.0,40.0"
+            for i in range(30_000)]
+    if odd_row is not None:
+        rows[_ODD_ROW] = odd_row
+    text = newline.join([",".join(_TRACKS_FIELDS), *rows]) + newline
+    assert len(newline.join(rows[:_ODD_ROW])) > 2 * events._CHUNK
+    return text
+
+
+@pytest.mark.parametrize("odd_row", [
+    "cam1,1970/01/01/07:00:00,h,T1,0,0,10,10",
+    "cam1,1e308,h,T1,1e308,1e308,1e308,1e308",
+    '"cam1",5,h,"T1",0,0,10,10',
+    "1,5,9,1,0,0,10,\r1,6,9,1,0,0,10,10",
+    "cam1,٢٥,h,T1,0,0,10,10",
+    "",
+    "cam1,5,h," + "x" * 200_000 + ",0,0,10,10",
+    "cam1,5,h,T1,0,nan,10,10",
+], ids=["timestamp_time", "sum_overflows", "quoted_id", "lone_cr", "non_ascii_time",
+        "blank_line", "field_over_csv_limit", "nan_coordinate"])
+def test_odd_row_past_the_first_chunk_matches_row_oracle(tmp_path, odd_row):
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(_long_tracks(odd_row).encode("utf-8"))
+    want = _sample_reprs(_oracles.load_tracks_rows, path)
+    assert _sample_reprs(load_tracks_csv, path) == want
+    if isinstance(want, str):
+        # the header is line 1, so data row k is on line k + 2
+        assert want.startswith(f"DataError: {path}:{_ODD_ROW + 2}: ")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_plain_file_loads_in_column_passes(tmp_path, monkeypatch, newline):
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(_long_tracks(newline=newline).encode("utf-8"))
+    want = _sample_reprs(_oracles.load_tracks_rows, path)
+    monkeypatch.setattr(events, "_tracks_by_rows", None)  # a refused file would call it
+    samples = load_tracks_csv(path)
+    assert list(map(repr, samples)) == want
+    # each distinct id is one string object
+    for field, distinct in (("camera_id", 2), ("entity_class", 1), ("track_id", 7)):
+        assert len({id(getattr(s, field)) for s in samples}) == distinct
+
+
+def _feed(fd, data):
+    """Write `data` to the pipe `fd` and close it, or stop when its reader has."""
+    try:
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+    except BrokenPipeError:
+        pass
+
+
+@pytest.mark.parametrize("odd_row", [None, "cam1,1970/01/01/07:00:00,h,T1,0,0,10,10",
+                                     "cam1,5,h,T1,0,nan,10,10"],
+                         ids=["plain", "timestamp_time", "nan_coordinate"])
+def test_pipe_loads_as_its_file_does(tmp_path, odd_row):
+    # a pipe cannot be read again, so it never starts a column pass
+    data = _long_tracks(odd_row).encode("utf-8")
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(data)
+    want = _sample_reprs(_oracles.load_tracks_rows, path)
+    r, w = os.pipe()
+    writer = threading.Thread(target=_feed, args=(w, data))
+    writer.start()
+    try:
+        pipe_path = f"/dev/fd/{r}"
+        got = _sample_reprs(load_tracks_csv, pipe_path)
+    finally:
+        os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got == (want.replace(str(path), pipe_path) if isinstance(want, str) else want)
 
 
 class TestRecordTypes:
