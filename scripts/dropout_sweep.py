@@ -10,8 +10,8 @@ import csv
 
 import numpy as np
 
-from trackmine.eventlog import precision
-from trackmine.events import DetectionConfig, detect_streams
+from trackmine.eventlog import DetectionConfig, precision
+from trackmine.events import detect_streams
 from trackmine.sim import Actor, Scenario, cell_layout, simulate
 
 DROPOUTS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]

@@ -98,10 +98,6 @@ class Occurrence(NamedTuple):
     entity_class: str
     track_id: str = ""  # "" when untracked
 
-    @property
-    def key(self) -> tuple:
-        return (self.location_id, self.entity_class, self.track_id)
-
 
 class _DetectionFields(NamedTuple):
     min_duration: float = 3.0
@@ -143,11 +139,12 @@ def merge_camera_streams(
     out: list[Occurrence] = []
     last_kept: dict[tuple, float] = {}
     for occ in merged:
-        prev = last_kept.get(occ.key)
+        key = (occ.location_id, occ.entity_class, occ.track_id)
+        prev = last_kept.get(key)
         if prev is not None and occ.start_time - prev <= dedup_window:
             continue
         out.append(occ)
-        last_kept[occ.key] = occ.start_time
+        last_kept[key] = occ.start_time
     return out
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError
@@ -63,42 +62,39 @@ def default_labeler(record: EventRecord) -> list[NodeLabel]:
     return labels
 
 
-@dataclass
-class ProcessNetwork:
+class ProcessNetwork(NamedTuple):
     nodes: list[NodeLabel]
     edges: dict[tuple[NodeLabel, NodeLabel], float]
     activities: dict[NodeLabel, int]
 
-    def __post_init__(self):
-        known = set(self.nodes)
-        for a, b in self.edges:
-            if a not in known or b not in known:
-                raise DataError(f"edge endpoint {a.render()}->{b.render()} not in node list")
 
-
-@dataclass
-class LinkMatrix:
+class _LinkMatrixFields(NamedTuple):
     labels: list[NodeLabel]
     values: np.ndarray  # square, non-negative; rows of floats are converted
 
-    def __post_init__(self):
+
+class LinkMatrix(_LinkMatrixFields):
+    """A checked square link matrix; ``_make`` and ``_replace`` skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels: list[NodeLabel], values):
         import numpy as np
-        self.values = np.asarray(self.values, dtype=float)
-        n = len(self.labels)
-        if self.values.shape != (n, n):
-            raise DataError(
-                f"link matrix shape {self.values.shape} does not match {n} labels"
-            )
-        repeated = [lbl.render() for lbl, count in Counter(self.labels).items() if count > 1]
+        values = np.asarray(values, dtype=float)
+        n = len(labels)
+        if values.shape != (n, n):
+            raise DataError(f"link matrix shape {values.shape} does not match {n} labels")
+        repeated = [lbl.render() for lbl, count in Counter(labels).items() if count > 1]
         if repeated:
             raise DataError(f"link matrix label {repeated[0]} appears more than once")
-        bad = np.argwhere(~np.isfinite(self.values) | (self.values < 0))
+        bad = np.argwhere(~np.isfinite(values) | (values < 0))
         if len(bad):
             i, j = bad[0]
             raise DataError(
-                f"link matrix entry ({self.labels[i].render()}, {self.labels[j].render()}) "
-                f"is {float(self.values[i, j])!r}; entries must be finite and >= 0"
+                f"link matrix entry ({labels[i].render()}, {labels[j].render()}) "
+                f"is {float(values[i, j])!r}; entries must be finite and >= 0"
             )
+        return super().__new__(cls, labels, values)
 
 
 def build_dfg(cycle: Cycle) -> ProcessNetwork:

@@ -27,7 +27,7 @@ scores sum to 1 and their square roots are the vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +39,12 @@ SYMMETRY_TOL = 1e-12
 RTOL = 1e-10  # certification tolerance per unit of max(1, max|M_ij|)
 
 
-@dataclass
-class DispersionStats:
+class DispersionStats(NamedTuple):
     shannon_entropy: float
     participation_ratio: float
 
 
-@dataclass
-class RankingResult:
+class RankingResult(NamedTuple):
     algorithm: str  # gradient | hits_pm_norm | pagerank_norm
     matrix_kind: str  # authority | hub | stochastic
     alpha: float | None
@@ -184,7 +182,7 @@ def pagerank_norm(lm: LinkMatrix, alpha: float = 0.8) -> RankingResult:
 def gradient_ranking(lm: LinkMatrix, kind: str = "authority") -> RankingResult:
     """Dominant eigenvector of the authority or hub matrix itself:
     ``hits_pm_norm`` at ``alpha = 1``, reported with no alpha."""
-    return replace(hits_pm_norm(lm, 1.0, kind), algorithm="gradient", alpha=None)
+    return hits_pm_norm(lm, 1.0, kind)._replace(algorithm="gradient", alpha=None)
 
 
 def rank_nodes(

@@ -8,7 +8,6 @@ and the ground-truth occurrence stream the detector should recover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +34,7 @@ class Actor(NamedTuple):
     track_id: str = ""
 
 
-@dataclass
-class Scenario:
+class _ScenarioFields(NamedTuple):
     zones: list[ZoneSpec]
     actors: list[Actor]
     jitter: float = 0.0  # position jitter, pixels (stddev)
@@ -44,7 +42,14 @@ class Scenario:
     sample_period: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
+
+class Scenario(_ScenarioFields):
+    """A checked scenario; ``_make`` and ``_replace`` skip the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.dropout <= 1.0:
             raise DataError("dropout must be in [0, 1]")
         if not 0.0 <= self.jitter < math.inf:
@@ -66,6 +71,7 @@ class Scenario:
                     raise DataError(f"dwell at {loc!r} must be finite and > 0")
             if not np.isfinite(_clock(actor, self.zones)[3][-1]):
                 raise DataError(f"actor {name}: itinerary time overflows")
+        return self
 
 
 def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
@@ -179,9 +185,9 @@ def cell_layout() -> list[ZoneSpec]:
 
 def scenario_from_json(path) -> Scenario:
     """A scenario from a JSON object: ``zones`` (see ``events.zone_from_json``)
-    or ``"layout": "cell19"``; ``actors``, each with an ``entity_class``, an
-    ``itinerary`` of ``[location_id, dwell]`` pairs and an optional
-    ``track_id``; and optional ``noise`` (``{"jitter", "dropout"}``),
+    or, in their place, ``"layout": "cell19"``; ``actors``, each with an
+    ``entity_class``, an ``itinerary`` of ``[location_id, dwell]`` pairs and an
+    optional ``track_id``; and optional ``noise`` (``{"jitter", "dropout"}``),
     ``sample_period`` and integer ``seed``."""
     raw = load_json(path)
     try:
@@ -193,10 +199,13 @@ def scenario_from_json(path) -> Scenario:
         seed = raw.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise DataError("seed must be an integer")
-        if raw.get("layout") == "cell19":
+        layout = raw.get("layout")
+        if layout is None:
+            zones = [zone_from_json(z) for z in raw["zones"]]
+        elif layout == "cell19" and "zones" not in raw:
             zones = cell_layout()
         else:
-            zones = [zone_from_json(z) for z in raw["zones"]]
+            raise DataError(f"layout must be null, or 'cell19' without zones; got {layout!r}")
         actors = [
             Actor(
                 entity_class=_string(a["entity_class"], "entity_class"),

@@ -617,8 +617,13 @@ class TestExitCodes:
         (dict(SCENARIO, seed=-1), [], "seed must be >= 0"),
         (SCENARIO, ["--seed", "-1"], "seed must be >= 0"),
         (dict(SCENARIO, noise={"jitter": float("nan")}), [], "jitter must be finite and >= 0"),
+        (dict(SCENARIO, layout="cell-19"), [],
+         "bad scenario: layout must be null, or 'cell19' without zones; got 'cell-19'"),
+        (dict(SCENARIO, zones=[]), [],
+         "bad scenario: layout must be null, or 'cell19' without zones; got 'cell19'"),
     ], ids=["top_level_list", "noise_list", "empty_itinerary", "nan_dwell", "nan_period",
-            "negative_seed", "negative_seed_flag", "nan_jitter"])
+            "negative_seed", "negative_seed_flag", "nan_jitter", "unknown_layout",
+            "layout_beside_zones"])
     def test_bad_scenario_is_data_error(self, tmp_path, capsys, scenario, extra, message):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -1531,8 +1536,8 @@ LEAN_LOADS = {
     "gantt": ["html"],
     "precision": [],
     "merge": [],
-    "compare": ["dataclasses", "trackmine.procnet"],
-    "dfg": ["dataclasses", "trackmine.procnet"],
+    "compare": ["trackmine.procnet"],
+    "dfg": ["trackmine.procnet"],
 }
 LEAN_PROBE = NUMPY_PROBE.replace(
     '"numpy": "numpy" in sys.modules',

@@ -123,7 +123,7 @@ class TestLinkMatrix:
     def test_tabulation(self):
         a, b = NodeLabel("a", "s1"), NodeLabel("b", "s2")
         net = build_dfg(cycle_from_labels(["a_s1", "b_s2", "a_s1", "b_s2"]))
-        net.edges = {(a, b): 2.0}
+        net = net._replace(edges={(a, b): 2.0})
         lm = link_matrix(net)
         assert lm.labels == [a, b]
         assert lm.values.tolist() == [[0.0, 2.0], [0.0, 0.0]]

@@ -1,24 +1,35 @@
 """The immutable record types: frozen, checked on construction, and hashed,
-compared and sorted as their field tuples."""
+compared and sorted as their field tuples; those that hold lists, dicts or
+arrays are frozen too, and no module declares a record any other way."""
 
+import json
 import math
+import os
+import pkgutil
 import re
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
+import trackmine
 from trackmine.errors import DataError
 from trackmine.eventlog import (Cycle, DetectionConfig, Entity, EventLog, EventRecord, Group,
                                 Occurrence)
 from trackmine.events import Rect, ZoneSpec
-from trackmine.procnet import NodeLabel
-from trackmine.sim import Actor
+from trackmine.procnet import LinkMatrix, NodeLabel, ProcessNetwork
+from trackmine.ranking import DispersionStats, RankingResult
+from trackmine.sim import Actor, Scenario
 
 T0 = datetime(2024, 8, 15, 10, 0, 0)
 T1 = datetime(2024, 8, 15, 10, 0, 10)
 ENTITY = Entity("E1", "RP")
 GROUP = Group("s1", (ENTITY,))
 RECORD = EventRecord((GROUP,), T0)
+ZONE = ZoneSpec("s1", "cam1", Rect(0.0, 0.0, 10.0, 10.0), "station")
+LABEL = NodeLabel("RP", "s1")
 
 RECORDS = {
     "Occurrence": Occurrence(1.5, "s1", "worker", "T1"),
@@ -28,17 +39,26 @@ RECORDS = {
     "EventRecord": RECORD,
     "EventLog": EventLog((RECORD,), "EL1"),
     "Cycle": Cycle(1, (RECORD,), 10.0),
-    "NodeLabel": NodeLabel("RP", "s1"),
-    "ZoneSpec": ZoneSpec("s1", "cam1", Rect(0.0, 0.0, 10.0, 10.0), "station"),
+    "NodeLabel": LABEL,
+    "ZoneSpec": ZONE,
     "Actor": Actor("worker", (("s1", 5.0),), "T1"),
+    "DispersionStats": DispersionStats(0.0, 1.0),
+}
+# records that hold a list, a dict or an array, and so do not hash
+HOLDERS = {
+    "ProcessNetwork": ProcessNetwork([LABEL], {(LABEL, LABEL): 1.0}, {LABEL: 2}),
+    "LinkMatrix": LinkMatrix([LABEL], [[1.0]]),
+    "RankingResult": RankingResult("gradient", "authority", None, {LABEL: 1.0}, 0, 0.0),
+    "Scenario": Scenario([ZONE], [Actor("worker", (("s1", 5.0),))]),
 }
 
 
-@pytest.mark.parametrize("name", list(RECORDS))
+@pytest.mark.parametrize("name", list(RECORDS) + list(HOLDERS))
 def test_fields_are_read_only(name):
-    record = RECORDS[name]
+    record = {**RECORDS, **HOLDERS}[name]
+    field = record._fields[0]  # outside the raises block: a type with no _fields fails
     with pytest.raises(AttributeError):
-        setattr(record, record._fields[0], None)
+        setattr(record, field, None)
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
@@ -106,3 +126,22 @@ def test_detection_defaults_are_field_defaults():
     assert DetectionConfig._field_defaults == {"min_duration": 3.0, "min_overlap_ratio": 0.10,
                                                "sample_period": 1.0, "dedup_window": 2.0}
     assert DetectionConfig() == (3.0, 0.10, 1.0, 2.0)
+
+
+MODULES = sorted(f"trackmine.{m.name}" for m in pkgutil.iter_modules(trackmine.__path__))
+
+
+@pytest.mark.parametrize("modules, unloaded", [
+    (MODULES, ["dataclasses"]),
+    (["trackmine.procnet"], ["dataclasses", "inspect", "numpy"]),
+], ids=["every_module", "procnet"])
+def test_imports_leave_modules_unloaded(modules, unloaded):
+    # a fresh interpreter: pytest has imported dataclasses, inspect and numpy in this one
+    probe = f"import json, sys, {', '.join(modules)}; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(trackmine.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert set(modules) <= loaded
+    assert sorted(loaded.intersection(unloaded)) == []
