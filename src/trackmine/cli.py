@@ -42,16 +42,8 @@ def _builtin_lm(name: str):
     return procnet.LinkMatrix(labels=labels, values=values)
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _read_log(path: str) -> eventlog.EventLog:
-    text = _read_text(path)
+    text = eventlog.read_text(path)
     try:
         if path.endswith(".jsonl"):
             return eventlog.log_from_jsonl(text)
@@ -200,7 +192,7 @@ def cmd_rank(args):
 
 def _read_node_list(path: str) -> list[str]:
     if not path.endswith(".json"):
-        return [line.strip() for line in _read_text(path).splitlines() if line.strip()]
+        return [line.strip() for line in eventlog.read_text(path).splitlines() if line.strip()]
     data = eventlog.load_json(path)
     try:
         if isinstance(data, dict) and "scores" in data:

@@ -148,32 +148,33 @@ def merge_camera_streams(
     return out
 
 
-def _csv_rows(fh, path, expected: list[str] | None = None):
-    """Yield (line number, row) for the header when `expected` is None, else check it is exactly
-    `expected`; then for each non-blank data row, which must be as wide as the header.
+def _csv_rows(fh, path, header, build):
+    """Check that the header row is exactly `header`, a list, or yield header(*row) when
+    `header` is a callable; then yield build(*row) for each non-blank data row, which must be
+    as wide as the header.  The one CSV record loop: its callers catch nothing.
 
-    A csv.Error (a field over csv's size limit, a NUL on Python 3.10) is a DataError at the
-    reader's line; a UnicodeDecodeError, raised a chunk ahead of the reader, is one on the file."""
+    A ValueError or DataError from `header` or `build`, a row of another width and a csv.Error
+    (a field over csv's size limit, a NUL on Python 3.10) are DataErrors at the reader's line,
+    the physical line on which the row ends; a UnicodeDecodeError, raised a chunk ahead of the
+    reader, is one on the file, and so is a header other than `header`."""
     reader = csv.reader(fh)
     try:
-        header = next(reader, [])
-        if expected is not None and header != expected:
-            raise DataError(
-                f"{path}: expected header {','.join(expected)}, got {','.join(header)!r}"
-            )
-        if expected is None:
-            yield reader.line_num, header
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield reader.line_num, row
-    except (csv.Error, UnicodeDecodeError) as exc:
-        where = f":{reader.line_num}" if isinstance(exc, csv.Error) else ""
-        raise DataError(f"{path}{where}: {exc}") from None
+        first = next(reader, [])
+        if callable(header):
+            yield header(*first)
+        if callable(header) or first == header:
+            for row in reader:
+                if row:
+                    if len(row) != len(first):
+                        raise DataError(f"expected {len(first)} fields, got {len(row)}")
+                    yield build(*row)
+            return
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (csv.Error, ValueError, DataError) as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    # only a header other than `header` gets here: the file's fault, not a line's
+    raise DataError(f"{path}: expected header {','.join(header)}, got {','.join(first)!r}")
 
 
 def write_atomic(path, text: str) -> None:
@@ -208,15 +209,10 @@ def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
 
 
 def load_occurrences_csv(path) -> list[Occurrence]:
-    expected = ["location_id", "entity_class", "track_id", "start_time"]
-    occurrences = []
+    header = ["location_id", "entity_class", "track_id", "start_time"]
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, (location, cls, track, start) in _csv_rows(fh, path, expected):
-            try:
-                occurrences.append(Occurrence(parse_time(start), location, cls, track))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    return occurrences
+        return list(_csv_rows(fh, path, header, lambda location, cls, track, start:
+                              Occurrence(parse_time(start), location, cls, track)))
 
 
 # The text grammar's name rules (see ``parse_record``); the record types
@@ -477,12 +473,27 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def load_json(path):
-    """The JSON value in the UTF-8 file at `path`, a leading BOM skipped."""
+def _reason(exc: Exception) -> str:
+    """A JSON reader's error as text: a KeyError, whose text is only the key, names it missing."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def read_text(path, what: str = "") -> str:
+    """The text of the UTF-8 file at `path`, a leading BOM skipped; the one reader of whole
+    input files.  A file that is not UTF-8 is a DataError naming it, `what` before the reason."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what}{exc}") from None
+
+
+def load_json(path):
+    """The JSON value in the file at `path` (see ``read_text``)."""
+    text = read_text(path, "invalid JSON: ")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -509,7 +520,7 @@ def log_from_jsonl(text: str, label: str = "") -> EventLog:
             ]
             ts = _string(obj["ts"], "ts")
         except (ValueError, KeyError, TypeError, RecursionError, DataError) as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+            raise DataError(f"line {lineno}: {_reason(exc)}") from None
         records.append(_record(memo, groups, ts, lineno, lambda group: group))
     return EventLog(records=tuple(records), label=label)
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _number, _string, load_json,
-                       load_occurrences_csv, merge_camera_streams, parse_time,
+from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _number, _reason, _string,
+                       load_json, load_occurrences_csv, merge_camera_streams, parse_time,
                        write_occurrences_csv)
 
 _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
@@ -316,15 +316,8 @@ def _tracks_by_rows(fh, path) -> list[DetectionSample]:
     ``_csv_rows``, ``parse_time`` and ``_parse_box``: a blank row is skipped,
     and a row of another width or with a bad value raises its ``path:line:``
     error."""
-    samples = []
-    for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
-        try:
-            samples.append(
-                DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
-            )
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return samples
+    return list(_csv_rows(fh, path, _TRACKS_FIELDS, lambda camera, time, cls, track, *box:
+                          DetectionSample(camera, parse_time(time), cls, track, _parse_box(*box))))
 
 
 def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
@@ -366,7 +359,7 @@ def load_zones_json(path) -> list[ZoneSpec]:
         try:
             zones.append(zone_from_json(item))
         except (KeyError, TypeError, OverflowError, DataError) as exc:
-            raise DataError(f"{path}: zone #{i}: {exc}") from None
+            raise DataError(f"{path}: zone #{i}: {_reason(exc)}") from None
     return zones
 
 

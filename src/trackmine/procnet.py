@@ -165,24 +165,16 @@ def matrix_to_csv(net: ProcessNetwork) -> str:
 def load_matrix_csv(path) -> LinkMatrix:
     """The labeled CSV that ``matrix_to_csv`` writes; errors name the file, and a line at fault."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = _csv_rows(fh, path)
-        lineno, header = next(rows)
-        if len(header) < 2:
+        # the header is a corner cell, which an empty file lacks, and then the column labels
+        rows = _csv_rows(fh, path, lambda corner="", *labels: [NodeLabel.parse(t) for t in labels],
+                         lambda label, *cells: (label, [float(v) for v in cells]))
+        labels = next(rows)
+        if not labels:
             raise DataError(f"{path}: matrix CSV needs a label header row")
-        try:
-            labels = [NodeLabel.parse(t) for t in header[1:]]
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        row_labels, values = [], []
-        for lineno, (label, *cells) in rows:
-            row_labels.append(label)
-            try:
-                values.append([float(v) for v in cells])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if row_labels != header[1:]:
+        rows = list(rows)
+    if [label for label, _ in rows] != [lbl.render() for lbl in labels]:
         raise DataError(f"{path}: matrix CSV row labels do not match column labels")
-    return LinkMatrix(labels=labels, values=values)
+    return LinkMatrix(labels=labels, values=[cells for _, cells in rows])
 
 
 def _dot_string(text: str) -> str:

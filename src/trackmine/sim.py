@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .eventlog import DetectionConfig, Occurrence, _number, _string, load_json
+from .eventlog import DetectionConfig, Occurrence, _number, _reason, _string, load_json
 from .events import DetectionSample, Rect, ZoneSpec, check_unique_zones, zone_from_json
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
@@ -224,4 +224,4 @@ def scenario_from_json(path) -> Scenario:
             seed=seed,
         )
     except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
-        raise DataError(f"{path}: bad scenario: {exc}") from None
+        raise DataError(f"{path}: bad scenario: {_reason(exc)}") from None

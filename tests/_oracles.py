@@ -3,6 +3,7 @@
 These deliberately avoid the library's own code paths.
 """
 
+import csv
 import json
 import math
 import re
@@ -17,7 +18,7 @@ import numpy as np
 from trackmine.errors import ConvergenceError, DataError
 from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _PALETTE,
                                 _RECORD_RE, Cycle, Entity, EventLog, EventRecord, Group,
-                                Occurrence, _csv_rows, _string, format_timestamp, gantt_lane,
+                                Occurrence, _string, format_timestamp, gantt_lane,
                                 parse_time, to_datetime, to_seconds)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
@@ -206,8 +207,39 @@ def precision_scan(detected, truth, match_window):
     return matched / len(detected)
 
 
+# eventlog's CSV record loop as it was before it took a build callable,
+# so the row oracle below does not share the loop that it checks.
+
+def _csv_rows(fh, path, expected: list[str] | None = None):
+    """Yield (line number, row) for the header when `expected` is None, else check it is exactly
+    `expected`; then for each non-blank data row, which must be as wide as the header.
+
+    A csv.Error (a field over csv's size limit, a NUL on Python 3.10) is a DataError at the
+    reader's line; a UnicodeDecodeError, raised a chunk ahead of the reader, is one on the file."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, [])
+        if expected is not None and header != expected:
+            raise DataError(
+                f"{path}: expected header {','.join(expected)}, got {','.join(header)!r}"
+            )
+        if expected is None:
+            yield reader.line_num, header
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        where = f":{reader.line_num}" if isinstance(exc, csv.Error) else ""
+        raise DataError(f"{path}{where}: {exc}") from None
+
+
 def load_tracks_rows(path) -> list[DetectionSample]:
-    """The tracks CSV reader row by row: every row through ``_csv_rows``,
+    """The tracks CSV reader row by row: every row through ``_csv_rows`` above,
     ``parse_time`` and ``_parse_box``, as ``load_tracks_csv`` read before its
     one-pass loop."""
     samples = []

@@ -796,16 +796,56 @@ class TestExitCodes:
         assert err == f"trackmine {argv.split()[0]}: {inp}: {message}\n"
         assert not out.exists()
 
-    def test_matrix_error_names_the_physical_line(self, tmp_path, capsys):
-        # the first label holds a quoted line break, so the bad cell is on line 5
-        matrix = tmp_path / "m.csv"
-        matrix.write_text(',"x\n_1",x_2\n"x\n_1",1,0\nx_2,x,0\n')
-        rc = main(["rank", "--matrix", str(matrix)])
+    @pytest.mark.parametrize("argv, text, line, message", [
+        ("detect --tracks {inp} --zones {zones} --out {out}",
+         TRACKS_HEADER + 'cam1,0,h,"T\n1",0,0,10,10\ncam1,1,h,T1,x,0,10,10\n',
+         4, "could not convert string to float: 'x'"),
+        ("precision --detected {inp} --truth {inp}",
+         'location_id,entity_class,track_id,start_time\ns1,h,"T\n1",0\ns1,h,T1,x\n',
+         4, "unparseable timestamp 'x'"),
+        ("rank --matrix {inp}", ',"x\n_1",x_2\n"x\n_1",1,0\nx_2,x,0\n',
+         5, "could not convert string to float: 'x'"),
+        ("rank --matrix {inp}", ',"x\n_1",bad\n"x\n_1",1,0\nbad,0,0\n',
+         2, "node label 'bad' is not of the form role_location"),
+    ], ids=["tracks", "occurrences", "matrix_cell", "matrix_header"])
+    def test_csv_error_names_the_physical_line(self, tmp_path, capsys, argv, text, line,
+                                               message):
+        # a quoted field holds a line break, so the bad value's line is past its row's number
+        inp, zones, out = tmp_path / "inp.csv", tmp_path / "zones.json", tmp_path / "out.csv"
+        inp.write_text(text)
+        zones.write_text(json.dumps([ZONE]))
+        rc = main(argv.format(inp=inp, zones=zones, out=out).split())
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert captured.err == (f"trackmine rank: {matrix}:5: could not convert string to "
-                                f"float: 'x'\n")
+        assert captured.err == f"trackmine {argv.split()[0]}: {inp}:{line}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, data, message", [
+        ("simulate --scenario {inp} --out-tracks {out} --out-truth {out}",
+         {"layout": "cell19"}, "bad scenario: missing key 'actors'"),
+        ("simulate --scenario {inp} --out-tracks {out} --out-truth {out}",
+         {"actors": [{"entity_class": "h", "itinerary": [["s1", 5.0]]}]},
+         "bad scenario: missing key 'zones'"),
+        ("simulate --scenario {inp} --out-tracks {out} --out-truth {out}",
+         {"zones": [ZONE], "actors": [{"itinerary": [["s1", 5.0]]}]},
+         "bad scenario: missing key 'entity_class'"),
+        ("detect --tracks {tracks} --zones {inp} --out {out}",
+         [{k: v for k, v in ZONE.items() if k != "h"}], "zone #0: missing key 'h'"),
+        ("cycles --log {inp} --anchor s1",
+         {"locations": [{"id": "s1", "entities": [{"id": "E1"}]}]}, "line 1: missing key 'ts'"),
+    ], ids=["scenario_actors", "scenario_zones", "actor_entity_class", "zone_h", "jsonl_ts"])
+    def test_missing_json_key_is_named(self, tmp_path, capsys, argv, data, message):
+        # `cycles` reads a .jsonl file as JSON lines; the JSON readers ignore the suffix
+        tracks, inp, out = tmp_path / "tracks.csv", tmp_path / "inp.jsonl", tmp_path / "out.csv"
+        tracks.write_text(DWELL_TRACKS)
+        inp.write_text(json.dumps(data) + "\n")
+        rc = main(argv.format(tracks=tracks, inp=inp, out=out).split())
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"trackmine {argv.split()[0]}: {inp}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("ts", ["2024/13/15/10:00:00", "2024-02-30T10:00:00"],
                              ids=["month_13", "feb_30_iso"])

@@ -128,6 +128,10 @@ class TestLinkMatrix:
         assert lm.labels == [a, b]
         assert lm.values.tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
+    def test_empty_network_rejected(self):
+        with pytest.raises(DataError, match="cannot build a link matrix from an empty network"):
+            link_matrix(ProcessNetwork([], {}, {}))
+
     def test_single_node(self):
         lm = link_matrix(build_dfg(cycle_from_labels(["a_s1"])))
         assert lm.values.tolist() == [[0.0]]

@@ -359,6 +359,10 @@ class TestDispersion:
         assert 0.0 <= stats.shannon_entropy <= math.log(3)
         assert 1.0 <= stats.participation_ratio <= 3.0
 
+    def test_zero_scores_rejected(self):
+        with pytest.raises(DataError, match="ranking scores sum to zero"):
+            dispersion(self.result([0.0, 0.0, 0.0]))
+
 
 class TestCompareTopk:
     def test_identical(self):
