@@ -198,7 +198,8 @@ def _read_node_list(path: str) -> list[str]:
         if isinstance(data, dict) and "scores" in data:
             data = [entry["node"] for entry in data["scores"]]
     except (KeyError, TypeError) as exc:
-        raise DataError(f"{path} is not a node list or rank report: {exc!r}") from None
+        reason = eventlog._reason(exc)
+        raise DataError(f"{path} is not a node list or rank report: {reason}") from None
     if not (isinstance(data, list) and all(isinstance(x, str) for x in data)):
         raise DataError(f"{path} is not a list of node strings or a rank report")
     return data

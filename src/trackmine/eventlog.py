@@ -478,19 +478,19 @@ def _reason(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
-def read_text(path, what: str = "") -> str:
+def read_text(path) -> str:
     """The text of the UTF-8 file at `path`, a leading BOM skipped; the one reader of whole
-    input files.  A file that is not UTF-8 is a DataError naming it, `what` before the reason."""
+    input files.  A file that is not UTF-8 is a DataError naming it."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {what}{exc}") from None
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_json(path):
     """The JSON value in the file at `path` (see ``read_text``)."""
-    text = read_text(path, "invalid JSON: ")
+    text = read_text(path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError

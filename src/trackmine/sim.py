@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DataError
 from .eventlog import DetectionConfig, Occurrence, _number, _reason, _string, load_json
-from .events import DetectionSample, Rect, ZoneSpec, check_unique_zones, zone_from_json
+from .events import (DetectionSample, Rect, ZoneSpec, _collector_paused, check_unique_zones,
+                     zone_from_json)
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 
@@ -96,6 +97,7 @@ def _clock(actor: Actor, zones: list[ZoneSpec]):
     return cx, cy, arr, dep
 
 
+@_collector_paused
 def simulate(
     sc: Scenario, min_duration: float = DetectionConfig._field_defaults["min_duration"]
 ) -> tuple[list[DetectionSample], list[Occurrence]]:

@@ -847,6 +847,39 @@ class TestExitCodes:
         assert captured.err == f"trackmine {argv.split()[0]}: {inp}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"scores": [{"x": 1}]}', "missing key 'node'"),
+        ('{"scores": [1]}', "'int' object is not subscriptable"),
+    ], ids=["score_without_node", "score_not_object"])
+    def test_node_list_error_gives_the_reason(self, tmp_path, capsys, text, reason):
+        a, b = tmp_path / "r.json", tmp_path / "b.txt"
+        a.write_text(text)
+        b.write_text("RP_s11\n")
+        rc = main(["compare", "--a", str(a), "--b", str(b), "--k", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (f"trackmine compare: {a} is not a node list or rank report: "
+                                f"{reason}\n")
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bad.json", "compare --a {bad} --b {bad} --k 1"),
+        ("bad.json", "detect --tracks {tracks} --zones {bad} --out {out}"),
+        ("bad.json", "simulate --scenario {bad} --out-tracks {out} --out-truth {out}"),
+        ("bad.txt", "compare --a {bad} --b {bad} --k 1"),
+        ("bad.log", "cycles --log {bad} --anchor s"),
+    ], ids=["node_list_json", "zones", "scenario", "node_list_text", "log"])
+    def test_non_utf8_input_reads_one_way(self, tmp_path, capsys, name, argv):
+        # a JSON input's decode error reads as every other input's does
+        bad, tracks, out = tmp_path / name, tmp_path / "tracks.csv", tmp_path / "out"
+        bad.write_bytes(b"\xff\xfe" + "s1\n".encode("utf-16-le"))
+        tracks.write_text(DWELL_TRACKS)
+        rc = main(argv.format(bad=bad, tracks=tracks, out=out).split())
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (f"trackmine {argv.split()[0]}: {bad}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
     @pytest.mark.parametrize("ts", ["2024/13/15/10:00:00", "2024-02-30T10:00:00"],
                              ids=["month_13", "feb_30_iso"])
     def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys, ts):

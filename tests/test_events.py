@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import math
@@ -413,6 +414,29 @@ def test_tracks_csv_round_trip(tmp_path_factory, samples):
     assert repr(load_tracks_csv(path)) == repr(samples)
 
 
+# ids over an alphabet drawn per list: plain, so that every row is an
+# f-string, or holding each character csv may quote or refuse
+_ID_ALPHABETS = st.sampled_from(["ab_ 1é", 'ab,"\r\n\0'])
+# signed zeros, the largest finite values and subnormals among any finite floats
+_EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, -1e-310, 0.1 + 0.2]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _samples_to_write(draw):
+    ids = st.text(st.sampled_from(draw(_ID_ALPHABETS)), max_size=4)
+    rects = st.builds(Rect, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS)
+    return draw(st.lists(st.builds(DetectionSample, ids, _EDGE_FLOATS, ids, ids, rects),
+                         max_size=6))
+
+
+@given(_samples_to_write())
+@example([DetectionSample("c\0", -0.0, "h", "T", Rect(5e-324, 1e308, -0.0, 1.0))])
+@settings(max_examples=300, deadline=None)
+def test_tracks_to_csv_matches_row_writer(samples):
+    assert tracks_to_csv(iter(samples)) == _oracles.tracks_to_csv_rows(samples)
+
+
 @given(st.lists(st.builds(ZoneSpec, _CSV_NAMES, _CSV_NAMES, _RECTS, _CSV_NAMES), max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_zones_json_round_trip(tmp_path_factory, zones):
@@ -558,17 +582,71 @@ def test_pipe_loads_as_its_file_does(tmp_path, odd_row):
     path = tmp_path / "tracks.csv"
     path.write_bytes(data)
     want = _sample_reprs(_oracles.load_tracks_rows, path)
+    pipe_path, got = _load_through_pipe(data)
+    assert got == (want.replace(str(path), pipe_path) if isinstance(want, str) else want)
+
+
+def _load_through_pipe(data):
+    """(the pipe's path, load_tracks_csv on `data` written to that pipe as
+    ``_sample_reprs`` gives it)."""
     r, w = os.pipe()
     writer = threading.Thread(target=_feed, args=(w, data))
     writer.start()
     try:
-        pipe_path = f"/dev/fd/{r}"
-        got = _sample_reprs(load_tracks_csv, pipe_path)
+        return f"/dev/fd/{r}", _sample_reprs(load_tracks_csv, f"/dev/fd/{r}")
     finally:
         os.close(r)
         writer.join(timeout=60)
-    assert not writer.is_alive()
-    assert got == (want.replace(str(path), pipe_path) if isinstance(want, str) else want)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("odd_row, pipe", [
+    (None, False),
+    ("cam1,1970/01/01/07:00:00,h,T1,0,0,10,10", False),
+    ("cam1,5,h,T1,0,nan,10,10", False),
+    (None, True),
+    ("cam1,5,h,T1,0,nan,10,10", True),
+], ids=["plain", "row_path", "data_error", "pipe", "pipe_data_error"])
+def test_load_restores_the_collector(tmp_path, odd_row, pipe, collecting):
+    data = _long_tracks(odd_row).encode("utf-8")
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(data)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        got = _load_through_pipe(data)[1] if pipe else _sample_reprs(load_tracks_csv, path)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert isinstance(got, str) is (odd_row is not None and "nan" in odd_row)
+
+
+@pytest.mark.parametrize("build", ["load", "simulate"])
+def test_building_samples_runs_no_collection(tmp_path, build):
+    # 5,000 samples either way: a 5,000-row plain file, or one actor seen
+    # 2,500 times by each of two cameras
+    path = tmp_path / "tracks.csv"
+    path.write_text("".join(_long_tracks().splitlines(keepends=True)[:5001]))
+    sc = sim.Scenario(zones=sim.cell_layout(), actors=[sim.Actor("h", (("s11", 2499.0),))])
+    run = (lambda: load_tracks_csv(path)) if build == "load" else (lambda: sim.simulate(sc)[0])
+    started = []
+    loading = [True]
+
+    def on_collect(phase, info):
+        if phase == "start" and loading[0]:
+            started.append(info["generation"])
+
+    gc.collect()  # no collection is due on the way in
+    gc.callbacks.append(on_collect)
+    try:
+        samples = run()
+        # a store allocates nothing, so the young pass that the samples take
+        # once the collector is back comes after this line
+        loading[0] = False
+    finally:
+        gc.callbacks.remove(on_collect)
+    assert len(samples) == 5000
+    assert started == []
 
 
 class TestRecordTypes:

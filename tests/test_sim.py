@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 import warnings
 
 import numpy as np
@@ -50,6 +52,22 @@ class TestSimulate:
     def test_samples_cover_both_cameras(self):
         samples, _ = simulate(single_worker_scenario())
         assert {s.camera_id for s in samples} == {"cam1", "cam2"}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("min_duration", [3.0, math.nan], ids=["returns", "raises"])
+def test_simulate_restores_the_collector(collecting, min_duration):
+    sc = single_worker_scenario(jitter=3.0, dropout=0.2, seed=42)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        try:
+            samples, _ = simulate(sc, min_duration=min_duration)
+        except DataError:
+            samples = None
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert (samples is None) is math.isnan(min_duration)
 
 
 def two_worker_two_agv_scenario(**noise):
