@@ -32,9 +32,6 @@ _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w"
 # does, or alone in its file
 _TRACKS_HEADERS = tuple(",".join(_TRACKS_FIELDS) + end for end in ("", "\n", "\r\n"))
 _CHUNK = 1 << 18  # characters of whole lines per column pass
-# the characters csv may quote or refuse in an id (NUL on Python 3.10): a row whose ids hold
-# none is written as is
-_CSV_SPECIAL = frozenset(',"\r\n\0')
 
 
 def _collector_paused(fn):
@@ -346,15 +343,7 @@ def _tracks_by_rows(fh, path) -> list[DetectionSample]:
 
 def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
     """The tracks CSV that ``load_tracks_csv`` reads: floats as repr, rows
-    ending in "\\n", and ids quoted where csv needs it.  When no id holds a
-    character csv may quote or refuse (``_CSV_SPECIAL``), each row is one
-    f-string, which is what csv would write; any other input goes through csv."""
-    samples = list(samples)
-    ids = {i for s in samples for i in (s.camera_id, s.entity_class, s.track_id)}
-    if _CSV_SPECIAL.isdisjoint("".join(ids)):
-        rows = (f"{camera},{t!r},{cls},{track},{x!r},{y!r},{w!r},{h!r}\n"
-                for camera, t, cls, track, (x, y, w, h) in samples)
-        return ",".join(_TRACKS_FIELDS) + "\n" + "".join(rows)
+    ending in "\\n", and ids quoted where csv needs it."""
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
     # csv quotes only the row end's characters: a "\r" in an id quotes its row

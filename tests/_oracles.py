@@ -4,7 +4,6 @@ These deliberately avoid the library's own code paths.
 """
 
 import csv
-import io
 import json
 import math
 import re
@@ -253,22 +252,6 @@ def load_tracks_rows(path) -> list[DetectionSample]:
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
-
-
-def tracks_to_csv_rows(samples: Iterable[DetectionSample]) -> str:
-    """The tracks CSV writer every row through csv, as ``tracks_to_csv`` wrote
-    before it wrote rows of plain ids as f-strings."""
-    buf = io.StringIO()
-    plain = csv.writer(buf, lineterminator="\n")
-    # csv quotes only the row end's characters: a "\r" in an id quotes its row
-    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    plain.writerow(_TRACKS_FIELDS)
-    for s in samples:
-        b = s.box
-        (quoted if "\r" in s.camera_id + s.entity_class + s.track_id else plain).writerow(
-            [s.camera_id, repr(s.time), s.entity_class, s.track_id,
-             repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
-    return buf.getvalue()
 
 
 def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
