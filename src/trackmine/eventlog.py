@@ -199,12 +199,17 @@ def write_atomic(path, text: str) -> None:
 
 
 def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
+    """The occurrence CSV at `path`; csv's refusal of an id (a NUL on Python 3.10)
+    is a DataError, raised before anything is written."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
-    writer.writerows(
-        [o.location_id, o.entity_class, o.track_id, repr(o.start_time)] for o in occurrences
-    )
+    try:
+        writer.writerows(
+            [o.location_id, o.entity_class, o.track_id, repr(o.start_time)] for o in occurrences
+        )
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
     write_atomic(path, buf.getvalue())
 
 

@@ -343,17 +343,34 @@ def _tracks_by_rows(fh, path) -> list[DetectionSample]:
 
 def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
     """The tracks CSV that ``load_tracks_csv`` reads: floats as repr, rows
-    ending in "\\n", and ids quoted where csv needs it."""
+    ending in "\\n", and ids quoted where csv needs it.
+
+    Each row is one f-string.  The text is then checked once: when it holds
+    exactly 7 commas and one "\\n" per line and no '"' or "\\r", no field
+    holds a character csv quotes, so csv would write the same text.  Any
+    other text is written again through csv, whose refusal (a NUL on
+    Python 3.10) is a DataError."""
+    samples = list(samples)
+    text = "".join([",".join(_TRACKS_FIELDS) + "\n"] + [
+        f"{camera},{t!r},{cls},{track},{x!r},{y!r},{w!r},{h!r}\n"
+        for camera, t, cls, track, (x, y, w, h) in samples])
+    lines = len(samples) + 1
+    if (text.count(",") == 7 * lines and text.count("\n") == lines
+            and '"' not in text and "\r" not in text):
+        return text
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
     # csv quotes only the row end's characters: a "\r" in an id quotes its row
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(_TRACKS_FIELDS)
-    for s in samples:
-        b = s.box
-        (quoted if "\r" in s.camera_id + s.entity_class + s.track_id else plain).writerow(
-            [s.camera_id, repr(s.time), s.entity_class, s.track_id,
-             repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
+    try:
+        for s in samples:
+            b = s.box
+            (quoted if "\r" in s.camera_id + s.entity_class + s.track_id else plain).writerow(
+                [s.camera_id, repr(s.time), s.entity_class, s.track_id,
+                 repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
+    except csv.Error as exc:
+        raise DataError(f"tracks CSV: track {s.track_id!r}: {exc}") from None
     return buf.getvalue()
 
 

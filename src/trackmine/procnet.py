@@ -52,13 +52,20 @@ class NodeLabel(_NodeLabelFields):
         return cls(role, loc)
 
 
-def default_labeler(record: EventRecord) -> list[NodeLabel]:
-    """One node per (entity, location) pair, in record order."""
+def default_labeler(record: EventRecord, built: dict | None = None) -> list[NodeLabel]:
+    """One node per (entity, location) pair, in record order.  `built` maps
+    each (role, location) pair labelled so far to its label, which is then
+    checked and built only once over the records that share the dict."""
+    built = {} if built is None else built
     labels = []
     for g in record.groups:
         for e in g.entities:
-            role = _DEFAULT_ROLES.get(e.prop or e.entity_id, e.prop or e.entity_id)
-            labels.append(NodeLabel(role, g.location_id))
+            name = e.prop or e.entity_id
+            key = (_DEFAULT_ROLES.get(name, name), g.location_id)
+            label = built.get(key)
+            if label is None:
+                label = built[key] = NodeLabel(*key)
+            labels.append(label)
     return labels
 
 
@@ -103,7 +110,8 @@ def build_dfg(cycle: Cycle) -> ProcessNetwork:
     Nodes appear in first-appearance order; each adjacent pair in the
     labeled event sequence adds one to its edge, including self-loops.
     """
-    sequence = [lbl for record in cycle.records for lbl in default_labeler(record)]
+    built: dict[tuple[str, str], NodeLabel] = {}
+    sequence = [lbl for record in cycle.records for lbl in default_labeler(record, built)]
     activities = dict(Counter(sequence))
     edges = dict(Counter(zip(sequence, sequence[1:])))
     return ProcessNetwork(nodes=list(activities), edges=edges, activities=activities)
@@ -152,10 +160,14 @@ def link_matrix(net: ProcessNetwork) -> LinkMatrix:
 
 def matrix_to_csv(net: ProcessNetwork) -> str:
     """The dense ``link_matrix(net)`` as a labeled CSV: first row and first
-    column carry rendered node labels; ``load_matrix_csv`` reads it back."""
+    column carry rendered node labels; ``load_matrix_csv`` reads it back.
+    csv's refusal of a label (a NUL on Python 3.10) is a DataError."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [lbl.render() for lbl in net.nodes])
+    try:  # the header holds every label, so a label csv refuses fails here first
+        writer.writerow([""] + [lbl.render() for lbl in net.nodes])
+    except csv.Error as exc:
+        raise DataError(f"matrix CSV: {exc}") from None
     for a in net.nodes:
         writer.writerow([a.render()] + [repr(float(net.edges.get((a, b), 0.0)))
                                         for b in net.nodes])

@@ -203,14 +203,23 @@ def rank_nodes(
         result = pagerank_norm(lm, alpha=alpha)
     else:
         raise DataError(f"unknown algorithm {algorithm!r}")
-    ranked = sorted(result.scores.items(), key=lambda kv: (-kv[1], kv[0].render()))
-    return ranked[:k], result, dispersion(result)
+    scores = result.scores
+    labels = sorted(scores, key=NodeLabel.render)
+    # a stable sort keeps equal scores in label order; scores are squares, never nan
+    ranked = sorted(labels, key=scores.__getitem__, reverse=True)[:k]
+    return ([(lbl, scores[lbl]) for lbl in ranked], result,
+            _dispersion([scores[lbl] for lbl in labels]))
 
 
 def dispersion(result: RankingResult) -> DispersionStats:
     """Entropy and participation ratio of the squared-component
     distribution behind a ranking."""
-    p = np.array([result.scores[lbl] for lbl in sorted(result.scores, key=NodeLabel.render)])
+    return _dispersion([result.scores[lbl] for lbl in sorted(result.scores, key=NodeLabel.render)])
+
+
+def _dispersion(scores: list[float]) -> DispersionStats:
+    """``dispersion`` of the scores in label order, the order its sums run in."""
+    p = np.array(scores)
     total = p.sum()
     if total <= 0:
         raise DataError("ranking scores sum to zero; no distribution to analyze")

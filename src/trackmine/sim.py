@@ -8,6 +8,8 @@ and the ground-truth occurrence stream the detector should recover.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +20,10 @@ from .events import (DetectionSample, Rect, ZoneSpec, _collector_paused, check_u
                      zone_from_json)
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
+# the most samples a scenario may ask for, over all its actors and cameras; `trackmine
+# simulate` holds about 450 bytes a sample at its peak (the records and the tracks CSV
+# text), so about 0.9 GB at the bound, 40 times what the cell_shift benchmark asks for
+MAX_SAMPLES = 2_000_000
 
 # fixed per-class bounding-box sizes (pixels)
 _BOX_SIZES = {
@@ -61,6 +67,7 @@ class Scenario(_ScenarioFields):
             raise DataError("seed must be >= 0")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
+        per_camera = 0.0
         for actor in self.actors:
             name = repr(actor.track_id or actor.entity_class)
             if not actor.itinerary:
@@ -70,13 +77,25 @@ class Scenario(_ScenarioFields):
                     raise DataError(f"actor {name} visits unknown location {loc!r}")
                 if not 0.0 < dwell < math.inf:
                     raise DataError(f"dwell at {loc!r} must be finite and > 0")
-            if not np.isfinite(_clock(actor, self.zones)[3][-1]):
+            end = _clock(actor, self.zones)[3][-1]
+            if not np.isfinite(end):
                 raise DataError(f"actor {name}: itinerary time overflows")
+            per_camera += _sample_count(end, self.sample_period)
+        total = per_camera * len({z.camera_id for z in self.zones})
+        if total > MAX_SAMPLES:
+            raise DataError(f"the scenario asks for {total:.15g} samples; "
+                            f"at most {MAX_SAMPLES} are allowed")
         return self
 
 
 def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
     return (zone.box.x + zone.box.w / 2.0, zone.box.y + zone.box.h / 2.0)
+
+
+def _sample_count(end: float, period: float) -> float:
+    """The samples of one actor on one camera: one each `period` from time 0
+    through `end`, its last departure; inf past the float range."""
+    return float(np.floor(float(end) / period)) + 1.0
 
 
 def _clock(actor: Actor, zones: list[ZoneSpec]):
@@ -104,14 +123,16 @@ def simulate(
     """Run the scenario; returns (samples, ground-truth occurrences).
 
     Each actor sample is emitted once per camera present in the scenario
-    (overlapping-view cameras see the same pixel frame); stream merging
-    downstream collapses the duplicates.  Ground truth holds one
-    occurrence per itinerary stop whose dwell reaches ``min_duration``,
+    (overlapping-view cameras see the same pixel frame, and share one box);
+    stream merging downstream collapses the duplicates.  Ground truth holds
+    one occurrence per itinerary stop whose dwell reaches ``min_duration``,
     stamped with the arrival time at the zone.
 
-    Positions come from one stop lookup per actor; only the noise draws
-    run per sample, dropout first and then the x and y jitter, so each
-    seed gives the same random stream.
+    Positions come from one stop lookup per actor, and the noise from two
+    draws per actor, in the order that fixes each seed's random stream: one
+    ``rng.random(n)`` over the actor's n sample times for dropout, then one
+    ``rng.normal`` of shape (2, samples kept), whose rows are the x and the
+    y jitter.
     """
     if not min_duration >= 0:  # nan fails too
         raise DataError("min_duration must be >= 0")
@@ -122,15 +143,16 @@ def simulate(
     truth: list[Occurrence] = []
     for idx, actor in enumerate(sc.actors):
         track_id = actor.track_id or f"T{idx}"
-        bw, bh = _BOX_SIZES.get(actor.entity_class, _DEFAULT_BOX)
+        cls = actor.entity_class
+        bw, bh = _BOX_SIZES.get(cls, _DEFAULT_BOX)
         cx, cy, arr, dep = _clock(actor, sc.zones)
         for (loc, dwell), start in zip(actor.itinerary, arr.tolist()):
             if dwell >= min_duration:
-                truth.append(Occurrence(start, loc, actor.entity_class, track_id))
+                truth.append(Occurrence(start, loc, cls, track_id))
 
         # k: the first stop the actor has not yet left (else the last one);
         # before its arrival the actor is on the way there from stop p
-        at = np.arange(int(np.floor(dep[-1] / sc.sample_period)) + 1) * sc.sample_period
+        at = np.arange(int(_sample_count(dep[-1], sc.sample_period))) * sc.sample_period
         k = np.minimum(np.searchsorted(dep, at), len(dep) - 1)
         p = np.maximum(k - 1, 0)
         # a zero-length leg gives 0/0 only in lanes where the actor is not moving
@@ -139,16 +161,19 @@ def simulate(
             moving = (k > 0) & (at < arr[k])
             xs = np.where(moving, cx[p] + frac * (cx[k] - cx[p]), cx[k])
             ys = np.where(moving, cy[p] + frac * (cy[k] - cy[p]), cy[k])
-        for t, x, y in zip(at.tolist(), xs.tolist(), ys.tolist()):
-            if sc.dropout > 0 and rng.random() < sc.dropout:
-                continue
-            if sc.jitter > 0:
-                x += rng.normal(0.0, sc.jitter)
-                y += rng.normal(0.0, sc.jitter)
-            box = Rect(x - bw / 2.0, y - bh / 2.0, bw, bh)
-            samples.extend(DetectionSample(cam, t, actor.entity_class, track_id, box)
-                           for cam in cameras)
-    samples.sort(key=lambda s: (s.camera_id, s.track_id, s.time))
+        if sc.dropout > 0:
+            kept = rng.random(len(at)) >= sc.dropout
+            at, xs, ys = at[kept], xs[kept], ys[kept]
+        if sc.jitter > 0:
+            dx, dy = rng.normal(0.0, sc.jitter, (2, len(at)))
+            xs, ys = xs + dx, ys + dy
+        boxes = list(map(tuple.__new__, repeat(Rect), zip(
+            (xs - bw / 2.0).tolist(), (ys - bh / 2.0).tolist(), repeat(bw), repeat(bh))))
+        times = at.tolist()
+        for cam in cameras:
+            samples += map(tuple.__new__, repeat(DetectionSample),
+                           zip(repeat(cam), times, repeat(cls), repeat(track_id), boxes))
+    samples.sort(key=attrgetter("camera_id", "track_id", "time"))
     truth.sort()
     return samples, truth
 

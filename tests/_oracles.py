@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths.
 """
 
 import csv
+import io
 import json
 import math
 import re
@@ -252,6 +253,22 @@ def load_tracks_rows(path) -> list[DetectionSample]:
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
+
+
+def tracks_to_csv_writer(samples: Iterable[DetectionSample]) -> str:
+    """The tracks CSV with every row written by csv: floats as repr, rows
+    ending in "\\n", and an id quoted where csv needs it."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    # csv quotes only the row end's characters: a "\r" in an id quotes its row
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(_TRACKS_FIELDS)
+    for s in samples:
+        b = s.box
+        (quoted if "\r" in s.camera_id + s.entity_class + s.track_id else plain).writerow(
+            [s.camera_id, repr(s.time), s.entity_class, s.track_id,
+             repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
+    return buf.getvalue()
 
 
 def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
@@ -790,14 +807,19 @@ def simulate_loop(
 
         end = stops[-1][2]
         n_steps = int(np.floor(end / sc.sample_period)) + 1
+        # per actor: every sample's dropout draw, then the x row and the y row of jitter
+        dropped = rng.random(n_steps) < sc.dropout if sc.dropout > 0 else np.zeros(n_steps, bool)
+        jitter = iter(zip(*rng.normal(0.0, sc.jitter, (2, n_steps - int(dropped.sum()))).tolist())
+                      if sc.jitter > 0 else ())
         for step in range(n_steps):
             at = step * sc.sample_period
-            if sc.dropout > 0 and rng.random() < sc.dropout:
+            if dropped[step]:
                 continue
             x, y = position(at)
             if sc.jitter > 0:
-                x += rng.normal(0.0, sc.jitter)
-                y += rng.normal(0.0, sc.jitter)
+                dx, dy = next(jitter)
+                x += dx
+                y += dy
             box = Rect(x - bw / 2.0, y - bh / 2.0, bw, bh)
             for cam in cameras:
                 samples.append(

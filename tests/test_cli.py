@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import currently_in_test_context, event, example, given, settings
 from hypothesis import strategies as st
 
 from trackmine import cli, ranking, sim
 from trackmine.cli import _detection_config, build_parser, main
 from trackmine.eventlog import load_occurrences_csv, log_to_jsonl, parse_log
-from trackmine.events import DetectionConfig, detect_streams
+from trackmine.events import DetectionConfig, detect_streams, load_tracks_csv
 
 SCENARIO = {
     "layout": "cell19",
@@ -621,9 +621,13 @@ class TestExitCodes:
          "bad scenario: layout must be null, or 'cell19' without zones; got 'cell-19'"),
         (dict(SCENARIO, zones=[]), [],
          "bad scenario: layout must be null, or 'cell19' without zones; got 'cell19'"),
+        # np.arange could not build this scenario's sample times
+        (dict(SCENARIO, actors=[{"entity_class": "h",
+                                 "itinerary": [["s23", 99999999999999999999999999999910]]}]),
+         [], "the scenario asks for 2e+32 samples; at most 2000000 are allowed"),
     ], ids=["top_level_list", "noise_list", "empty_itinerary", "nan_dwell", "nan_period",
             "negative_seed", "negative_seed_flag", "nan_jitter", "unknown_layout",
-            "layout_beside_zones"])
+            "layout_beside_zones", "huge_dwell"])
     def test_bad_scenario_is_data_error(self, tmp_path, capsys, scenario, extra, message):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -1216,7 +1220,8 @@ def _assert_exit_contract(argv, outs, codes=(0, 3)):
             contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")
         rc = main([str(a) for a in argv])
-    event(f"exit {rc}")
+    if currently_in_test_context():
+        event(f"exit {rc}")
     assert rc in codes
     if rc == 0:
         assert err.getvalue() == "" and all(p.exists() for p in outs)
@@ -1242,6 +1247,10 @@ def test_detect_on_fuzzed_tracks_keeps_the_exit_contract(tmp_path_factory, data,
 _FUZZ_BAD = [0, -1, float("nan"), float("inf"), "1", "x", [], None, True]
 
 
+# short dwells, and one in nine so long that the sample bound refuses the scenario
+_FUZZ_DWELLS = [0.5, 1, 2.5, 5.0] * 4 + [1e9, 99999999999999999999999999999910]
+
+
 def _field(draw, valid):
     return draw(st.sampled_from(valid if draw(st.integers(0, 19)) else _FUZZ_BAD))
 
@@ -1249,9 +1258,10 @@ def _field(draw, valid):
 @st.composite
 def _fuzzed_scenario(draw):
     """Bytes near a scenario JSON.  Dwells, periods and coordinates come
-    from small bounded sets, so that no valid scenario asks for more than
-    about a thousand samples; cutting the text short may break it but never
-    makes a number larger."""
+    from small bounded sets, so that a valid scenario asks for at most about
+    a thousand samples, or has a dwell so long that the scenario's sample
+    bound refuses it; cutting the text short may break it but never makes a
+    number larger."""
     if draw(st.booleans()):
         raw, locations = {"layout": "cell19"}, ["s11", "k3"]
     else:
@@ -1262,7 +1272,7 @@ def _fuzzed_scenario(draw):
     raw["actors"] = [
         {"entity_class": _field(draw, ["worker-left", "big-AGV", "h"]),
          "track_id": _field(draw, ["", "T1", "T,1"]),
-         "itinerary": [[_field(draw, locations), _field(draw, [0.5, 1, 2.5, 5.0])]
+         "itinerary": [[_field(draw, locations), _field(draw, _FUZZ_DWELLS)]
                        for _ in range(draw(st.integers(0, 4)))]}
         for _ in range(draw(st.integers(0, 3)))]
     raw["noise"] = {"jitter": _field(draw, [0, 2.0]), "dropout": _field(draw, [0, 0.1, 1])}
@@ -1284,6 +1294,21 @@ def test_simulate_on_fuzzed_scenario_keeps_the_exit_contract(tmp_path_factory, d
     outs = [d / "t.csv", d / "g.csv", d / "z.json"]
     _assert_exit_contract(["simulate", "--scenario", d / "scenario.json", "--out-tracks", outs[0],
                            "--out-truth", outs[1], "--out-zones", outs[2]], outs)
+
+
+@pytest.mark.parametrize("cls", ["h\0", "h\0,"], ids=["plain", "quoted"])
+def test_simulate_on_a_nul_id_keeps_the_exit_contract(tmp_path, cls):
+    # Python 3.11's csv writes a NUL, and 3.10's refuses it: either way the
+    # command writes every file, which reads back, or exits 3 and writes none
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(dict(SCENARIO, actors=[
+        {"entity_class": cls, "track_id": "T1", "itinerary": [["s11", 5.0]]}])))
+    outs = [tmp_path / "t.csv", tmp_path / "g.csv"]
+    _assert_exit_contract(["simulate", "--scenario", scenario, "--out-tracks", outs[0],
+                           "--out-truth", outs[1]], outs)
+    if outs[0].exists():
+        assert {s.entity_class for s in load_tracks_csv(outs[0])} == {cls}
+        assert {o.entity_class for o in load_occurrences_csv(outs[1])} == {cls}
 
 
 # JSON values that a zone field mostly refuses: strings where a number
@@ -1495,6 +1520,9 @@ def _assert_log_commands_keep_the_exit_contract(d, log):
 
 
 @given(st.one_of(st.binary(max_size=200), _fuzzed_text_log()))
+# a NUL in a location: Python 3.10's csv refuses it in the matrix CSV
+@example(b"EL1: {s1, (E1, worker), 1970/01/01/00:00:00}\n"
+         b"EL1: {s\x002, (E1, worker), 1970/01/01/00:00:05}\n")
 @settings(max_examples=300, deadline=None)
 def test_log_commands_on_fuzzed_text_log_keep_the_exit_contract(tmp_path_factory, data):
     d = tmp_path_factory.mktemp("fuzz")

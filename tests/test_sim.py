@@ -12,7 +12,7 @@ from _oracles import simulate_loop
 from trackmine.errors import DataError
 from trackmine.eventlog import precision
 from trackmine.events import DetectionConfig, detect_streams, zone_from_json
-from trackmine.sim import _BOX_SIZES, Actor, Scenario, cell_layout, simulate
+from trackmine.sim import MAX_SAMPLES, _BOX_SIZES, Actor, Scenario, cell_layout, simulate
 
 
 def single_worker_scenario(dwell=5.0, **noise):
@@ -34,7 +34,37 @@ class TestSimulate:
 
     def test_deterministic_per_seed(self):
         sc = single_worker_scenario(jitter=3.0, dropout=0.2, seed=42)
-        assert simulate(sc) == simulate(sc)
+        assert repr(simulate(sc)) == repr(simulate(sc))
+        assert simulate(sc)[0] != simulate(sc._replace(seed=43))[0]
+
+    def test_full_dropout_gives_no_samples(self):
+        samples, truth = simulate(single_worker_scenario(jitter=3.0, dropout=1.0, seed=3))
+        assert samples == []
+        assert len(truth) == 1
+
+    def test_noise_falls_in_its_statistical_band(self):
+        # 20,001 sample times at one zone centre: about 16,000 kept, so the
+        # bands are many standard errors wide
+        sc = single_worker_scenario(dwell=20_000.0, jitter=3.0, dropout=0.2, seed=5)
+        samples, _ = simulate(sc)
+        cam1 = [s for s in samples if s.camera_id == "cam1"]
+        assert [s.box for s in samples if s.camera_id == "cam2"] == [s.box for s in cam1]
+        assert 0.17 < 1 - len(cam1) / 20_001 < 0.23
+        (zone,) = {z.box for z in sc.zones if z.location_id == "s11"}
+        w, h = _BOX_SIZES["worker-right"]
+        dx = np.array([s.box.x + w / 2 - (zone.x + zone.w / 2) for s in cam1])
+        dy = np.array([s.box.y + h / 2 - (zone.y + zone.h / 2) for s in cam1])
+        for d in (dx, dy):
+            assert abs(d.mean()) < 0.2
+            assert 2.7 < d.std() < 3.3
+        assert abs(np.corrcoef(dx, dy)[0, 1]) < 0.05
+
+    def test_sample_count_is_bounded(self):
+        # one actor seen by both cameras: floor(dwell / sample_period) + 1 samples each
+        dwell = MAX_SAMPLES // 2 - 1.0
+        single_worker_scenario(dwell=dwell)
+        with pytest.raises(DataError, match=f"asks for {MAX_SAMPLES + 2} samples"):
+            single_worker_scenario(dwell=dwell + 1.0)
 
     def test_sub_threshold_dwell_excluded_from_truth(self):
         sc = single_worker_scenario(dwell=1.0)
