@@ -227,11 +227,8 @@ def cmd_simulate(args):
     if args.seed is not None:
         sc = sim.Scenario(*sc._replace(seed=args.seed))  # _replace alone skips the checks
     samples, truth = sim.simulate(sc, min_duration=args.min_duration)
-    # either CSV writer may refuse an id before it writes its file; the tracks text is
-    # built first, so that a refusal leaves neither file written
-    tracks = events.tracks_to_csv(samples)
     eventlog.write_occurrences_csv(args.out_truth, truth)
-    write_atomic(args.out_tracks, tracks)
+    write_atomic(args.out_tracks, events.tracks_to_csv(samples))
     if args.out_zones:
         write_atomic(args.out_zones, events.zones_to_json(sc.zones))
     return {"samples": len(samples), "truth": len(truth)}

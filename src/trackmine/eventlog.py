@@ -6,6 +6,11 @@ The record types are immutable NamedTuples.  Those with checks are a fields
 base plus a subclass whose ``__new__`` checks, then builds; ``_make`` and
 ``_replace`` build without the checks.
 
+Every name (location, camera, class, track, entity id, property, category)
+keeps one rule, ``name_ok``, checked where it enters: by the record types,
+the scenario and zones readers, the tracks readers and the occurrence CSV
+reader.  So no writer quotes a field or replaces a character.
+
 One record per line, e.g. ``EL1: {s1, (E1,v1), (E3,h1); s2, (E2,v2), 2024/08/15/17:40:50}``
 or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the grammar.
 """
@@ -13,7 +18,6 @@ or the abbreviated ``{v1_s1, 2024/08/15/17:40:50}``; ``parse_record`` has the gr
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -199,38 +203,48 @@ def write_atomic(path, text: str) -> None:
 
 
 def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
-    """The occurrence CSV at `path`; csv's refusal of an id (a NUL on Python 3.10)
-    is a DataError, raised before anything is written."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["location_id", "entity_class", "track_id", "start_time"])
-    try:
-        writer.writerows(
-            [o.location_id, o.entity_class, o.track_id, repr(o.start_time)] for o in occurrences
-        )
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
-    write_atomic(path, buf.getvalue())
+    """The occurrence CSV at `path`, one f-string per row ending in "\\r\\n": the
+    text csv's writer gives, since no name that keeps ``name_ok`` needs quoting."""
+    write_atomic(path, "".join(["location_id,entity_class,track_id,start_time\r\n"] + [
+        f"{o.location_id},{o.entity_class},{o.track_id},{o.start_time!r}\r\n"
+        for o in occurrences]))
 
 
 def load_occurrences_csv(path) -> list[Occurrence]:
     header = ["location_id", "entity_class", "track_id", "start_time"]
+    passed: set[str] = set()  # names that kept the rule: each distinct one is checked once
+
+    def occurrence(location, cls, track, start):
+        if location not in passed or cls not in passed or track not in passed:
+            passed.update(map(_name, (location, cls, track), header))
+        return Occurrence(parse_time(start), location, cls, track)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return list(_csv_rows(fh, path, header, lambda location, cls, track, start:
-                              Occurrence(parse_time(start), location, cls, track)))
+        return list(_csv_rows(fh, path, header, occurrence))
 
 
-# The text grammar's name rules (see ``parse_record``); the record types
-# apply them, so every reader and writer does.
-_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line
-_LOCATION_RE = re.compile(rf"(?!\s)[^,;(){_BREAKS}]+(?<!\s)")
-_ENTITY_RE = re.compile(rf"(?!\s)[^,(){_BREAKS}]+(?<!\s)")
+# ---------------------------------------------------------------------------
+# names and records
+
+_NOT_IN_NAMES = frozenset(',;()"')
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]*")
 
 
-def _name_error(kind: str, name: str, chars: str) -> DataError:
-    return DataError(f"{kind} {name!r} is empty or holds one of {chars}, a line break "
-                     f"or whitespace at an end")
+def name_ok(name: str) -> bool:
+    """The one character rule for every name: printable, with no whitespace at
+    either end and none of ``,;()"``.  ``str.isprintable`` refuses each line
+    break, NUL, tab, lone surrogate and code point that XML 1.0 forbids.  Whether
+    a name may be empty is the caller's rule."""
+    return name.isprintable() and name == name.strip() and _NOT_IN_NAMES.isdisjoint(name)
+
+
+def _name(value, field: str) -> str:
+    """`value` if it is a string that keeps ``name_ok``, else a DataError naming `field`:
+    ``_string``'s for a value that is no string or holds a lone surrogate."""
+    if isinstance(value, str) and name_ok(value):
+        return value
+    _string(value, field)
+    raise DataError(f"{field} {value!r} is not a name: a name is printable, with none of "
+                    ",;()\" and no whitespace at either end")
 
 
 class _EntityFields(NamedTuple):
@@ -242,11 +256,9 @@ class Entity(_EntityFields):
     __slots__ = ()
 
     def __new__(cls, entity_id: str, prop: str = ""):
-        if not _ENTITY_RE.fullmatch(entity_id):
-            raise _name_error("entity id", entity_id, ",()")
-        if prop and not _ENTITY_RE.fullmatch(prop):
-            raise _name_error("property", prop, ",()")
-        return super().__new__(cls, entity_id, prop)
+        if not entity_id:
+            raise DataError("entity id is empty")
+        return super().__new__(cls, _name(entity_id, "entity id"), _name(prop, "property"))
 
 
 class _GroupFields(NamedTuple):
@@ -258,8 +270,9 @@ class Group(_GroupFields):
     __slots__ = ()
 
     def __new__(cls, location_id: str, entities: tuple[Entity, ...]):
-        if not _LOCATION_RE.fullmatch(location_id):
-            raise _name_error("location id", location_id, ",;()")
+        if not location_id:
+            raise DataError("location id is empty")
+        _name(location_id, "location id")
         if not entities:
             raise DataError(f"group at {location_id!r} has no entities")
         return super().__new__(cls, location_id, entities)
@@ -321,7 +334,6 @@ class Cycle(NamedTuple):
 
 _RECORD_RE = re.compile(r"(?:([A-Za-z0-9_]+)\s*:\s*)?\{(?:(.*),)?(.*)\}", re.DOTALL)
 _LABEL_LINE_RE = re.compile(r"([A-Za-z0-9_]+)\s*:")
-_GROUP_SEP_RE = re.compile(r";(?![^()]*\))")  # a ';' whose next paren is not ')'
 _PAIR_SEP_RE = re.compile(r",(?=\s*\()")  # a ',' before a '('
 _PAIR_RE = re.compile(r"^\(\s*([^,()]+?)\s*,\s*([^,()]*?)\s*\)$")
 
@@ -335,10 +347,9 @@ def parse_record(line: str, lineno: int = 0) -> tuple[str, EventRecord]:
     Whitespace around separators is ignored; a label is ``[A-Za-z0-9_]+``,
     and the timestamp, after the last comma, is read by ``parse_timestamp``.
     The fused ``prop_location`` token is the entity id and splits at its
-    last ``_``.  The record types check the names: a location id is
-    non-empty with none of ``,;()``; an entity id is non-empty, a property
-    may be empty, and neither holds ``,()`` (both may hold ``;``); no name
-    has a line break or whitespace at an end.
+    last ``_``.  The record types check the names: each keeps ``name_ok``
+    (none holds ``;``, so every ``;`` separates groups), and a location id
+    and an entity id are non-empty, while a property may be empty.
     """
     label, chunks, ts = _split_record(line, lineno)
     return label, _record({}, chunks, ts, lineno, _raw_group)
@@ -352,7 +363,7 @@ def _split_record(line: str, lineno: int) -> tuple[str, list[str], str]:
     label, payload, ts = m.groups()
     if payload is None:
         raise DataError(f"line {lineno}: record needs at least a label and a timestamp")
-    return label or "", _GROUP_SEP_RE.split(payload), ts
+    return label or "", payload.split(";"), ts
 
 
 def _raw_group(chunk: str) -> tuple[str, list[tuple[str, str]]]:
@@ -644,16 +655,9 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
 
     Each lane's y, each (lane, class) pair's stroke and each distinct tick
     time's x are formatted once per call; a tick is then a concatenation.
-    Lane and legend text is HTML-escaped, and each character XML 1.0 forbids
-    (it has no character reference for them) is written as U+FFFD."""
-    import html
-
-    forbidden = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-    def text(name: str) -> str:
-        name = html.escape(name)
-        # a printable name holds none of them: each is a control, a surrogate or a noncharacter
-        return name if name.isprintable() else forbidden.sub("\ufffd", name)
+    Lane and legend text is HTML-escaped: a name keeps ``name_ok``, so it
+    holds no character that XML 1.0 forbids."""
+    from html import escape
 
     if not log.records:
         raise DataError("cannot chart an empty event log")
@@ -695,7 +699,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
         y = margin_t + i * lane_h
         out.append(
             f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
-            f"{text(lane)}</text>"
+            f"{escape(lane)}</text>"
         )
         out.append(
             f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
@@ -727,7 +731,7 @@ def gantt(log: EventLog, lane_key: str = "location") -> str:
     for i, cls in enumerate(classes):
         y = ly + 20 * i
         out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
-        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{text(cls)}</text>')
+        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{escape(cls)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

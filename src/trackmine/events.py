@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import gc
-import io
 import json
 import math
 from itertools import repeat
@@ -23,8 +22,8 @@ import numpy as np
 
 from .errors import DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _number, _reason, _string,
-                       load_json, load_occurrences_csv, merge_camera_streams, parse_time,
+from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _name, _number, _reason,
+                       load_json, load_occurrences_csv, merge_camera_streams, name_ok, parse_time,
                        write_occurrences_csv)
 
 _TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
@@ -298,19 +297,21 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
     split once, and its columns are converted and zipped into records in C,
     with each distinct id one shared string.  None when some chunk is not plain,
     that is when csv could read it otherwise or a row needs an exact check:
-    a header other than the exact one, a quote, a NUL, a "\\r" outside a
-    "\\r\\n", a line without exactly 7 commas (a blank line too) or longer than
-    csv's field limit, a time column that is not ASCII or holds "_", a value
-    ``float`` rejects, or a column whose values sum to a non-finite value,
-    as any nan or inf makes it (a sum that only overflows is refused too)."""
+    a header other than the exact one, a "\\r" outside a "\\r\\n", a line
+    without exactly 7 commas (a blank line too) or longer than csv's field
+    limit, a time column that is not ASCII or holds "_", a value ``float``
+    rejects, a column whose values sum to a non-finite value, as any nan or
+    inf makes it (a sum that only overflows is refused too), or an id that
+    breaks ``name_ok``, as one holding a quote or a NUL does."""
     if fh.readline() not in _TRACKS_HEADERS:
         return None
     limit = csv.field_size_limit()
     samples = []
-    share = {}.setdefault  # each distinct id as one string for the whole file
+    distinct: dict[str, str] = {}
+    share = distinct.setdefault  # each distinct id as one string for the whole file
     while lines := fh.readlines(_CHUNK):
         text = "".join(lines)
-        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+        if (text.count("\r") != text.count("\r\n")
                 or set(map(str.count, lines, repeat(","))) != {7}
                 or max(map(len, lines)) > limit):
             return None
@@ -329,61 +330,39 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
         boxes = map(tuple.__new__, repeat(Rect), zip(x, y, w, h))
         camera, cls, track = (map(share, ids, ids) for ids in (f[0::8], f[2::8], f[3::8]))
         samples += map(tuple.__new__, repeat(DetectionSample), zip(camera, t, cls, track, boxes))
-    return samples
+    return samples if all(map(name_ok, distinct)) else None
 
 
 def _tracks_by_rows(fh, path) -> list[DetectionSample]:
     """The samples of `fh`, the tracks CSV at `path`, every row through
-    ``_csv_rows``, ``parse_time`` and ``_parse_box``: a blank row is skipped,
-    and a row of another width or with a bad value raises its ``path:line:``
-    error."""
+    ``_csv_rows``, ``parse_time``, ``_parse_box`` and the name rule: a blank
+    row is skipped, and a row of another width or with a bad value raises its
+    ``path:line:`` error."""
     return list(_csv_rows(fh, path, _TRACKS_FIELDS, lambda camera, time, cls, track, *box:
-                          DetectionSample(camera, parse_time(time), cls, track, _parse_box(*box))))
+                          DetectionSample(_name(camera, "camera_id"), parse_time(time),
+                                          _name(cls, "entity_class"), _name(track, "track_id"),
+                                          _parse_box(*box))))
 
 
 def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
-    """The tracks CSV that ``load_tracks_csv`` reads: floats as repr, rows
-    ending in "\\n", and ids quoted where csv needs it.
-
-    Each row is one f-string.  The text is then checked once: when it holds
-    exactly 7 commas and one "\\n" per line and no '"' or "\\r", no field
-    holds a character csv quotes, so csv would write the same text.  Any
-    other text is written again through csv, whose refusal (a NUL on
-    Python 3.10) is a DataError."""
-    samples = list(samples)
-    text = "".join([",".join(_TRACKS_FIELDS) + "\n"] + [
+    """The tracks CSV that ``load_tracks_csv`` reads: floats as repr, one
+    f-string per row ending in "\\n".  No id that keeps ``name_ok`` needs
+    quoting, so this is the text csv's writer gives."""
+    return "".join([",".join(_TRACKS_FIELDS) + "\n"] + [
         f"{camera},{t!r},{cls},{track},{x!r},{y!r},{w!r},{h!r}\n"
         for camera, t, cls, track, (x, y, w, h) in samples])
-    lines = len(samples) + 1
-    if (text.count(",") == 7 * lines and text.count("\n") == lines
-            and '"' not in text and "\r" not in text):
-        return text
-    buf = io.StringIO()
-    plain = csv.writer(buf, lineterminator="\n")
-    # csv quotes only the row end's characters: a "\r" in an id quotes its row
-    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    plain.writerow(_TRACKS_FIELDS)
-    try:
-        for s in samples:
-            b = s.box
-            (quoted if "\r" in s.camera_id + s.entity_class + s.track_id else plain).writerow(
-                [s.camera_id, repr(s.time), s.entity_class, s.track_id,
-                 repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
-    except csv.Error as exc:
-        raise DataError(f"tracks CSV: track {s.track_id!r}: {exc}") from None
-    return buf.getvalue()
 
 
 def zone_from_json(item) -> ZoneSpec:
     """One zone from its JSON object {location_id, camera_id, x, y, w, h, category}:
-    strings and finite numbers; the caller adds its prefix to the KeyError,
+    names (``eventlog.name_ok``) and finite numbers; the caller adds its prefix to the KeyError,
     TypeError, OverflowError (an integer past the float range) or DataError
     this raises on a bad item."""
     return ZoneSpec(
-        location_id=_string(item["location_id"], "location_id"),
-        camera_id=_string(item["camera_id"], "camera_id"),
+        location_id=_name(item["location_id"], "location_id"),
+        camera_id=_name(item["camera_id"], "camera_id"),
         box=_parse_box(*(_number(item[k], k) for k in "xywh")),
-        category=_string(item.get("category", ""), "category"),
+        category=_name(item.get("category", ""), "category"),
     )
 
 

@@ -5,8 +5,6 @@ its CSV and DOT writers and ``compare_topk`` run without it."""
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -161,17 +159,12 @@ def link_matrix(net: ProcessNetwork) -> LinkMatrix:
 def matrix_to_csv(net: ProcessNetwork) -> str:
     """The dense ``link_matrix(net)`` as a labeled CSV: first row and first
     column carry rendered node labels; ``load_matrix_csv`` reads it back.
-    csv's refusal of a label (a NUL on Python 3.10) is a DataError."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    try:  # the header holds every label, so a label csv refuses fails here first
-        writer.writerow([""] + [lbl.render() for lbl in net.nodes])
-    except csv.Error as exc:
-        raise DataError(f"matrix CSV: {exc}") from None
-    for a in net.nodes:
-        writer.writerow([a.render()] + [repr(float(net.edges.get((a, b), 0.0)))
-                                        for b in net.nodes])
-    return buf.getvalue()
+    A label joins two names of a log's records, which keep
+    ``eventlog.name_ok``, so no field needs quoting."""
+    rows = [["", *(lbl.render() for lbl in net.nodes)]]
+    rows += ([a.render(), *(repr(float(net.edges.get((a, b), 0.0))) for b in net.nodes)]
+             for a in net.nodes)
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def load_matrix_csv(path) -> LinkMatrix:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .eventlog import DetectionConfig, Occurrence, _number, _reason, _string, load_json
+from .eventlog import DetectionConfig, Occurrence, _name, _number, _reason, _string, load_json
 from .events import (DetectionSample, Rect, ZoneSpec, _collector_paused, check_unique_zones,
                      zone_from_json)
 
@@ -51,7 +51,9 @@ class _ScenarioFields(NamedTuple):
 
 
 class Scenario(_ScenarioFields):
-    """A checked scenario; ``_make`` and ``_replace`` skip the checks."""
+    """A checked scenario, whose zone location and camera ids and actor classes and
+    track ids keep the name rule (``eventlog.name_ok``); ``_make`` and ``_replace``
+    skip the checks."""
 
     __slots__ = ()
 
@@ -65,10 +67,15 @@ class Scenario(_ScenarioFields):
             raise DataError("sample_period must be finite and > 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
+        for z in self.zones:
+            _name(z.location_id, "location_id")
+            _name(z.camera_id, "camera_id")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
         per_camera = 0.0
         for actor in self.actors:
+            _name(actor.entity_class, "entity_class")
+            _name(actor.track_id, "track_id")
             name = repr(actor.track_id or actor.entity_class)
             if not actor.itinerary:
                 raise DataError(f"actor {name} has an empty itinerary")
@@ -235,10 +242,10 @@ def scenario_from_json(path) -> Scenario:
             raise DataError(f"layout must be null, or 'cell19' without zones; got {layout!r}")
         actors = [
             Actor(
-                entity_class=_string(a["entity_class"], "entity_class"),
+                entity_class=a["entity_class"],  # Scenario checks both names
                 itinerary=tuple((_string(loc, "location"), _number(dwell, "dwell"))
                                 for loc, dwell in a["itinerary"]),
-                track_id=_string(a.get("track_id", ""), "track_id"),
+                track_id=a.get("track_id", ""),
             )
             for a in raw["actors"]
         ]

@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths.
 """
 
 import csv
+import html
 import io
 import json
 import math
@@ -17,10 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConvergenceError, DataError
-from trackmine.eventlog import (_GROUP_SEP_RE, _LABEL_LINE_RE, _PAIR_SEP_RE, _PALETTE,
-                                _RECORD_RE, Cycle, Entity, EventLog, EventRecord, Group,
-                                Occurrence, _string, format_timestamp, gantt_lane,
-                                parse_time, to_datetime, to_seconds)
+from trackmine.eventlog import (_LABEL_LINE_RE, _PAIR_SEP_RE, _PALETTE, _RECORD_RE, Cycle,
+                                Entity, EventLog, EventRecord, Group, Occurrence, _name,
+                                _string, format_timestamp, gantt_lane, parse_time, to_datetime,
+                                to_seconds)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
                               _parse_box, detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
@@ -241,15 +242,15 @@ def _csv_rows(fh, path, expected: list[str] | None = None):
 
 def load_tracks_rows(path) -> list[DetectionSample]:
     """The tracks CSV reader row by row: every row through ``_csv_rows`` above,
-    ``parse_time`` and ``_parse_box``, as ``load_tracks_csv`` read before its
-    one-pass loop."""
+    the name rule, ``parse_time`` and ``_parse_box``, as ``load_tracks_csv``
+    read before its one-pass loop."""
     samples = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
             try:
-                samples.append(
-                    DetectionSample(camera, parse_time(time), cls, track, _parse_box(x, y, w, h))
-                )
+                samples.append(DetectionSample(
+                    _name(camera, "camera_id"), parse_time(time), _name(cls, "entity_class"),
+                    _name(track, "track_id"), _parse_box(x, y, w, h)))
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
@@ -511,7 +512,7 @@ def parse_record_per_line(line: str, lineno: int = 0) -> tuple[str, EventRecord]
         raise DataError(f"line {lineno}: record needs at least a label and a timestamp")
 
     groups = []
-    for chunk in _GROUP_SEP_RE.split(payload):
+    for chunk in payload.split(";"):
         head, *pairs = (tok.strip() for tok in _PAIR_SEP_RE.split(chunk))
         if not pairs:
             if "_" not in head:
@@ -638,18 +639,6 @@ def occurrences_to_log_per_occurrence(occurrences: Sequence[Occurrence], label: 
     return EventLog(records=tuple(records), label=label)
 
 
-# the code points XML 1.0 allows in no document, not even as a character reference
-_XML_FORBIDDEN = frozenset([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000),
-                            0xFFFE, 0xFFFF])
-
-
-def _xml_text(name: str) -> str:
-    """`name` HTML-escaped, with U+FFFD for each code point XML 1.0 forbids."""
-    import html
-
-    return "".join("\ufffd" if ord(c) in _XML_FORBIDDEN else c for c in html.escape(name))
-
-
 def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
     """Render event start times as an SVG chart: one lane per key, one
     tick per event start.  lane_key is 'location' or 'entity'."""
@@ -691,7 +680,7 @@ def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
         y = margin_t + i * lane_h
         out.append(
             f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
-            f"{_xml_text(lane)}</text>"
+            f"{html.escape(lane)}</text>"
         )
         out.append(
             f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
@@ -719,7 +708,7 @@ def gantt_per_tick(log: EventLog, lane_key: str = "location") -> str:
     for i, cls in enumerate(classes):
         y = ly + 20 * i
         out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
-        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{_xml_text(cls)}</text>')
+        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{html.escape(cls)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

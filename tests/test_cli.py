@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import currently_in_test_context, event, example, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from trackmine import cli, ranking, sim
 from trackmine.cli import _detection_config, build_parser, main
-from trackmine.eventlog import load_occurrences_csv, log_to_jsonl, parse_log
+from trackmine.eventlog import (load_occurrences_csv, log_to_jsonl, parse_log, segment_cycles,
+                                to_datetime)
 from trackmine.events import DetectionConfig, detect_streams, load_tracks_csv
+from trackmine.procnet import build_dfg
 
 SCENARIO = {
     "layout": "cell19",
@@ -116,24 +120,30 @@ class TestSimulateDetect:
         assert len(from_text["cycles"]) == 2
         assert set(from_jsonl) == set(from_text) == {"label", "cycles"}
 
-    def test_ids_needing_quotes_survive_simulate_then_detect(self, tmp_path, capsys):
+    @pytest.mark.parametrize("zone, cls, track, message", [
+        ("a,b", "wo(rk)er", 'T"1', "location_id 'a,b'"),
+        ("s2", "wo(rk)er", "T1", "entity_class 'wo(rk)er'"),
+        ("s2", "h", 'T"1', "track_id 'T\"1'"),
+        ("s2", "h", "T,1", "track_id 'T,1'"),
+    ], ids=["all_three", "class", "track_quote", "track_comma"])
+    def test_ids_needing_quotes_are_refused_by_simulate(self, tmp_path, capsys, zone, cls,
+                                                        track, message):
+        # such a scenario once passed simulate, detect to a CSV and precision,
+        # and failed only when detect wrote a log, naming no file
         scenario = tmp_path / "scenario.json"
-        zones = [{"location_id": loc, "camera_id": "cam,1", "x": x, "y": 0, "w": 100, "h": 100}
-                 for loc, x in (("s1", 0), ("s2", 300))]
+        zones = [{"location_id": loc, "camera_id": "cam1", "x": x, "y": 0, "w": 100, "h": 100}
+                 for loc, x in (("s1", 0), (zone, 300))]
         scenario.write_text(json.dumps({"zones": zones, "actors": [
-            {"entity_class": 'h "1"', "track_id": "T,1", "itinerary": [["s1", 5.0], ["s2", 6.0]]},
+            {"entity_class": cls, "track_id": track, "itinerary": [["s1", 5.0], [zone, 6.0]]},
         ]}))
         tracks, truth, zones_json = (tmp_path / n for n in ("t.csv", "g.csv", "z.json"))
-        rc, _ = run(capsys, "simulate", "--scenario", scenario, "--out-tracks", tracks,
-                    "--out-truth", truth, "--out-zones", zones_json)
-        assert rc == 0
-        detected = tmp_path / "d.csv"
-        rc, _ = run(capsys, "detect", "--tracks", tracks, "--zones", zones_json, "--out", detected)
-        assert rc == 0
-        sc = sim.scenario_from_json(scenario)
-        expected = detect_streams(sim.simulate(sc)[0], sc.zones, DetectionConfig())
-        assert len(expected) == 2
-        assert load_occurrences_csv(detected) == expected
+        rc = main([str(a) for a in ("simulate", "--scenario", scenario, "--out-tracks", tracks,
+                                    "--out-truth", truth, "--out-zones", zones_json)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (f"trackmine simulate: {scenario}: bad scenario: {message} is not a name: "
+                       f'a name is printable, with none of ,;()" and no whitespace at either end\n')
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 LOG_TEXT = """\
@@ -313,6 +323,7 @@ class TestTables:
 
 
 TRACKS_HEADER = "camera_id,time,entity_class,track_id,x,y,w,h\n"
+NAME_RULE = 'a name is printable, with none of ,;()" and no whitespace at either end'
 ZONE = {"location_id": "s1", "camera_id": "cam1", "x": 0, "y": 0, "w": 100, "h": 100}
 
 
@@ -803,10 +814,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, text, line, message", [
         ("detect --tracks {inp} --zones {zones} --out {out}",
          TRACKS_HEADER + 'cam1,0,h,"T\n1",0,0,10,10\ncam1,1,h,T1,x,0,10,10\n',
-         4, "could not convert string to float: 'x'"),
+         3, "track_id 'T\\n1' is not a name: " + NAME_RULE),
         ("precision --detected {inp} --truth {inp}",
          'location_id,entity_class,track_id,start_time\ns1,h,"T\n1",0\ns1,h,T1,x\n',
-         4, "unparseable timestamp 'x'"),
+         3, "track_id 'T\\n1' is not a name: " + NAME_RULE),
         ("rank --matrix {inp}", ',"x\n_1",x_2\n"x\n_1",1,0\nx_2,x,0\n',
          5, "could not convert string to float: 'x'"),
         ("rank --matrix {inp}", ',"x\n_1",bad\n"x\n_1",1,0\nbad,0,0\n',
@@ -814,7 +825,8 @@ class TestExitCodes:
     ], ids=["tracks", "occurrences", "matrix_cell", "matrix_header"])
     def test_csv_error_names_the_physical_line(self, tmp_path, capsys, argv, text, line,
                                                message):
-        # a quoted field holds a line break, so the bad value's line is past its row's number
+        # a quoted field holds a line break, so the bad value's line is past its row's
+        # number; a track id refuses the line break itself, at the line where its row ends
         inp, zones, out = tmp_path / "inp.csv", tmp_path / "zones.json", tmp_path / "out.csv"
         inp.write_text(text)
         zones.write_text(json.dumps([ZONE]))
@@ -1071,7 +1083,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("suffix", [".log", ".jsonl"])
     @pytest.mark.parametrize("location, label, message", [
-        ("s(1", "EL1", "location id 's(1'"),
+        # a location is refused by the zones reader, before any detection runs
+        ("s(1", "EL1", "{zones}: zone #0: location_id 's(1'"),
         ("s1", "E L", "log label 'E L'"),
         ("s1", "#x", "log label '#x'"),
     ], ids=["location_paren", "label_space", "label_hash"])
@@ -1086,7 +1099,8 @@ class TestExitCodes:
                    "--out", str(out), "--label", label])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err.startswith(f"trackmine detect: {message} ") and err.count("\n") == 1
+        assert err.startswith(f"trackmine detect: {message.format(zones=zones)} ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -1183,6 +1197,119 @@ def test_non_ascii_digits_are_data_error(tmp_path, capsys, reader, ts):
     assert sorted(os.listdir(tmp_path)) == sorted([name, "zones.json"])
 
 
+# a character no name may hold, by its test id; " " stands for a space at the start
+_NOT_IN_A_NAME = {"comma": ",", "semicolon": ";", "open_paren": "(", "close_paren": ")",
+                  "quote": '"', "tab": "\t", "nul": "\0", "line_separator": "\u2028",
+                  "leading_space": " "}
+_NAME_READERS = ["scenario_json", "zones_json", "tracks_csv_plain", "tracks_csv_quoted",
+                 "occurrence_csv", "text_log", "jsonl_log"]
+
+
+def _csv_field(text, quote):
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
+@pytest.mark.parametrize("reader, char", [
+    # the text grammar drops the spaces around a name, so no text log holds a leading one
+    pytest.param(reader, char, id=f"{reader}-{key}") for reader in _NAME_READERS
+    for key, char in _NOT_IN_A_NAME.items() if (reader, char) != ("text_log", " ")])
+def test_every_reader_refuses_a_name_outside_the_rule(tmp_path, capsys, reader, char):
+    """Each reader refuses the name with its own prefix: the file, and the
+    line or zone where there is one.  The tracks CSV's plain file quotes only
+    what csv must, so it starts a column pass; its quoted file does not."""
+    bad = " x1" if char == " " else f"x{char}1"
+    quote = reader == "tracks_csv_quoted" or char in ',"'
+    occurrence = {"id": bad, "entities": [{"id": "E1", "prop": "RP"}]}
+    name, text, argv, where = {  # the input, its text, the command, the error's place
+        "scenario_json": ("inp.json", json.dumps(dict(SCENARIO, actors=[
+            {"entity_class": "h", "track_id": bad, "itinerary": [["s11", 5.0]]}])),
+            "simulate --scenario {inp} --out-tracks {dir}/t.csv --out-truth {dir}/g.csv",
+            "{inp}: bad scenario: track_id "),
+        "zones_json": ("inp.json", json.dumps([ZONE, dict(ZONE, location_id=bad)]),
+                       "detect --tracks {dir}/tracks.csv --zones {inp} --out {dir}/d.csv",
+                       "{inp}: zone #1: location_id "),
+        "tracks_csv_plain": ("inp.csv", TRACKS_HEADER + "cam1,0,h,T1,0,0,10,10\n"
+                             f"cam1,1,h,{_csv_field(bad, quote)},0,0,10,10\n",
+                             "detect --tracks {inp} --zones {dir}/zones.json --out {dir}/d.csv",
+                             "{inp}:3: "),
+        "tracks_csv_quoted": ("inp.csv", TRACKS_HEADER + "cam1,0,h,T1,0,0,10,10\n" + ",".join(
+            _csv_field(f, True) for f in ["cam1", "1", "h", bad, "0", "0", "10", "10"]) + "\n",
+            "detect --tracks {inp} --zones {dir}/zones.json --out {dir}/d.csv", "{inp}:3: "),
+        "occurrence_csv": ("inp.csv", "location_id,entity_class,track_id,start_time\n"
+                                      f"s1,h,T1,0\ns1,h,{_csv_field(bad, quote)},1\n",
+                           "precision --detected {inp} --truth {inp}", "{inp}:3: "),
+        "text_log": ("inp.log", f"EL1: {{s11, (E1,RP), 2024/08/15/10:00:00}}\n"
+                                f"EL1: {{{bad}, (E1,RP), 2024/08/15/10:00:01}}\n",
+                     "cycles --log {inp} --anchor ^s11$", "{inp}: line 2: "),
+        "jsonl_log": ("inp.jsonl", json.dumps({"locations": [dict(occurrence, id="s11")],
+                                               "ts": "2024/08/15/10:00:00"}) + "\n"
+                                   + json.dumps({"locations": [occurrence],
+                                                 "ts": "2024/08/15/10:00:01"}) + "\n",
+                      "cycles --log {inp} --anchor ^s11$", "{inp}: line 2: "),
+    }[reader]
+    inp = tmp_path / name
+    inp.write_text(text, encoding="utf-8", newline="")
+    (tmp_path / "tracks.csv").write_text(DWELL_TRACKS)
+    (tmp_path / "zones.json").write_text(json.dumps([ZONE]))
+    rc = main(argv.format(inp=inp, dir=tmp_path).split())
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"trackmine {argv.split()[0]}: {where.format(inp=inp)}")
+    assert captured.err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "tracks.csv", "zones.json"])
+
+
+# names by the one name rule: printable, none of ',;()"', no whitespace at an end;
+# with non-ASCII text, inner spaces, "_" and "-", and characters the formats escape
+_RULE_NAMES = st.text(st.sampled_from("aZ9_-.:#<&>'\\{}\u00e9\u4e2d\U0001f600 "),
+                      min_size=1, max_size=5).map(str.strip).filter(bool)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_names_by_the_rule_pass_every_step(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("names")
+    locations = data.draw(st.lists(_RULE_NAMES, min_size=2, max_size=2, unique=True))
+    cameras = data.draw(st.lists(_RULE_NAMES, min_size=1, max_size=2, unique=True))
+    optional = st.one_of(st.just(""), _RULE_NAMES)  # a class or a track id may be empty
+    scenario = {
+        "zones": [{"location_id": loc, "camera_id": cam, "x": x, "y": 0, "w": 100, "h": 100}
+                  for cam in cameras for loc, x in zip(locations, (0, 300))],
+        "actors": [{"entity_class": data.draw(optional), "track_id": data.draw(optional),
+                    "itinerary": [[locations[0], 5.0], [locations[1], 6.0]]}
+                   for _ in range(data.draw(st.integers(1, 2)))],
+    }
+    (d / "scenario.json").write_text(json.dumps(scenario))
+    tracks, truth, zones = d / "t.csv", d / "g.csv", d / "z.json"
+    detected, log, matrix, dot = d / "d.csv", d / "d.log", d / "L.csv", d / "n.dot"
+    for argv, outs in [
+        (["simulate", "--scenario", d / "scenario.json", "--out-tracks", tracks,
+          "--out-truth", truth, "--out-zones", zones], [tracks, truth, zones]),
+        (["detect", "--tracks", tracks, "--zones", zones, "--out", detected], [detected]),
+        (["detect", "--tracks", tracks, "--zones", zones, "--out", log], [log]),
+        (["precision", "--detected", detected, "--truth", truth], []),
+        (["dfg", "--log", log, "--boundaries", "0", "--out-matrix", matrix, "--out-dot", dot],
+         [matrix, dot]),
+        (["gantt", "--log", log, "--out", d / "l.svg"], [d / "l.svg"]),
+        (["gantt", "--log", log, "--lane-key", "entity", "--out", d / "e.svg"], [d / "e.svg"]),
+    ]:
+        _assert_exit_contract(argv, outs, codes=(0,))
+    sc = sim.scenario_from_json(d / "scenario.json")
+    samples = sim.simulate(sc)[0]
+    assert tracks.read_text(encoding="utf-8") == _oracles.tracks_to_csv_writer(samples)
+    assert load_occurrences_csv(detected) == detect_streams(samples, sc.zones, DetectionConfig())
+    assert {g.location_id for r in parse_log(log.read_text(encoding="utf-8")).records
+            for g in r.groups} == set(locations)
+    # csv reads each label back as written: no field needed quoting
+    nodes = [lbl.render() for lbl in build_dfg(segment_cycles(
+        parse_log(log.read_text(encoding="utf-8")), boundaries=[to_datetime(0)])[0]).nodes]
+    rows = list(csv.reader(io.StringIO(matrix.read_text(encoding="utf-8"))))
+    assert rows[0] == ["", *nodes] and [row[0] for row in rows[1:]] == nodes
+    for svg in ("l.svg", "e.svg"):
+        ET.parse(d / svg)
+
+
 _FUZZ_TIMES = ["-1", "-0", "0", "1", "1.5", "2", "3", "4", "6", "10"]
 _FUZZ_FAR = ["-1e308", "1e308"]  # adjacent, they are more than the float range apart
 _FUZZ_FIELDS = st.one_of(st.sampled_from(_FUZZ_TIMES + _FUZZ_FAR + [
@@ -1244,7 +1371,7 @@ def test_detect_on_fuzzed_tracks_keeps_the_exit_contract(tmp_path_factory, data,
 
 # Tokens that no scenario field takes, or that only some take; a fuzzed
 # field draws one about once in twenty.
-_FUZZ_BAD = [0, -1, float("nan"), float("inf"), "1", "x", [], None, True]
+_FUZZ_BAD = [0, -1, float("nan"), float("inf"), "1", "x", [], None, True, "T,1", " h"]
 
 
 # short dwells, and one in nine so long that the sample bound refuses the scenario
@@ -1271,7 +1398,7 @@ def _fuzzed_scenario(draw):
                          for loc in draw(st.sampled_from([locations, locations + ["s1"]]))]}
     raw["actors"] = [
         {"entity_class": _field(draw, ["worker-left", "big-AGV", "h"]),
-         "track_id": _field(draw, ["", "T1", "T,1"]),
+         "track_id": _field(draw, ["", "T1", "T 1"]),
          "itinerary": [[_field(draw, locations), _field(draw, _FUZZ_DWELLS)]
                        for _ in range(draw(st.integers(0, 4)))]}
         for _ in range(draw(st.integers(0, 3)))]
@@ -1298,17 +1425,14 @@ def test_simulate_on_fuzzed_scenario_keeps_the_exit_contract(tmp_path_factory, d
 
 @pytest.mark.parametrize("cls", ["h\0", "h\0,"], ids=["plain", "quoted"])
 def test_simulate_on_a_nul_id_keeps_the_exit_contract(tmp_path, cls):
-    # Python 3.11's csv writes a NUL, and 3.10's refuses it: either way the
-    # command writes every file, which reads back, or exits 3 and writes none
+    # the scenario reader refuses a NUL on every Python version, so no CSV
+    # writer is given one, and the command writes no file
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(dict(SCENARIO, actors=[
         {"entity_class": cls, "track_id": "T1", "itinerary": [["s11", 5.0]]}])))
     outs = [tmp_path / "t.csv", tmp_path / "g.csv"]
     _assert_exit_contract(["simulate", "--scenario", scenario, "--out-tracks", outs[0],
-                           "--out-truth", outs[1]], outs)
-    if outs[0].exists():
-        assert {s.entity_class for s in load_tracks_csv(outs[0])} == {cls}
-        assert {o.entity_class for o in load_occurrences_csv(outs[1])} == {cls}
+                           "--out-truth", outs[1]], outs, codes=(3,))
 
 
 # JSON values that a zone field mostly refuses: strings where a number
@@ -1428,7 +1552,7 @@ def test_rank_on_fuzzed_matrix_keeps_the_exit_contract(tmp_path_factory, data, a
 # Names and times for fuzzed logs: the names mostly follow the grammar,
 # and the times are in calendar order, from the first year to the last.
 _LOG_LOCATIONS = ["s11", "s14", "k3"]
-_LOG_ENTITIES = ["E1", "E2", "v_1", "E;1"]
+_LOG_ENTITIES = ["E1", "E2", "v_1", "E-1"]
 _LOG_PROPS = ["RP", "LP", ""]
 _LOG_BAD_NAMES = ["", "s(1", "x,y", " s1", "a\nb", '"', "s;1"]
 _LOG_TIMES = ["0001/01/01/00:00:00", "2024/08/15/10:00:00", "2024-08-15T10:01:00",
@@ -1520,7 +1644,7 @@ def _assert_log_commands_keep_the_exit_contract(d, log):
 
 
 @given(st.one_of(st.binary(max_size=200), _fuzzed_text_log()))
-# a NUL in a location: Python 3.10's csv refuses it in the matrix CSV
+# a NUL in a location, which the log reader refuses as it reads the record
 @example(b"EL1: {s1, (E1, worker), 1970/01/01/00:00:00}\n"
          b"EL1: {s\x002, (E1, worker), 1970/01/01/00:00:05}\n")
 @settings(max_examples=300, deadline=None)

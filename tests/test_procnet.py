@@ -198,10 +198,12 @@ def test_dot_export_lists_all_edges():
 
 
 def test_dot_strings_read_back_as_the_names():
-    # a role holding a double quote and a backslash, and one ending in a
-    # backslash, which would otherwise escape the closing quote
-    a, b = 'R"\\P_s11', "R\\_s12"
+    # a role holding a backslash, and one ending in a backslash, which would
+    # otherwise escape the closing quote; no name holds a double quote
+    a, b = "R\\P_s11", "R\\_s12"
     dot = network_to_dot(build_dfg(cycle_from_labels([a, b])))
     strings = [re.sub(r"\\(.)", r"\1", s) for s in re.findall(r'"((?:[^"\\]|\\.)*)"', dot)]
     assert strings == [a, f"{a} (1)", b, f"{b} (1)", a, b, "1"]
-    assert '"R\\"\\\\P_s11" [label="R\\"\\\\P_s11 (1)"];' in dot
+    assert '"R\\\\P_s11" [label="R\\\\P_s11 (1)"];' in dot
+    with pytest.raises(DataError, match="^property 'R\"P' is not a name: "):
+        cycle_from_labels(['R"P_s11'])

@@ -88,13 +88,13 @@ def test_node_labels_sort_as_field_tuples():
     assert [lbl.render() for lbl in sorted(labels)] == ["LP_s3", "RP_s1", "RP_s2"]
 
 
-BAD = "is empty or holds one of {}, a line break or whitespace at an end"
+BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace at either end'
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Entity(""), "entity id '' " + BAD.format(",()")),
-    (lambda: Entity("E1", "a,b"), "property 'a,b' " + BAD.format(",()")),
-    (lambda: Group("s;1", (ENTITY,)), "location id 's;1' " + BAD.format(",;()")),
+    (lambda: Entity(""), "entity id is empty"),
+    (lambda: Entity("E1", "a,b"), "property 'a,b' " + BAD),
+    (lambda: Group("s;1", (ENTITY,)), "location id 's;1' " + BAD),
     (lambda: Group("s1", ()), "group at 's1' has no entities"),
     (lambda: EventRecord((), T0), "record has no location groups"),
     (lambda: EventRecord((GROUP, GROUP), T0),
