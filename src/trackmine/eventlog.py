@@ -217,6 +217,9 @@ def load_occurrences_csv(path) -> list[Occurrence]:
     def occurrence(location, cls, track, start):
         if location not in passed or cls not in passed or track not in passed:
             passed.update(map(_name, (location, cls, track), header))
+        if not (location and (cls or track)):
+            raise DataError("location_id is empty" if not location
+                            else "entity_class and track_id are both empty")
         return Occurrence(parse_time(start), location, cls, track)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         return list(_csv_rows(fh, path, header, occurrence))

@@ -51,21 +51,28 @@ def _collector_paused(fn):
     return paused
 
 
-class Rect(NamedTuple):
-    """Axis-aligned rectangle in pixel coordinates."""
-
+class _RectFields(NamedTuple):
     x: float
     y: float
     w: float
     h: float
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
-    @property
-    def finite(self) -> bool:
-        return all(map(math.isfinite, self))
+class Rect(_RectFields):
+    """An axis-aligned rectangle in pixel coordinates, checked: every coordinate
+    finite, w > 0 and h > 0, and so w * h > 0 (a product that underflows to 0 is
+    refused too, as the overlap divides by it).  ``_make`` and ``_replace`` skip
+    the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, w: float, h: float):
+        self = super().__new__(cls, x, y, w, h)
+        if not all(map(math.isfinite, self)):
+            raise DataError(f"box {self} has a non-finite coordinate")
+        if not (w > 0 and w * h > 0):
+            raise DataError(f"box {self} has a non-positive width, height or area")
+        return self
 
 
 class DetectionSample(NamedTuple):
@@ -78,13 +85,25 @@ class DetectionSample(NamedTuple):
     box: Rect
 
 
-class ZoneSpec(NamedTuple):
-    """A named location with its rectangle in the owning camera's frame."""
-
+class _ZoneFields(NamedTuple):
     location_id: str
     camera_id: str
     box: Rect
     category: str = ""
+
+
+class ZoneSpec(_ZoneFields):
+    """A named location with its rectangle in the owning camera's frame, checked:
+    its location, camera and category keep the name rule (``eventlog.name_ok``),
+    and its location is not empty.  ``_make`` and ``_replace`` skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, location_id: str, camera_id: str, box: Rect, category: str = ""):
+        if not _name(location_id, "location_id"):  # a value that is no string fails first
+            raise DataError("location_id is empty")
+        return super().__new__(cls, location_id, _name(camera_id, "camera_id"), box,
+                               _name(category, "category"))
 
 
 def check_unique_zones(zones: Iterable[ZoneSpec]) -> None:
@@ -94,22 +113,6 @@ def check_unique_zones(zones: Iterable[ZoneSpec]) -> None:
         if (loc.camera_id, loc.location_id) in seen:
             raise DataError(f"duplicate zone {loc.location_id!r} on camera {loc.camera_id!r}")
         seen.add((loc.camera_id, loc.location_id))
-
-
-def _box_problem(box: Rect) -> str | None:
-    if not box.finite:
-        return "has a non-finite coordinate"
-    if box.area <= 0:
-        return "has non-positive area"
-    if box.w < 0 or box.h < 0:
-        return "has a negative width or height"
-    return None
-
-
-def _check_box(name: str, box: Rect) -> None:
-    problem = _box_problem(box)
-    if problem:
-        raise DataError(f"{name} {problem}: {box}")
 
 
 def _overlap(ex, ey, ew, eh, zx, zy, zw, zh):
@@ -188,24 +191,7 @@ def detect_events(
     for j, loc in enumerate(zones):
         by_camera.setdefault(cam_ids[loc.camera_id], []).append((j, loc))
 
-    # The first sample (in input order) on a camera with zones whose box, or
-    # one of whose camera's zone boxes, is invalid raises, entity box first.
-    # A valid box is finite with positive area and width (so positive height).
     cam = stream_cam[sid]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~(np.isfinite([x, y, w, h]).all(axis=0) & (w * h > 0) & (w > 0))
-    zoned = np.zeros(len(cam_ids), dtype=bool)
-    zoned[list(by_camera)] = True
-    bad_zone = np.zeros(len(cam_ids), dtype=bool)
-    for c, cam_zones in by_camera.items():
-        bad_zone[c] = any(_box_problem(z.box) for _, z in cam_zones)
-    hit = zoned[cam] & (bad | bad_zone[cam])
-    if hit.any():
-        i = int(np.argmax(hit))
-        _check_box("entity_box", samples[i].box)
-        for _, loc in by_camera[cam[i]]:
-            _check_box("zone_box", loc.box)
-
     order = np.lexsort((sid, cam))
     t, x, y, w, h, sid, cam = (a[order] for a in (t, x, y, w, h, sid, cam))
     # a run cannot continue across a stream boundary or a gap longer than
@@ -264,13 +250,6 @@ def detect_streams(
 # ---------------------------------------------------------------------------
 # file formats
 
-def _parse_box(x, y, w, h) -> Rect:
-    box = Rect(float(x), float(y), float(w), float(h))
-    if not box.finite:
-        raise DataError(f"box {box} has a non-finite coordinate")
-    return box
-
-
 @_collector_paused
 def load_tracks_csv(path) -> list[DetectionSample]:
     """Read tracks from CSV with header camera_id,time,entity_class,track_id,x,y,w,h.
@@ -301,8 +280,11 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
     without exactly 7 commas (a blank line too) or longer than csv's field
     limit, a time column that is not ASCII or holds "_", a value ``float``
     rejects, a column whose values sum to a non-finite value, as any nan or
-    inf makes it (a sum that only overflows is refused too), or an id that
-    breaks ``name_ok``, as one holding a quote or a NUL does."""
+    inf makes it (a sum that only overflows is refused too), a width or height
+    column whose least value is not > 0 (or whose least values' product is not),
+    an id that breaks ``name_ok``, as one holding a quote or a NUL does, or a
+    row whose class and track id are both empty, looked for only when "" is one
+    of the ids."""
     if fh.readline() not in _TRACKS_HEADERS:
         return None
     limit = csv.field_size_limit()
@@ -327,21 +309,32 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
         # a nan or inf makes its column's sum one
         if not all(map(math.isfinite, map(sum, (t, x, y, w, h)))):
             return None
+        # the least width and height keep Rect's rule, and so every row's do
+        least_w, least_h = min(w), min(h)
+        if not (least_w > 0 and least_w * least_h > 0):
+            return None
         boxes = map(tuple.__new__, repeat(Rect), zip(x, y, w, h))
         camera, cls, track = (map(share, ids, ids) for ids in (f[0::8], f[2::8], f[3::8]))
         samples += map(tuple.__new__, repeat(DetectionSample), zip(camera, t, cls, track, boxes))
-    return samples if all(map(name_ok, distinct)) else None
+    if not all(map(name_ok, distinct)):
+        return None
+    if "" in distinct and not all(s.entity_class or s.track_id for s in samples):
+        return None
+    return samples
 
 
 def _tracks_by_rows(fh, path) -> list[DetectionSample]:
     """The samples of `fh`, the tracks CSV at `path`, every row through
-    ``_csv_rows``, ``parse_time``, ``_parse_box`` and the name rule: a blank
-    row is skipped, and a row of another width or with a bad value raises its
-    ``path:line:`` error."""
-    return list(_csv_rows(fh, path, _TRACKS_FIELDS, lambda camera, time, cls, track, *box:
-                          DetectionSample(_name(camera, "camera_id"), parse_time(time),
-                                          _name(cls, "entity_class"), _name(track, "track_id"),
-                                          _parse_box(*box))))
+    ``_csv_rows``, a check that its class or track id is not empty, the name
+    rule, ``parse_time`` and ``Rect``: a blank row is skipped, and a row of
+    another width or with a bad value raises its ``path:line:`` error."""
+    def sample(camera, time, cls, track, *box):
+        if not (cls or track):
+            raise DataError("entity_class and track_id are both empty")
+        return DetectionSample(_name(camera, "camera_id"), parse_time(time),
+                               _name(cls, "entity_class"), _name(track, "track_id"),
+                               Rect(*map(float, box)))
+    return list(_csv_rows(fh, path, _TRACKS_FIELDS, sample))
 
 
 def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
@@ -354,16 +347,12 @@ def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
 
 
 def zone_from_json(item) -> ZoneSpec:
-    """One zone from its JSON object {location_id, camera_id, x, y, w, h, category}:
-    names (``eventlog.name_ok``) and finite numbers; the caller adds its prefix to the KeyError,
+    """One zone from its JSON object {location_id, camera_id, x, y, w, h, category},
+    its box checked before its names; the caller adds its prefix to the KeyError,
     TypeError, OverflowError (an integer past the float range) or DataError
     this raises on a bad item."""
-    return ZoneSpec(
-        location_id=_name(item["location_id"], "location_id"),
-        camera_id=_name(item["camera_id"], "camera_id"),
-        box=_parse_box(*(_number(item[k], k) for k in "xywh")),
-        category=_name(item.get("category", ""), "category"),
-    )
+    box = Rect(*(_number(item[k], k) for k in "xywh"))
+    return ZoneSpec(item["location_id"], item["camera_id"], box, item.get("category", ""))
 
 
 def load_zones_json(path) -> list[ZoneSpec]:

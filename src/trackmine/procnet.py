@@ -44,10 +44,13 @@ class NodeLabel(_NodeLabelFields):
 
     @classmethod
     def parse(cls, text: str) -> "NodeLabel":
-        if "_" not in text:
+        """The label split at its last "_" that leaves both parts non-empty: a role or a
+        location may hold "_", so the split may differ from the label rendered, but it
+        renders back to `text`."""
+        cut = text.rfind("_", 1, len(text) - 1)
+        if cut < 0:
             raise DataError(f"node label {text!r} is not of the form role_location")
-        role, loc = text.rsplit("_", 1)
-        return cls(role, loc)
+        return cls(text[:cut], text[cut + 1:])
 
 
 def default_labeler(record: EventRecord, built: dict | None = None) -> list[NodeLabel]:

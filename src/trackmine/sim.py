@@ -51,9 +51,9 @@ class _ScenarioFields(NamedTuple):
 
 
 class Scenario(_ScenarioFields):
-    """A checked scenario, whose zone location and camera ids and actor classes and
-    track ids keep the name rule (``eventlog.name_ok``); ``_make`` and ``_replace``
-    skip the checks."""
+    """A checked scenario, whose actor classes and track ids keep the name rule
+    (``eventlog.name_ok``), as its zones (``events.ZoneSpec``) do; ``_make`` and
+    ``_replace`` skip the checks."""
 
     __slots__ = ()
 
@@ -67,9 +67,6 @@ class Scenario(_ScenarioFields):
             raise DataError("sample_period must be finite and > 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        for z in self.zones:
-            _name(z.location_id, "location_id")
-            _name(z.camera_id, "camera_id")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
         per_camera = 0.0

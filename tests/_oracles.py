@@ -23,7 +23,7 @@ from trackmine.eventlog import (_LABEL_LINE_RE, _PAIR_SEP_RE, _PALETTE, _RECORD_
                                 _string, format_timestamp, gantt_lane, parse_time, to_datetime,
                                 to_seconds)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
-                              _parse_box, detect_events, merge_camera_streams)
+                              detect_events, merge_camera_streams)
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
 from trackmine.sim import _BOX_SIZES, _DEFAULT_BOX, TRAVEL_SPEED, Scenario, _zone_center
 
@@ -242,15 +242,18 @@ def _csv_rows(fh, path, expected: list[str] | None = None):
 
 def load_tracks_rows(path) -> list[DetectionSample]:
     """The tracks CSV reader row by row: every row through ``_csv_rows`` above,
-    the name rule, ``parse_time`` and ``_parse_box``, as ``load_tracks_csv``
-    read before its one-pass loop."""
+    a check that its class or track id is not empty, the name rule,
+    ``parse_time`` and ``Rect``, as ``load_tracks_csv`` read before its
+    one-pass loop."""
     samples = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, (camera, time, cls, track, x, y, w, h) in _csv_rows(fh, path, _TRACKS_FIELDS):
             try:
+                if not cls and not track:
+                    raise DataError("entity_class and track_id are both empty")
                 samples.append(DetectionSample(
                     _name(camera, "camera_id"), parse_time(time), _name(cls, "entity_class"),
-                    _name(track, "track_id"), _parse_box(x, y, w, h)))
+                    _name(track, "track_id"), Rect(float(x), float(y), float(w), float(h))))
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
@@ -279,7 +282,7 @@ def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
     a large zone scores 1.0.
     """
     for name, box in (("entity_box", entity_box), ("zone_box", zone_box)):
-        if box.area <= 0:
+        if box.w * box.h <= 0:
             raise DataError(f"{name} has non-positive area: {box}")
     ix = min(entity_box.x + entity_box.w, zone_box.x + zone_box.w) - max(
         entity_box.x, zone_box.x
@@ -289,7 +292,7 @@ def overlap_ratio(entity_box: Rect, zone_box: Rect) -> float:
     )
     if ix <= 0 or iy <= 0:
         return 0.0
-    return (ix * iy) / entity_box.area
+    return (ix * iy) / (entity_box.w * entity_box.h)
 
 
 @dataclass

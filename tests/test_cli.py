@@ -20,7 +20,7 @@ from trackmine import cli, ranking, sim
 from trackmine.cli import _detection_config, build_parser, main
 from trackmine.eventlog import (load_occurrences_csv, log_to_jsonl, parse_log, segment_cycles,
                                 to_datetime)
-from trackmine.events import DetectionConfig, detect_streams, load_tracks_csv
+from trackmine.events import DetectionConfig, Rect, detect_streams, load_tracks_csv
 from trackmine.procnet import build_dfg
 
 SCENARIO = {
@@ -603,7 +603,7 @@ class TestExitCodes:
         ({"actors": [{"entity_class": "h", "itinerary": [["nowhere", 5.0]]}]},
          "actor 'h' visits unknown location 'nowhere'"),
         ({"layout": None,
-          "zones": [dict(ZONE, x=-1.7e308, w=0), dict(ZONE, location_id="s2", x=1e308)],
+          "zones": [dict(ZONE, x=-1.7e308, w=1), dict(ZONE, location_id="s2", x=1e308)],
           "actors": [{"entity_class": "h", "itinerary": [["s1", 5.0], ["s2", 5.0]]}]},
          "actor 'h': itinerary time overflows"),
     ], ids=["dropout_over_one", "unknown_location", "zones_a_float_range_apart"])
@@ -697,8 +697,8 @@ class TestExitCodes:
                    "--out", str(tmp_path / "d.csv")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "zone_box has a negative width or height" in err
-        assert err.count("\n") == 1
+        assert err == (f"trackmine detect: {zones}: zone #0: box Rect(x=100.0, y=100.0, "
+                       f"w=-100.0, h=-100.0) has a non-positive width, height or area\n")
         assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
@@ -1258,6 +1258,143 @@ def test_every_reader_refuses_a_name_outside_the_rule(tmp_path, capsys, reader, 
     assert captured.err.startswith(f"trackmine {argv.split()[0]}: {where.format(inp=inp)}")
     assert captured.err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == sorted([name, "tracks.csv", "zones.json"])
+
+
+# boxes outside the one box rule (finite, w > 0 and h > 0), by test id, as
+# changes to a box at (0, 0) of width and height 10
+_BAD_BOXES = {"zero_width": {"w": 0}, "negative_height": {"h": -1},
+              "negative_width_and_height": {"x": 100, "y": 100, "w": -100, "h": -100}}
+
+
+@pytest.mark.parametrize("reader", ["scenario_json", "zones_json", "tracks_csv_plain",
+                                    "tracks_csv_quoted"])
+@pytest.mark.parametrize("box", list(_BAD_BOXES))
+def test_every_reader_refuses_a_box_outside_the_rule(tmp_path, capsys, reader, box):
+    """Each reader refuses the box with its own prefix, on a camera that no
+    sample or zone of the file's other lines shares, so whether or not
+    detection would reach it.  The tracks CSV's plain file starts a column
+    pass; its quoted file does not."""
+    coords = dict({"x": 0, "y": 0, "w": 10, "h": 10}, **_BAD_BOXES[box])
+    rect = repr(Rect._make(map(float, coords.values())))
+    zone = dict(ZONE, location_id="s2", camera_id="cam2", **coords)
+    row = ["cam2", "1", "h", "T1", *map(str, coords.values())]
+    name, text, argv, where = {  # the input, its text, the command, the error's place
+        "scenario_json": ("inp.json", json.dumps(dict(
+            SCENARIO, layout=None, zones=[ZONE, zone],
+            actors=[{"entity_class": "h", "itinerary": [["s1", 5.0]]}])),
+            "simulate --scenario {inp} --out-tracks {dir}/t.csv --out-truth {dir}/g.csv",
+            "{inp}: bad scenario: "),
+        "zones_json": ("inp.json", json.dumps([ZONE, zone]),
+                       "detect --tracks {dir}/tracks.csv --zones {inp} --out {dir}/d.csv",
+                       "{inp}: zone #1: "),
+        "tracks_csv_plain": ("inp.csv", DWELL_TRACKS + ",".join(row) + "\n",
+                             "detect --tracks {inp} --zones {dir}/zones.json --out {dir}/d.csv",
+                             "{inp}:8: "),
+        "tracks_csv_quoted": ("inp.csv", DWELL_TRACKS + ",".join(f'"{f}"' for f in row) + "\n",
+                              "detect --tracks {inp} --zones {dir}/zones.json --out {dir}/d.csv",
+                              "{inp}:8: "),
+    }[reader]
+    inp = tmp_path / name
+    inp.write_text(text, encoding="utf-8")
+    (tmp_path / "tracks.csv").write_text(DWELL_TRACKS)
+    (tmp_path / "zones.json").write_text(json.dumps([ZONE]))
+    rc = main(argv.format(inp=inp, dir=tmp_path).split())
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (f"trackmine {argv.split()[0]}: {where.format(inp=inp)}box {rect} "
+                            f"has a non-positive width, height or area\n")
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "tracks.csv", "zones.json"])
+
+
+@pytest.mark.parametrize("out", ["d.csv", "d.log"])
+def test_detect_on_empty_tracks_refuses_a_zero_width_zone(tmp_path, capsys, out):
+    # a tracks file without samples detects nothing, yet its zones are read whole
+    (tmp_path / "tracks.csv").write_text(TRACKS_HEADER)
+    zones = tmp_path / "zones.json"
+    zones.write_text(json.dumps([dict(ZONE, w=0)]))
+    rc = main(["detect", "--tracks", str(tmp_path / "tracks.csv"), "--zones", str(zones),
+               "--out", str(tmp_path / out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"trackmine detect: {zones}: zone #0: box Rect(x=0.0, y=0.0, w=0.0, h=100.0) has a "
+        f"non-positive width, height or area\n")
+    assert sorted(os.listdir(tmp_path)) == ["tracks.csv", "zones.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_zone_with_an_empty_location_is_refused(tmp_path, capsys, command):
+    zone = dict(ZONE, location_id="")
+    if command == "simulate":
+        inp = tmp_path / "scenario.json"
+        inp.write_text(json.dumps({"zones": [zone],
+                                   "actors": [{"entity_class": "h", "itinerary": [["", 5.0]]}]}))
+        argv = ["simulate", "--scenario", inp, "--out-tracks", tmp_path / "t.csv",
+                "--out-truth", tmp_path / "g.csv"]
+        where = f"{inp}: bad scenario: "
+    else:
+        inp = tmp_path / "zones.json"
+        inp.write_text(json.dumps([zone]))
+        (tmp_path / "tracks.csv").write_text(DWELL_TRACKS)
+        argv = ["detect", "--tracks", tmp_path / "tracks.csv", "--zones", inp,
+                "--out", tmp_path / "d.csv"]
+        where = f"{inp}: zone #0: "
+    rc = main([str(a) for a in argv])
+    assert rc == 3
+    assert capsys.readouterr().err == f"trackmine {command}: {where}location_id is empty\n"
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("tracks_csv_plain", DWELL_TRACKS + "cam1,6,,,0,0,10,10\n",
+     "8: entity_class and track_id are both empty"),
+    ("tracks_csv_quoted", DWELL_TRACKS + '"cam1","6","","","0","0","10","10"\n',
+     "8: entity_class and track_id are both empty"),
+    ("occurrence_csv", "location_id,entity_class,track_id,start_time\ns1,h,T1,0\ns1,,,1\n",
+     "3: entity_class and track_id are both empty"),
+    ("occurrence_csv", "location_id,entity_class,track_id,start_time\ns1,h,T1,0\n,h,T1,1\n",
+     "3: location_id is empty"),
+], ids=["tracks_plain_no_entity", "tracks_quoted_no_entity", "occurrences_no_entity",
+        "occurrences_no_location"])
+def test_readers_refuse_an_empty_entity_or_location(tmp_path, capsys, reader, text, message):
+    # the row could give no event-log entity or group, so its reader refuses it
+    inp = tmp_path / "inp.csv"
+    inp.write_text(text)
+    (tmp_path / "zones.json").write_text(json.dumps([ZONE]))
+    if reader == "occurrence_csv":
+        runs = [["merge", inp, "--out", tmp_path / "d.csv"],
+                ["precision", "--detected", inp, "--truth", inp]]
+    else:
+        runs = [["detect", "--tracks", inp, "--zones", tmp_path / "zones.json",
+                 "--out", tmp_path / out] for out in ("d.csv", "d.log")]
+    for argv in runs:
+        rc = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"trackmine {argv[0]}: {inp}:{message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["inp.csv", "zones.json"]
+
+
+@pytest.mark.parametrize("role, locations", [
+    ("RP", ["_", "9"]), ("RP", ["a_", "s1"]), ("RP", ["a_b", "s1"]), ("R_", ["s1", "_"]),
+], ids=["location_underscore", "location_ends_in_underscore", "location_holds_underscore",
+        "role_ends_in_underscore"])
+def test_matrix_of_any_node_label_ranks(tmp_path, capsys, role, locations):
+    # a label splits at its last "_" that leaves both parts non-empty, which
+    # renders back to the label that dfg wrote
+    log = tmp_path / "el.log"
+    log.write_text("".join(f"EL1: {{{loc}, (E1,{role}), 2024/08/15/10:0{i}:00}}\n"
+                           for i, loc in enumerate(locations + locations)))
+    matrix = tmp_path / "L.csv"
+    rc, out = run(capsys, "dfg", "--log", log, "--boundaries", "0", "--out-matrix", matrix,
+                  "--json")
+    assert rc == 0
+    nodes = json.loads(out)["nodes"]
+    assert nodes == [f"{role}_{loc}" for loc in locations]
+    rc, out = run(capsys, "rank", "--matrix", matrix, "--json")
+    assert rc == 0
+    assert sorted(s["node"] for s in json.loads(out)["scores"]) == sorted(nodes)
 
 
 # names by the one name rule: printable, none of ',;()"', no whitespace at an end;

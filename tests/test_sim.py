@@ -138,6 +138,7 @@ class TestRoundTrip:
 
 # a pixel coordinate as JSON spells it, with up to two decimals
 _COORD = st.integers(0, 200_000).map(lambda n: json.loads(f"{n // 100}.{n % 100:02d}"))
+_SIDE = _COORD.filter(lambda v: v > 0)  # a width or height by the box rule
 
 
 @st.composite
@@ -149,7 +150,7 @@ def _scenarios(draw):
         for cam in draw(st.sampled_from([["cam1"], ["cam2"], ["cam1", "cam2"]])):
             zones.append(zone_from_json({"location_id": f"z{i}", "camera_id": cam,
                                          "x": draw(_COORD), "y": draw(_COORD),
-                                         "w": draw(_COORD), "h": draw(_COORD)}))
+                                         "w": draw(_SIDE), "h": draw(_SIDE)}))
     locations = sorted({z.location_id for z in zones})
     dwells = st.sampled_from([0.5, 1.0, 2.5, 3.0, 5.5, 7.25]) | st.floats(0.05, 10.0)
     actors = [Actor(draw(st.sampled_from([*_BOX_SIZES, "h"])),
