@@ -26,10 +26,6 @@ from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _name, _number, _
                        load_json, load_occurrences_csv, merge_camera_streams, name_ok, parse_time,
                        write_occurrences_csv)
 
-_TRACKS_FIELDS = ["camera_id", "time", "entity_class", "track_id", "x", "y", "w", "h"]
-# the header line: ending in "\n" as ``tracks_to_csv`` writes it or in "\r\n" as Excel
-# does, or alone in its file
-_TRACKS_HEADERS = tuple(",".join(_TRACKS_FIELDS) + end for end in ("", "\n", "\r\n"))
 _CHUNK = 1 << 18  # characters of whole lines per column pass
 
 
@@ -75,14 +71,43 @@ class Rect(_RectFields):
         return self
 
 
-class DetectionSample(NamedTuple):
-    """One time-stamped bounding box of one entity seen by one camera."""
-
+class _SampleFields(NamedTuple):
     camera_id: str
     time: float  # seconds
     entity_class: str
     track_id: str  # "" when untracked
-    box: Rect
+    x: float
+    y: float
+    w: float
+    h: float
+
+
+class DetectionSample(_SampleFields):
+    """One time-stamped bounding box of one entity seen by one camera, its box
+    held inline as four floats, so that a sample is one object.  It is built as
+    ``DetectionSample(camera_id, time, entity_class, track_id, box)`` from any
+    four numbers x, y, w, h that ``Rect`` takes, and refuses those it refuses;
+    ``box`` gives them back as a ``Rect``.  ``_make`` and ``_replace`` skip the
+    check."""
+
+    __slots__ = ()
+
+    def __new__(cls, camera_id: str, time: float, entity_class: str, track_id: str,
+                box: Iterable[float]):
+        return super().__new__(cls, camera_id, time, entity_class, track_id, *Rect(*box))
+
+    def __getnewargs__(self):  # for copy and pickle, which call __new__ with these
+        return (*self[:4], self[4:])
+
+    @property
+    def box(self) -> Rect:
+        return Rect._make(self[4:])
+
+
+_TRACKS_FIELDS = list(DetectionSample._fields)  # the tracks CSV's header
+# the header line: ending in "\n" as ``tracks_to_csv`` writes it or in "\r\n" as Excel
+# does, or alone in its file
+_TRACKS_HEADERS = tuple(",".join(_TRACKS_FIELDS) + end for end in ("", "\n", "\r\n"))
 
 
 class _ZoneFields(NamedTuple):
@@ -166,9 +191,8 @@ def detect_events(
                 f"zone {loc.location_id!r} references camera {loc.camera_id!r} "
                 f"absent from the sample stream"
             )
-    t = np.fromiter(map(attrgetter("time"), samples), float, len(samples))
-    boxes = list(map(attrgetter("box"), samples))
-    x, y, w, h = (np.fromiter(map(attrgetter(f), boxes), float, len(boxes)) for f in "xywh")
+    t, x, y, w, h = (np.fromiter(map(attrgetter(f), samples), float, len(samples))
+                     for f in ("time", "x", "y", "w", "h"))
     if not np.isfinite(t).all():
         pos = int(np.argmin(np.isfinite(t)))
         raise DataError(f"sample at position {pos} has a non-finite time {samples[pos].time}")
@@ -313,9 +337,9 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
         least_w, least_h = min(w), min(h)
         if not (least_w > 0 and least_w * least_h > 0):
             return None
-        boxes = map(tuple.__new__, repeat(Rect), zip(x, y, w, h))
         camera, cls, track = (map(share, ids, ids) for ids in (f[0::8], f[2::8], f[3::8]))
-        samples += map(tuple.__new__, repeat(DetectionSample), zip(camera, t, cls, track, boxes))
+        samples += map(tuple.__new__, repeat(DetectionSample),
+                       zip(camera, t, cls, track, x, y, w, h))
     if not all(map(name_ok, distinct)):
         return None
     if "" in distinct and not all(s.entity_class or s.track_id for s in samples):
@@ -326,14 +350,15 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
 def _tracks_by_rows(fh, path) -> list[DetectionSample]:
     """The samples of `fh`, the tracks CSV at `path`, every row through
     ``_csv_rows``, a check that its class or track id is not empty, the name
-    rule, ``parse_time`` and ``Rect``: a blank row is skipped, and a row of
-    another width or with a bad value raises its ``path:line:`` error."""
+    rule, ``parse_time`` and ``DetectionSample``'s box rule: a blank row is
+    skipped, and a row of another width or with a bad value raises its
+    ``path:line:`` error."""
     def sample(camera, time, cls, track, *box):
         if not (cls or track):
             raise DataError("entity_class and track_id are both empty")
         return DetectionSample(_name(camera, "camera_id"), parse_time(time),
                                _name(cls, "entity_class"), _name(track, "track_id"),
-                               Rect(*map(float, box)))
+                               map(float, box))
     return list(_csv_rows(fh, path, _TRACKS_FIELDS, sample))
 
 
@@ -343,7 +368,7 @@ def tracks_to_csv(samples: Iterable[DetectionSample]) -> str:
     quoting, so this is the text csv's writer gives."""
     return "".join([",".join(_TRACKS_FIELDS) + "\n"] + [
         f"{camera},{t!r},{cls},{track},{x!r},{y!r},{w!r},{h!r}\n"
-        for camera, t, cls, track, (x, y, w, h) in samples])
+        for camera, t, cls, track, x, y, w, h in samples])
 
 
 def zone_from_json(item) -> ZoneSpec:

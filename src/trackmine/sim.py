@@ -8,8 +8,7 @@ and the ground-truth occurrence stream the detector should recover.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -124,7 +123,9 @@ def _clock(actor: Actor, zones: list[ZoneSpec]):
 def simulate(
     sc: Scenario, min_duration: float = DetectionConfig._field_defaults["min_duration"]
 ) -> tuple[list[DetectionSample], list[Occurrence]]:
-    """Run the scenario; returns (samples, ground-truth occurrences).
+    """Run the scenario; returns (samples, ground-truth occurrences), the
+    samples in (camera, track, time) order, and those of one camera, track
+    and time in actor order.
 
     Each actor sample is emitted once per camera present in the scenario
     (overlapping-view cameras see the same pixel frame, and share one box);
@@ -143,8 +144,8 @@ def simulate(
     rng = np.random.default_rng(sc.seed)
     cameras = sorted({z.camera_id for z in sc.zones})
 
-    samples: list[DetectionSample] = []
     truth: list[Occurrence] = []
+    by_track: dict[str, list] = {}  # per track id, each actor's sample columns in actor order
     for idx, actor in enumerate(sc.actors):
         track_id = actor.track_id or f"T{idx}"
         cls = actor.entity_class
@@ -171,13 +172,26 @@ def simulate(
         if sc.jitter > 0:
             dx, dy = rng.normal(0.0, sc.jitter, (2, len(at)))
             xs, ys = xs + dx, ys + dy
-        boxes = list(map(tuple.__new__, repeat(Rect), zip(
-            (xs - bw / 2.0).tolist(), (ys - bh / 2.0).tolist(), repeat(bw), repeat(bh))))
-        times = at.tolist()
-        for cam in cameras:
+        n = len(at)
+        by_track.setdefault(track_id, []).append((
+            at.tolist(), [cls] * n, (xs - bw / 2.0).tolist(), (ys - bh / 2.0).tolist(),
+            [bw] * n, [bh] * n))
+
+    # each actor's times are in order, so only the samples of actors that share a
+    # track id need a sort: a stable one on time, which keeps ties in actor order
+    blocks = []
+    for track_id, parts in sorted(by_track.items()):
+        cols = parts[0]
+        if len(parts) > 1:
+            cols = [list(chain.from_iterable(column)) for column in zip(*parts)]
+            order = sorted(range(len(cols[0])), key=cols[0].__getitem__)
+            cols = [[column[i] for i in order] for column in cols]
+        blocks.append((track_id, cols))
+    samples: list[DetectionSample] = []
+    for cam in cameras:
+        for track_id, (times, classes, x, y, w, h) in blocks:
             samples += map(tuple.__new__, repeat(DetectionSample),
-                           zip(repeat(cam), times, repeat(cls), repeat(track_id), boxes))
-    samples.sort(key=attrgetter("camera_id", "track_id", "time"))
+                           zip(repeat(cam), times, classes, repeat(track_id), x, y, w, h))
     truth.sort()
     return samples, truth
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 import hashlib
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import threading
 from datetime import datetime
@@ -429,8 +431,16 @@ _SIDES = st.one_of(st.sampled_from([5e-324, 1e-300, 0.1 + 0.2, 1e308]),
                    st.floats(0, exclude_min=True, allow_infinity=False))
 _RECTS = st.tuples(_FLOATS, _FLOATS, _SIDES, _SIDES).filter(
     lambda box: box[2] * box[3] > 0).map(lambda box: Rect(*box))
+
+
+def _sample(camera, time, cls, track, box):
+    """``DetectionSample`` by its five arguments: ``st.builds(DetectionSample, ...)``
+    would also draw the x, y, w and h that its fields base annotates."""
+    return DetectionSample(camera, time, cls, track, box)
+
+
 # a sample the tracks readers take: a class or a track id, or both
-_SAMPLES = st.builds(DetectionSample, _CSV_NAMES, _FLOATS, _CSV_NAMES, _CSV_NAMES, _RECTS).filter(
+_SAMPLES = st.builds(_sample, _CSV_NAMES, _FLOATS, _CSV_NAMES, _CSV_NAMES, _RECTS).filter(
     lambda s: s.entity_class or s.track_id)
 
 
@@ -457,8 +467,7 @@ def test_every_reader_keeps_the_box_rule(tmp_path_factory, boxes):
     # column pass, the row reader and the zones JSON; any other box is
     # refused by each, with its prefix, at the first such box
     bad = [i for i, (_, _, w, h) in enumerate(boxes) if not (w > 0 and w * h > 0)]
-    samples = [DetectionSample("cam1", float(i), "h", "T1", Rect._make(b))
-               for i, b in enumerate(boxes)]
+    samples = [DetectionSample._make(("cam1", float(i), "h", "T1", *b)) for i, b in enumerate(boxes)]
     zones = [ZoneSpec(f"s{i}", "cam1", Rect._make(b)) for i, b in enumerate(boxes)]
     tmp = tmp_path_factory.mktemp("boxes")
     tracks, zones_json = tmp / "tracks.csv", tmp / "zones.json"
@@ -490,8 +499,8 @@ _WRITER_NAMES = st.text(st.characters(exclude_categories=["C", "Zl", "Zp", "Zs"]
                         max_size=5).map(lambda name: name.strip(" "))
 
 
-@given(st.lists(st.builds(DetectionSample, _WRITER_NAMES, _FLOATS, _WRITER_NAMES, _WRITER_NAMES,
-                          _RECTS), max_size=6))
+@given(st.lists(st.builds(_sample, _WRITER_NAMES, _FLOATS, _WRITER_NAMES, _WRITER_NAMES, _RECTS),
+                max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_tracks_csv_is_what_the_csv_writer_writes(samples):
     assert tracks_to_csv(samples) == _oracles.tracks_to_csv_writer(samples)
@@ -735,6 +744,47 @@ class TestRecordTypes:
     def test_fields_are_read_only(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, 1.0)
+
+    @pytest.mark.parametrize("build", ["columns", "rows", "simulate"])
+    def test_a_sample_is_one_tracked_object(self, tmp_path, monkeypatch, build):
+        # its box is four floats held inline, so the collector tracks the sample
+        # alone, not a box beside it
+        path = tmp_path / "tracks.csv"
+        camera = '"cam1"' if build == "rows" else "cam1"  # a quoted id takes the row reader
+        path.write_text(",".join(_TRACKS_FIELDS) + f"\n{camera},0.5,h,T1,1,2,3,4\n")
+        if build == "columns":
+            monkeypatch.setattr(events, "_tracks_by_rows", None)  # a refused file would call it
+        if build == "simulate":
+            sc = sim.Scenario(zones=sim.cell_layout(), actors=[sim.Actor("h", (("s11", 2.0),))])
+            (s, *_), _ = sim.simulate(sc)
+        else:
+            (s,) = load_tracks_csv(path)
+        assert list(map(type, s)) == [str, float, str, str, float, float, float, float]
+        assert not any(map(gc.is_tracked, s))
+        assert type(s.box) is Rect and s.box == Rect(s.x, s.y, s.w, s.h)
+
+    @pytest.mark.parametrize("box, message", [
+        ((0.0, 0.0, 0.0, 1.0), "box Rect(x=0.0, y=0.0, w=0.0, h=1.0) has a non-positive width, "
+                               "height or area"),
+        ((0.0, 0.0, 1.0, -1.0), "box Rect(x=0.0, y=0.0, w=1.0, h=-1.0) has a non-positive width, "
+                                "height or area"),
+        ((math.nan, 0.0, 1.0, 1.0), "box Rect(x=nan, y=0.0, w=1.0, h=1.0) has a non-finite "
+                                    "coordinate"),
+    ], ids=["zero_width", "negative_height", "nan_x"])
+    def test_sample_refuses_what_rect_refuses(self, box, message):
+        for build in (lambda: Rect(*box), lambda: DetectionSample("c", 0.0, "h", "T", box)):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                build()
+        # _make skips the check
+        assert DetectionSample._make(("c", 0.0, "h", "T", *box)).box == Rect._make(box)
+
+    def test_sample_copies_and_pickles(self):
+        s = DetectionSample("c", 0.5, "h", "T", (1.0, 2.0, 3.0, 4.0))
+        assert copy.deepcopy(s) == pickle.loads(pickle.dumps(s)) == s
+        assert type(pickle.loads(pickle.dumps(s))) is DetectionSample
+
+    def test_tracks_header_is_the_sample_fields(self):
+        assert _TRACKS_FIELDS == list(DetectionSample._fields)
 
     def test_cell_layout_zones_json_bytes(self):
         text = zones_to_json(sim.cell_layout())

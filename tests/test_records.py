@@ -18,7 +18,7 @@ import trackmine
 from trackmine.errors import DataError
 from trackmine.eventlog import (Cycle, DetectionConfig, Entity, EventLog, EventRecord, Group,
                                 Occurrence)
-from trackmine.events import Rect, ZoneSpec
+from trackmine.events import DetectionSample, Rect, ZoneSpec
 from trackmine.procnet import LinkMatrix, NodeLabel, ProcessNetwork
 from trackmine.ranking import DispersionStats, RankingResult
 from trackmine.sim import Actor, Scenario
@@ -41,6 +41,7 @@ RECORDS = {
     "Cycle": Cycle(1, (RECORD,), 10.0),
     "NodeLabel": LABEL,
     "ZoneSpec": ZONE,
+    "DetectionSample": DetectionSample("cam1", 1.5, "worker", "T1", Rect(1.0, 2.0, 3.0, 4.0)),
     "Actor": Actor("worker", (("s1", 5.0),), "T1"),
     "DispersionStats": DispersionStats(0.0, 1.0),
 }
