@@ -44,7 +44,7 @@ def main():
     os.makedirs(out, exist_ok=True)
 
     scenario = os.path.join(out, "scenario.json")
-    with open(scenario, "w") as fh:
+    with open(scenario, "w", encoding="utf-8") as fh:
         json.dump(SCENARIO, fh, indent=2)
 
     tracks = os.path.join(out, "tracks.csv")

@@ -54,7 +54,7 @@ def main():
         print(f"{dropout:>8.2f} {mean:>15.4f} {std:>8.4f}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dropout", "mean_precision", "std"])
             writer.writerows(rows)

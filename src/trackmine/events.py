@@ -381,17 +381,20 @@ def zone_from_json(item) -> ZoneSpec:
 
 
 def load_zones_json(path) -> list[ZoneSpec]:
-    """Read zones from a JSON array of zone objects (see ``zone_from_json``)."""
+    """Read zones from a JSON array of zone objects (see ``zone_from_json``), refusing
+    a (location, camera) zone declared twice where it enters, at its index."""
     raw = load_json(path)
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON array of zones")
-    zones = []
+    zones = {}  # in file order, by (camera, location)
     for i, item in enumerate(raw):
         try:
-            zones.append(zone_from_json(item))
+            zone = zone_from_json(item)
+            if zones.setdefault((zone.camera_id, zone.location_id), zone) is not zone:
+                raise DataError(f"duplicate zone {zone.location_id!r} on camera {zone.camera_id!r}")
         except (KeyError, TypeError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: zone #{i}: {_reason(exc)}") from None
-    return zones
+    return list(zones.values())
 
 
 def zones_to_json(zones: Iterable[ZoneSpec]) -> str:

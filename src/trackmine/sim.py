@@ -8,7 +8,7 @@ and the ground-truth occurrence stream the detector should recover.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +51,9 @@ class _ScenarioFields(NamedTuple):
 
 class Scenario(_ScenarioFields):
     """A checked scenario, whose actor classes and track ids keep the name rule
-    (``eventlog.name_ok``), as its zones (``events.ZoneSpec``) do; ``_make`` and
-    ``_replace`` skip the checks."""
+    (``eventlog.name_ok``), as its zones (``events.ZoneSpec``) do, and whose actors'
+    track ids, given or defaulted to ``T<index>``, differ; ``_make`` and ``_replace``
+    skip the checks."""
 
     __slots__ = ()
 
@@ -68,10 +69,14 @@ class Scenario(_ScenarioFields):
             raise DataError("seed must be >= 0")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
+        tracks: dict[str, int] = {}  # each track id, given or defaulted, and its actor's index
         per_camera = 0.0
-        for actor in self.actors:
+        for index, actor in enumerate(self.actors):
             _name(actor.entity_class, "entity_class")
-            _name(actor.track_id, "track_id")
+            track_id = _name(actor.track_id, "track_id") or f"T{index}"
+            first = tracks.setdefault(track_id, index)
+            if first != index:
+                raise DataError(f"track id {track_id!r} names actors #{first} and #{index}")
             name = repr(actor.track_id or actor.entity_class)
             if not actor.itinerary:
                 raise DataError(f"actor {name} has an empty itinerary")
@@ -124,14 +129,15 @@ def simulate(
     sc: Scenario, min_duration: float = DetectionConfig._field_defaults["min_duration"]
 ) -> tuple[list[DetectionSample], list[Occurrence]]:
     """Run the scenario; returns (samples, ground-truth occurrences), the
-    samples in (camera, track, time) order, and those of one camera, track
-    and time in actor order.
+    samples in (camera, track, time) order.
 
     Each actor sample is emitted once per camera present in the scenario
     (overlapping-view cameras see the same pixel frame, and share one box);
-    stream merging downstream collapses the duplicates.  Ground truth holds
-    one occurrence per itinerary stop whose dwell reaches ``min_duration``,
-    stamped with the arrival time at the zone.
+    stream merging downstream collapses the duplicates.  An actor's track id,
+    given or defaulted to ``T<index>``, names that actor alone (``Scenario``
+    refuses a shared one).  Ground truth holds one occurrence per itinerary
+    stop whose dwell reaches ``min_duration``, stamped with the arrival time
+    at the zone.
 
     Positions come from one stop lookup per actor, and the noise from two
     draws per actor, in the order that fixes each seed's random stream: one
@@ -145,7 +151,7 @@ def simulate(
     cameras = sorted({z.camera_id for z in sc.zones})
 
     truth: list[Occurrence] = []
-    by_track: dict[str, list] = {}  # per track id, each actor's sample columns in actor order
+    tracks: dict[str, tuple] = {}  # per track id, its actor's class, sample columns and box size
     for idx, actor in enumerate(sc.actors):
         track_id = actor.track_id or f"T{idx}"
         cls = actor.entity_class
@@ -172,26 +178,15 @@ def simulate(
         if sc.jitter > 0:
             dx, dy = rng.normal(0.0, sc.jitter, (2, len(at)))
             xs, ys = xs + dx, ys + dy
-        n = len(at)
-        by_track.setdefault(track_id, []).append((
-            at.tolist(), [cls] * n, (xs - bw / 2.0).tolist(), (ys - bh / 2.0).tolist(),
-            [bw] * n, [bh] * n))
+        tracks[track_id] = (cls, at.tolist(), (xs - bw / 2.0).tolist(),
+                            (ys - bh / 2.0).tolist(), bw, bh)
 
-    # each actor's times are in order, so only the samples of actors that share a
-    # track id need a sort: a stable one on time, which keeps ties in actor order
-    blocks = []
-    for track_id, parts in sorted(by_track.items()):
-        cols = parts[0]
-        if len(parts) > 1:
-            cols = [list(chain.from_iterable(column)) for column in zip(*parts)]
-            order = sorted(range(len(cols[0])), key=cols[0].__getitem__)
-            cols = [[column[i] for i in order] for column in cols]
-        blocks.append((track_id, cols))
     samples: list[DetectionSample] = []
     for cam in cameras:
-        for track_id, (times, classes, x, y, w, h) in blocks:
+        for track_id, (cls, times, x, y, w, h) in sorted(tracks.items()):
             samples += map(tuple.__new__, repeat(DetectionSample),
-                           zip(repeat(cam), times, classes, repeat(track_id), x, y, w, h))
+                           zip(repeat(cam), times, repeat(cls), repeat(track_id), x, y,
+                               repeat(w), repeat(h)))
     truth.sort()
     return samples, truth
 

@@ -526,6 +526,14 @@ class TestExitCodes:
         assert (rc, err) == (0, "")
         assert load_occurrences_csv(tmp_path / "d.csv") == []
 
+    @pytest.mark.parametrize("rows", [["cam1,0,h,T1,0,0,10,10"], []], ids=["samples", "none"])
+    def test_repeated_zone_names_the_file_and_index(self, tmp_path, capsys, rows):
+        rc, err = self._detect(tmp_path, capsys, rows, [ZONE, dict(ZONE, x=200)])
+        assert rc == 3
+        assert err == (f"trackmine detect: {tmp_path / 'zones.json'}: zone #1: duplicate zone "
+                       f"'s1' on camera 'cam1'\n")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_zones_json_object_is_data_error(self, tmp_path, capsys):
         rc, err = self._detect(tmp_path, capsys, ["cam1,0,h,T1,0,0,10,10"], {})
         assert rc == 3
@@ -597,6 +605,24 @@ class TestExitCodes:
         assert err == (f"trackmine simulate: {scenario}: bad scenario: duplicate zone 's1' on "
                        f"camera 'cam1'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    def test_shared_track_id_is_data_error(self, tmp_path, capsys):
+        # actor 0 defaults to T0, which actor 1 names; were both one track, its
+        # stream would alternate between two bodies and detect nothing
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, actors=[
+            {"entity_class": "worker-left", "itinerary": [["s23", 9.0], ["s21", 6.0]]},
+            {"entity_class": "worker-left", "itinerary": [["s21", 6.0], ["s23", 9.0]],
+             "track_id": "T0"},
+        ])))
+        rc = main(["simulate", "--scenario", str(scenario), "--out-tracks",
+                   str(tmp_path / "t.csv"), "--out-truth", str(tmp_path / "g.csv"),
+                   "--out-zones", str(tmp_path / "z.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (f"trackmine simulate: {scenario}: bad scenario: track id 'T0' names "
+                       f"actors #0 and #1\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
     @pytest.mark.parametrize("change, message", [
         ({"noise": {"dropout": 2.0}}, "dropout must be in [0, 1]"),
@@ -1410,12 +1436,15 @@ def test_names_by_the_rule_pass_every_step(tmp_path_factory, data):
     locations = data.draw(st.lists(_RULE_NAMES, min_size=2, max_size=2, unique=True))
     cameras = data.draw(st.lists(_RULE_NAMES, min_size=1, max_size=2, unique=True))
     optional = st.one_of(st.just(""), _RULE_NAMES)  # a class or a track id may be empty
+    # a track id names one actor; no rule name is a default id T<index>
+    track_ids = data.draw(st.lists(optional, min_size=1, max_size=2).filter(
+        lambda ids: len(set(ids) - {""}) == len(ids) - ids.count("")))
     scenario = {
         "zones": [{"location_id": loc, "camera_id": cam, "x": x, "y": 0, "w": 100, "h": 100}
                   for cam in cameras for loc, x in zip(locations, (0, 300))],
-        "actors": [{"entity_class": data.draw(optional), "track_id": data.draw(optional),
+        "actors": [{"entity_class": data.draw(optional), "track_id": track_id,
                     "itinerary": [[locations[0], 5.0], [locations[1], 6.0]]}
-                   for _ in range(data.draw(st.integers(1, 2)))],
+                   for track_id in track_ids],
     }
     (d / "scenario.json").write_text(json.dumps(scenario))
     tracks, truth, zones = d / "t.csv", d / "g.csv", d / "z.json"

@@ -520,7 +520,7 @@ def test_tracks_csv_refuses_a_nul_id(tmp_path, row):
 
 
 @given(st.lists(st.builds(ZoneSpec, _CSV_NAMES.filter(bool), _CSV_NAMES, _RECTS, _CSV_NAMES),
-                max_size=4))
+                max_size=4, unique_by=lambda z: (z.camera_id, z.location_id)))
 @settings(max_examples=200, deadline=None)
 def test_zones_json_round_trip(tmp_path_factory, zones):
     path = tmp_path_factory.mktemp("zones") / "zones.json"

@@ -79,6 +79,17 @@ class TestSimulate:
                 actors=[Actor(entity_class="worker-right", itinerary=(("nowhere", 5.0),))],
             )
 
+    @pytest.mark.parametrize("ids, message", [
+        (("T1", "T1"), "track id 'T1' names actors #0 and #1"),
+        (("", "T0"), "track id 'T0' names actors #0 and #1"),
+        (("T1", ""), "track id 'T1' names actors #0 and #1"),
+    ], ids=["given_twice", "given_equals_default", "default_equals_given"])
+    def test_track_id_names_one_actor(self, ids, message):
+        actors = [Actor("worker-left", (("s21", 5.0),), track_id) for track_id in ids]
+        with pytest.raises(DataError) as exc:
+            Scenario(zones=cell_layout(), actors=actors)
+        assert str(exc.value) == message
+
     def test_samples_cover_both_cameras(self):
         samples, _ = simulate(single_worker_scenario())
         assert {s.camera_id for s in samples} == {"cam1", "cam2"}
@@ -156,8 +167,8 @@ def _scenarios(draw):
     actors = [Actor(draw(st.sampled_from([*_BOX_SIZES, "h"])),
                     tuple(draw(st.lists(st.tuples(st.sampled_from(locations), dwells),
                                         min_size=1, max_size=7))),
-                    draw(st.sampled_from(["", "T9"])))
-              for _ in range(draw(st.integers(1, 3)))]
+                    draw(st.sampled_from(["", f"T9{i}"])))
+              for i in range(draw(st.integers(1, 3)))]
     return Scenario(zones=zones, actors=actors,
                     jitter=draw(st.sampled_from([0.0, 2.0])),
                     dropout=draw(st.sampled_from([0.0, 0.1, 1.0])),
