@@ -107,6 +107,7 @@ def _report_json(ranked, result, stats):
         "iterations": result.iterations,
         "residual": result.residual,
         "multiplicity": result.multiplicity,
+        "gap": result.gap,
     }
 
 

@@ -95,9 +95,9 @@ class LinkMatrix(_LinkMatrixFields):
         repeated = [lbl.render() for lbl, count in Counter(labels).items() if count > 1]
         if repeated:
             raise DataError(f"link matrix label {repeated[0]} appears more than once")
-        bad = np.argwhere(~np.isfinite(values) | (values < 0))
-        if len(bad):
-            i, j = bad[0]
+        ok = (values >= 0) & (values < np.inf)  # a nan fails both
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
             raise DataError(
                 f"link matrix entry ({labels[i].render()}, {labels[j].render()}) "
                 f"is {float(values[i, j])!r}; entries must be finite and >= 0"

@@ -6,7 +6,9 @@ network.  Each is one dense direct solve:
 
 * ``hits_pm_norm`` — ``np.linalg.eigh`` of the primitivity-adjusted
   symmetric matrix ``alpha * B + (1 - alpha) / n * ones``, where ``B`` is
-  the authority matrix ``L.T @ L`` or the hub matrix ``L @ L.T``.
+  the authority matrix ``L.T @ L`` or the hub matrix ``L @ L.T``.  Past
+  ``FOLD_ABOVE`` nodes, ``eigh`` runs on a smaller quotient of that matrix
+  (see ``_folded_eigvec``).
 * ``gradient`` — ``hits_pm_norm`` at ``alpha = 1``: ``eigh`` of ``B``
   itself, whose dominant pair ``grad_dominant_eigvec`` returns.
 * ``pagerank_norm`` — the linear solve ``(I - alpha * S) x = (1 - alpha) / n``
@@ -18,8 +20,9 @@ within ``tol`` of the largest make the dominant vector non-unique, the
 solvers take the uniform vector projected onto their eigenspace, so
 relabelling the nodes permutes the scores.  The unit vector v is certified,
 ``||M v - lam v|| <= tol``, or ``ConvergenceError`` is raised (exit 4 of
-``trackmine rank``).  ``rank --json`` reports that ``residual`` and the
-eigenspace's ``multiplicity``; ``iterations`` is 0.
+``trackmine rank``).  ``rank --json`` reports that ``residual``, the
+eigenspace's ``multiplicity`` and its ``gap`` to the next eigenvalue;
+``iterations`` is 0.
 
 A node's score is the square of its component of the unit vector, so the
 scores sum to 1 and their square roots are the vector.
@@ -27,6 +30,7 @@ scores sum to 1 and their square roots are the vector.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +41,9 @@ from .procnet import LinkMatrix, NodeLabel, compare_topk  # noqa: F401
 
 SYMMETRY_TOL = 1e-12
 RTOL = 1e-10  # certification tolerance per unit of max(1, max|M_ij|)
+# hits_pm_norm folds a base matrix of more nodes than this; the measured
+# crossover of the folded and the dense solve lies between 31 and 36 nodes
+FOLD_ABOVE = 35
 
 
 class DispersionStats(NamedTuple):
@@ -52,11 +59,14 @@ class RankingResult(NamedTuple):
     iterations: int  # 0: every solve is direct
     residual: float
     multiplicity: int = 1  # dimension of the top eigenspace the vector came from
+    # (lam_1 - lam_next) / scale, lam_next the largest eigenvalue outside the top
+    # eigenspace; None when that eigenspace is the whole space, and for pagerank_norm
+    gap: float | None = None
 
 
 def authority_matrix(lm: LinkMatrix) -> np.ndarray:
     """Symmetrised authority matrix L.T @ L; symmetric PSD.  An entry past
-    the float range is inf, which ``_dominant_eigvec`` refuses."""
+    the float range is inf, which ``_scale`` refuses."""
     with np.errstate(over="ignore"):
         M = lm.values.T @ lm.values
         return (M + M.T) / 2.0
@@ -96,17 +106,18 @@ def _certify(M: np.ndarray, v: np.ndarray, scale: float) -> tuple[float, float]:
     return lam, res
 
 
-def _dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    """(unit vector, eigenvalue, residual, multiplicity) of a symmetric
-    matrix; see ``grad_dominant_eigvec``."""
-    A = np.asarray(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise DataError("symmetric matrix must be square and non-empty")
-    if not np.isfinite(A).all():
+def _scale(A: np.ndarray) -> float:
+    """``max(1, max|A_ij|)``, the unit of the tolerance; raises DataError on a
+    non-finite entry."""
+    top = float(np.abs(A).max())
+    if not math.isfinite(top):
         raise DataError("matrix has a non-finite entry")
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > SYMMETRY_TOL * scale:
-        raise DataError("matrix is not symmetric")
+    return max(1.0, top)
+
+
+def _dominant_eigvec(A: np.ndarray, scale: float):
+    """(unit vector, eigenvalue, residual, multiplicity, gap) of a finite
+    symmetric matrix of the given ``_scale``; see ``grad_dominant_eigvec``."""
     vals, vecs = np.linalg.eigh(A)
     top = vecs[:, vals >= vals[-1] - RTOL * scale]
     v = top @ top.sum(axis=0)  # the all-ones vector projected onto the top eigenspace
@@ -115,7 +126,62 @@ def _dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     # otherwise eigh's own top vector stands in
     v = _fix_sign(v / norm if norm > 0 else top[:, -1])
     lam, res = _certify(A, v, scale)
-    return v, lam, res, top.shape[1]
+    m = top.shape[1]
+    gap = float((vals[-1] - vals[-m - 1]) / scale) if m < len(vals) else None
+    return v, lam, res, m, gap
+
+
+def _folded_eigvec(B: np.ndarray, alpha: float, M: np.ndarray, scale: float):
+    """(unit vector, residual, multiplicity, gap) of ``M = alpha * B + c * ones``,
+    ``c = (1 - alpha) / n``, as ``_dominant_eigvec(M)`` gives them, from
+    ``eigh`` of a smaller matrix.
+
+    A node is isolated when its row of B has no nonzero entry off the
+    diagonal, and the isolated nodes with one diagonal value d_S form a class
+    S.  The unit indicator of each class and the unit vector of each linked
+    node span an invariant subspace of M that holds the all-ones vector, so
+    the top vector of M's restriction Q to it, lifted back, is M's:
+    ``Q = alpha * blockdiag(diag(d_S), B_LL) + c * w w^T``, with w = sqrt|S|
+    per class, then 1 per linked node.  The rest of the space is each class's
+    |S| - 1 vectors orthogonal to its indicator, of eigenvalue ``alpha * d_S``.
+    The nodes of one class get one score."""
+    n = B.shape[0]
+    c = (1.0 - alpha) / n
+    d = B.diagonal()
+    linked = (B != 0).sum(axis=0) > (d != 0)  # B is symmetric: a column counts its row
+    keep, lone = np.flatnonzero(linked), np.flatnonzero(~linked)
+    classes: dict[float, int] = {}  # diagonal value -> class, in first-seen order
+    cls = [classes.setdefault(x, len(classes)) for x in d[lone].tolist()]
+    m = len(classes)
+    sizes = np.bincount(cls, minlength=m)
+    root = np.sqrt(sizes)
+    w = np.ones(m + len(keep))
+    w[:m] = root
+    Q = w[:, None] * (c * w)
+    Q[m:, m:] = M.take(keep, 0).take(keep, 1)  # c + alpha * B_LL, as M holds it
+    Q.reshape(-1)[:m * (len(w) + 1):len(w) + 1] += alpha * np.array(list(classes))
+    vals, vecs = np.linalg.eigh(Q)
+    floor = vals[-1] - RTOL * scale
+    top = vecs[:, vals >= floor]
+    q = top @ (w @ top)  # the all-ones vector projected onto the top eigenspace
+    norm = float(np.linalg.norm(q))
+    q = q / norm if norm > 0 else top[:, -1]
+    v = np.empty(n)
+    v[keep] = q[m:]
+    v[lone] = (q[:m] / root)[cls]
+    v = _fix_sign(v)
+    _, res = _certify(M, v, scale)
+    multiplicity = top.shape[1]
+    below = [vals[-multiplicity - 1]] if multiplicity < len(vals) else []
+    for value, size in zip(classes, sizes.tolist()):
+        if size == 1:
+            continue  # Q holds the class's one eigenvalue
+        if alpha * value >= floor:  # its other |S| - 1, which Q lacks
+            multiplicity += size - 1
+        else:
+            below.append(alpha * value)
+    gap = float((vals[-1] - max(below)) / scale) if below else None
+    return v, res, multiplicity, gap
 
 
 def grad_dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -125,15 +191,21 @@ def grad_dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, int]:
     vector, eigenvalue, iterations=0) with ``||S v - lam v|| <= tol``, or
     raises ``ConvergenceError``; v's largest-magnitude component is positive.
     """
-    vec, lam, _, _ = _dominant_eigvec(S)
+    A = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DataError("symmetric matrix must be square and non-empty")
+    scale = _scale(A)
+    if np.abs(A - A.T).max() > SYMMETRY_TOL * scale:
+        raise DataError("matrix is not symmetric")
+    vec, lam, _, _, _ = _dominant_eigvec(A, scale)
     return vec, lam, 0
 
 
 def _as_result(
-    lm: LinkMatrix, algorithm, matrix_kind, alpha, vec, residual, multiplicity=1
+    lm: LinkMatrix, algorithm, matrix_kind, alpha, vec, residual, multiplicity=1, gap=None
 ) -> RankingResult:
-    scores = {lbl: float(value) for lbl, value in zip(lm.labels, vec**2)}
-    return RankingResult(algorithm, matrix_kind, alpha, scores, 0, residual, multiplicity)
+    scores = dict(zip(lm.labels, (vec * vec).tolist()))
+    return RankingResult(algorithm, matrix_kind, alpha, scores, 0, residual, multiplicity, gap)
 
 
 def hits_pm_norm(lm: LinkMatrix, alpha: float = 0.8, kind: str = "authority") -> RankingResult:
@@ -144,8 +216,12 @@ def hits_pm_norm(lm: LinkMatrix, alpha: float = 0.8, kind: str = "authority") ->
         raise DataError(f"alpha must be in (0, 1], got {alpha}")
     base = _base_matrix(lm, kind)
     M = alpha * base + (1.0 - alpha) / base.shape[0]
-    vec, _, res, multiplicity = _dominant_eigvec(M)
-    return _as_result(lm, "hits_pm_norm", kind, alpha, vec, res, multiplicity)
+    scale = _scale(M)
+    if base.shape[0] > FOLD_ABOVE:
+        vec, res, multiplicity, gap = _folded_eigvec(base, alpha, M, scale)
+    else:
+        vec, _, res, multiplicity, gap = _dominant_eigvec(M, scale)
+    return _as_result(lm, "hits_pm_norm", kind, alpha, vec, res, multiplicity, gap)
 
 
 def stochastic_matrix(lm: LinkMatrix, alpha: float) -> np.ndarray:
@@ -205,10 +281,10 @@ def rank_nodes(
         raise DataError(f"unknown algorithm {algorithm!r}")
     scores = result.scores
     labels = sorted(scores, key=NodeLabel.render)
+    values = [scores[lbl] for lbl in labels]
     # a stable sort keeps equal scores in label order; scores are squares, never nan
-    ranked = sorted(labels, key=scores.__getitem__, reverse=True)[:k]
-    return ([(lbl, scores[lbl]) for lbl in ranked], result,
-            _dispersion([scores[lbl] for lbl in labels]))
+    ranked = sorted(range(len(labels)), key=values.__getitem__, reverse=True)[:k]
+    return [(labels[i], values[i]) for i in ranked], result, _dispersion(values)
 
 
 def dispersion(result: RankingResult) -> DispersionStats:

@@ -234,6 +234,23 @@ class TestAnalysis:
         assert report["multiplicity"] == 2
         assert [s["value"] for s in report["scores"]] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert {"iterations", "residual", "entropy", "participation_ratio"} <= set(report)
+        assert report["gap"] is None  # the top eigenspace is the whole space
+
+    @pytest.mark.parametrize("algorithm, gap", [
+        ("gradient", 0.75), ("hits_pm_norm", 0.75), ("pagerank_norm", None)])
+    def test_rank_reports_gap(self, tmp_path, capsys, algorithm, gap):
+        # L = diag(2, 1): L^T L = diag(4, 1), whose gap is (4 - 1) / 4; at
+        # alpha = 0.8 it is that of 0.8 * diag(4, 1) + 0.1, by eigvalsh
+        matrix = tmp_path / "d.csv"
+        matrix.write_text(",x_1,x_2\nx_1,2.0,0.0\nx_2,0.0,1.0\n")
+        rc, out = run(capsys, "rank", "--matrix", matrix, "--algorithm", algorithm, "--json")
+        assert rc == 0
+        report = json.loads(out)
+        if algorithm == "hits_pm_norm":
+            M = 0.8 * np.diag([4.0, 1.0]) + 0.1
+            vals = np.linalg.eigvalsh(M)
+            gap = (vals[1] - vals[0]) / M.max()
+        assert report["gap"] == (gap if gap is None else pytest.approx(gap, abs=1e-12))
 
     @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
     def test_rank_certifies_counts_in_the_hundreds(self, tmp_path, capsys, algorithm):
@@ -788,6 +805,33 @@ class TestExitCodes:
         assert captured.err.startswith("trackmine rank: convergence failure: dominant "
                                        "eigenvector residual inf exceeds tol=")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm"])
+    def test_folded_residual_past_the_float_range_is_convergence_error(self, tmp_path, capsys,
+                                                                       algorithm):
+        # three nodes share one predecessor, with weight x each, and the others
+        # have self-loops, so that the solve folds them: every entry of the
+        # authority matrix is finite, but the eigenvalue 3 * x**2 of the lifted
+        # vector, which certifying it computes, is past the float range
+        n = ranking.FOLD_ABOVE + 5
+        labels = [f"P_s{i}" for i in range(n)]
+        values = np.eye(n)
+        values[:4, :4] = 0.0
+        values[0, 1:4] = 8.9e153  # x**2 is 7.9e307
+        rows = [",".join([lbl, *map(repr, row)]) for lbl, row in zip(labels, values.tolist())]
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("\n".join(["," + ",".join(labels), *rows]) + "\n")
+        out = tmp_path / "rank.json"
+        rc = main(["rank", "--matrix", str(matrix), "--algorithm", algorithm, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        # inf - inf: the residual is nan
+        assert captured.err.startswith("trackmine rank: convergence failure: dominant "
+                                       "eigenvector residual nan exceeds tol=")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["gradient", "hits_pm_norm", "pagerank_norm"])
     def test_uncertified_ranking_is_convergence_error(self, tmp_path, capsys, monkeypatch,

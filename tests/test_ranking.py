@@ -207,6 +207,79 @@ class TestHitsPmNorm:
             hits_pm_norm(LM0, kind="bogus")
 
 
+def _folding(n=ranking.FOLD_ABOVE + 5):
+    """A link matrix past FOLD_ABOVE: a linked block of four nodes, then
+    self-loops of weight 2 on every third other node and of weight 1 on the
+    rest, so that B has two classes of isolated nodes."""
+    values = np.diag([2.0 if i % 3 == 0 else 1.0 for i in range(n)])
+    values[:4, :4] = np.arange(16.0).reshape(4, 4) % 3
+    return lm(values)
+
+
+class TestGap:
+    def test_diagonal(self):
+        # diag(3, 1): (3 - 1) / max(1, 3)
+        _, _, _, multiplicity, gap = ranking._dominant_eigvec(np.diag([3.0, 1.0]), 3.0)
+        assert (multiplicity, gap) == (1, pytest.approx(2 / 3, abs=1e-15))
+
+    def test_none_when_the_top_eigenspace_is_the_whole_space(self):
+        assert gradient_ranking(lm(np.eye(3))).gap is None
+        assert pagerank_norm(LM1).gap is None  # no eigen-decomposition to read it from
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.3])
+    @pytest.mark.parametrize("kind", ["authority", "hub"])
+    def test_folded_gap_matches_eigvalsh(self, alpha, kind):
+        matrix = _folding()
+        result = hits_pm_norm(matrix, alpha, kind)
+        base = authority_matrix(matrix) if kind == "authority" else hub_matrix(matrix)
+        M = alpha * base + (1.0 - alpha) / base.shape[0]
+        vals = np.linalg.eigvalsh(M)
+        m = result.multiplicity
+        assert result.gap == pytest.approx((vals[-1] - vals[-m - 1]) / max(1.0, M.max()),
+                                           abs=1e-9)
+
+
+class TestFold:
+    @pytest.mark.parametrize("alpha", [1.0, 0.8])
+    def test_nodes_of_one_class_tie_bit_for_bit(self, alpha):
+        matrix = _folding()
+        scores = hits_pm_norm(matrix, alpha).scores
+        classes = {}
+        for i, lbl in enumerate(matrix.labels[4:], start=4):
+            classes.setdefault(i % 3 == 0, set()).add(scores[lbl])
+        assert [len(values) for values in classes.values()] == [1, 1]
+
+    def test_tied_class_at_the_top(self):
+        # a class of three self-loops of weight 5 tops the spectrum: at alpha = 1
+        # its eigenvalue 25 is repeated three times, and the teleport term splits it
+        values = _folding().values.copy()
+        values[[10, 20, 30], [10, 20, 30]] = 5.0
+        result = gradient_ranking(lm(values))
+        assert result.multiplicity == 3
+        tied = {result.scores[lbl] for lbl in lm(values).labels[10::10]}
+        assert len(tied) == 1 and tied.pop() == pytest.approx(1 / 3, abs=1e-15)
+        assert hits_pm_norm(lm(values), 0.8).multiplicity == 1
+
+    def test_eigh_sees_the_quotient_only_past_the_constant(self, monkeypatch):
+        orders = []
+        eigh = np.linalg.eigh
+
+        def spy(A):
+            orders.append(A.shape[0])
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for n in (ranking.FOLD_ABOVE, ranking.FOLD_ABOVE + 1):
+            orders.clear()
+            matrix = _folding(n)
+            gradient_ranking(matrix)
+            hits_pm_norm(matrix, 0.8)
+            if n > ranking.FOLD_ABOVE:
+                assert len(orders) == 2 and max(orders) < n
+            else:
+                assert orders == [n, n]
+
+
 class TestPagerankNorm:
     def test_table2(self):
         scores = list(pagerank_norm(LM1, alpha=0.8).scores.values())

@@ -54,7 +54,28 @@ def _link_values(family, rng, n):
         return np.zeros((n, n))
     if family == "dense":
         return rng.uniform(0.0, 2.0, size=(n, n))
-    return _dfg_like(rng, n)
+    # the families below are drawn past ranking.FOLD_ABOVE nodes, where the
+    # solve folds the isolated nodes of the authority or hub matrix
+    if family == "linked":
+        return rng.uniform(0.5, 2.0, size=(n, n))  # every two nodes share a predecessor
+    if family == "isolated":
+        # one predecessor per node, and one successor per node: B is diagonal
+        return np.diag(rng.integers(1, 4, size=n).astype(float))[rng.permutation(n)]
+    if family == "tied_top":
+        # self-loops, three of them of the largest weight, and a linked block of
+        # smaller weight
+        L = np.diag(rng.integers(1, 4, size=n).astype(float))
+        top = rng.choice(n, size=3, replace=False)
+        L[top, top] = 4.0
+        block = np.setdiff1d(np.arange(n), top)[:4]
+        L[np.ix_(block, block)] = rng.uniform(0.1, 0.5, size=(4, 4))
+        return L
+    L = _dfg_like(rng, n)
+    if family == "zero_rows":
+        dead = rng.choice(n, size=n // 3, replace=False)
+        L[dead, :] = 0.0
+        L[:, dead] = 0.0
+    return L
 
 
 def _labels(L):
@@ -63,6 +84,8 @@ def _labels(L):
 
 _FAMILY_NAMES = ["one", "identity", "blocks", "zero", "dense", "dfg"]
 _FAMILIES = st.sampled_from(_FAMILY_NAMES + ["dfg", "dfg"])
+_FOLD_FAMILIES = st.sampled_from(["dfg", "linked", "isolated", "zero_rows", "tied_top"])
+_FOLD_SIZES = st.integers(ranking.FOLD_ABOVE + 1, 60)
 _LAYOUTS = st.sampled_from(["C", "F", "T"])
 _SEEDS = st.integers(0, 2**32 - 1)
 _ALGORITHMS = st.sampled_from(["gradient", "hits_pm_norm", "pagerank_norm"])
@@ -176,9 +199,12 @@ def test_grad_dominant_eigvec_matches_oracle(seed, family, n, layout, source):
     assert min(np.abs(v - ref).max(), np.abs(v + ref).max()) <= _davis_kahan(top, gap, residual)
 
 
-@given(_SEEDS, _FAMILIES, st.integers(2, 14), _ALGORITHMS, _KINDS, _ALPHAS)
+@given(_SEEDS, st.one_of(st.tuples(_FAMILIES, st.integers(2, 14)),
+                        st.tuples(_FOLD_FAMILIES, _FOLD_SIZES)),
+       _ALGORITHMS, _KINDS, _ALPHAS)
 @settings(max_examples=300, deadline=None)
-def test_relabelling_permutes_scores(seed, family, n, algorithm, kind, alpha):
+def test_relabelling_permutes_scores(seed, case, algorithm, kind, alpha):
+    family, n = case
     rng = np.random.default_rng(seed)
     L = _link_values(family, rng, n)
     labels = _labels(L)
@@ -203,3 +229,38 @@ def test_residual_within_tol(family, seed, n, algorithm, kind, alpha):
     assert 0.0 <= result.residual <= TOL
     assert result.iterations == 0
     assert 1 <= result.multiplicity <= L.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# the folded solve: past ranking.FOLD_ABOVE nodes, hits_pm_norm (and so
+# gradient) runs eigh on the quotient over its isolated nodes, and must give
+# the dense solve's answer
+
+@given(_SEEDS, _FOLD_FAMILIES, _FOLD_SIZES, _KINDS, st.sampled_from([1.0, 0.8, 0.3]))
+@example(seed=0, family="linked", n=40, kind="authority", alpha=0.8)  # no isolated node
+@example(seed=0, family="isolated", n=40, kind="hub", alpha=1.0)  # no linked node
+@example(seed=0, family="zero_rows", n=40, kind="authority", alpha=0.3)
+@example(seed=0, family="tied_top", n=40, kind="authority", alpha=1.0)
+@example(seed=0, family="tied_top", n=40, kind="hub", alpha=0.8)
+@settings(max_examples=150, deadline=None)
+def test_folded_solve_matches_dense(seed, family, n, kind, alpha):
+    L = _link_values(family, np.random.default_rng(seed), n)
+    lm = LinkMatrix(labels=_labels(L), values=L)
+    base = authority_matrix(lm) if kind == "authority" else hub_matrix(lm)
+    got = ranking.hits_pm_norm(lm, alpha, kind)
+    M = alpha * base + (1.0 - alpha) / n
+    scale = ranking._scale(M)
+    vec, _, res, multiplicity, gap = ranking._dominant_eigvec(M, scale)
+    assert got.multiplicity == multiplicity
+    assert 0.0 <= got.residual <= ranking.RTOL * scale
+    vals = np.linalg.eigvalsh(M)
+    if multiplicity == n:
+        assert got.gap is None
+        dk_gap = math.inf
+    else:
+        dk_gap = float(vals[-1] - vals[-multiplicity - 1])
+        assert abs(got.gap - dk_gap / scale) <= 1e-9
+        assert abs(got.gap - gap) <= 1e-9
+    bound = _davis_kahan(float(vals[-1]), dk_gap, got.residual + res)
+    err = max(abs(got.scores[lbl] - float(vec[i]) ** 2) for i, lbl in enumerate(lm.labels))
+    assert err <= bound
