@@ -48,7 +48,7 @@ def parse_timestamp(text: str) -> datetime:
     ``_TIMESTAMP_RE`` fixes the shape (ASCII digits, hours 00-23), and
     ``datetime.fromisoformat`` reads the text with its slashes made ISO and
     rejects out-of-range fields.  Nothing is cached: the log readers memoize
-    groups, not times, which rarely repeat."""
+    groups and record heads, not times, which rarely repeat."""
     text = text.strip()
     if _TIMESTAMP_RE.fullmatch(text):
         try:
@@ -413,19 +413,34 @@ def parse_log(text: str) -> EventLog:
 
     Each distinct group text (a ``;``-separated part of a record) is parsed
     and checked once per call: a dict that lives for the call maps it to its
-    Group, which every record holding that text shares.  Errors and their
-    line numbers are those of ``parse_record`` on each line."""
+    Group, which every record holding that text shares.  So is each distinct
+    record head, the stripped line before its last comma: once a line has
+    parsed, its head maps to its (label, groups), and a later line of that
+    head whose tail ends in ``}`` reads only its timestamp.  That line
+    matches the record grammar with the same label and groups, which passed
+    every check but the timestamp's.  Errors and their line numbers are
+    those of ``parse_record`` on each line."""
     label, records = "", []
     memo: dict[str, Group] = {}
+    heads: dict[str, tuple[str, tuple[Group, ...]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             continue
-        if stripped[-1] == ":" and (m := _LABEL_LINE_RE.fullmatch(stripped)):
+        head, _, tail = stripped.rpartition(",")
+        if (known := heads.get(head)) is not None and tail.endswith("}"):
+            lbl, groups = known
+            try:
+                records.append(EventRecord._make((groups, parse_timestamp(tail[:-1]))))
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+        elif stripped[-1] == ":" and (m := _LABEL_LINE_RE.fullmatch(stripped)):
             lbl = m[1]
         else:
             lbl, chunks, ts = _split_record(line, lineno)
-            records.append(_record(memo, chunks, ts, lineno, _raw_group))
+            record = _record(memo, chunks, ts, lineno, _raw_group)
+            records.append(record)
+            heads[head] = lbl, record.groups
         if lbl and label and lbl != label:
             raise DataError(f"line {lineno}: label {lbl!r} differs from the log's label {label!r}")
         label = label or lbl
@@ -579,13 +594,12 @@ def occurrences_to_log(occurrences: Sequence[Occurrence], label: str = "") -> Ev
 # ---------------------------------------------------------------------------
 # cycles
 
-def _record_labels(record: EventRecord) -> Iterator[str]:
-    for g in record.groups:
-        yield g.location_id
-        for e in g.entities:
-            yield e.entity_id
-            if e.prop:
-                yield f"{e.prop}_{g.location_id}"
+def _group_labels(group: Group) -> Iterator[str]:
+    yield group.location_id
+    for e in group.entities:
+        yield e.entity_id
+        if e.prop:
+            yield f"{e.prop}_{group.location_id}"
 
 
 def segment_cycles(
@@ -596,10 +610,11 @@ def segment_cycles(
     """Split a log into production cycles.
 
     ``anchor`` is a regex matched against each record's location ids,
-    entity ids and fused property_location labels; a cycle runs from one
-    anchor record up to (not including) the next.  Alternatively explicit
-    ``boundaries`` timestamps delimit the cycles.  Cycle time is
-    anchor-to-anchor, except the last cycle which spans its own records.
+    entity ids and fused property_location labels, once per distinct Group;
+    a cycle runs from one anchor record up to (not including) the next.
+    Alternatively explicit ``boundaries`` timestamps delimit the cycles.
+    Cycle time is anchor-to-anchor, except the last cycle which spans its
+    own records.
     """
     if (anchor is None) == (boundaries is None):
         raise DataError("exactly one of anchor or boundaries is required")
@@ -610,13 +625,17 @@ def segment_cycles(
             pattern = re.compile(anchor)
         except re.error as exc:
             raise DataError(f"bad anchor pattern {anchor!r}: {exc}") from None
-        starts = [
-            i
-            for i, r in enumerate(records)
-            if any(pattern.search(lbl) for lbl in _record_labels(r))
-        ]
-        if not starts:
-            available = sorted({lbl for r in records for lbl in _record_labels(r)})
+        hits: dict[Group, bool] = {}  # a distinct group -> whether a label of it matches
+        starts = []
+        for i, r in enumerate(records):
+            for g in r.groups:
+                if (hit := hits.get(g)) is None:
+                    hit = hits[g] = any(pattern.search(lbl) for lbl in _group_labels(g))
+                if hit:
+                    starts.append(i)
+                    break
+        if not starts:  # so every group was looked at
+            available = sorted({lbl for g in hits for lbl in _group_labels(g)})
             raise DataError(
                 f"anchor {anchor!r} matches no record; available labels: "
                 f"{', '.join(available)}"

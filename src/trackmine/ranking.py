@@ -95,12 +95,15 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def _certify(M: np.ndarray, v: np.ndarray, scale: float) -> tuple[float, float]:
     """Rayleigh quotient lam of the unit vector v and the residual
     ||M v - lam v||; raises ConvergenceError unless it is <= RTOL * scale.
-    Near the float range the residual overflows to inf or nan, and fails."""
+    A finite M whose dominant eigenvalue is past the float range overflows
+    lam or the residual to inf or nan, and that error says so."""
     with np.errstate(over="ignore", invalid="ignore"):
         Mv = M @ v
         lam = float(v @ Mv)
         res = float(np.linalg.norm(Mv - lam * v))
-    if not res <= RTOL * scale:  # a nan residual fails too
+    if not (math.isfinite(lam) and math.isfinite(res)):
+        raise ConvergenceError("dominant eigenvalue is past the float range")
+    if not res <= RTOL * scale:
         raise ConvergenceError(f"dominant eigenvector residual {res:.3e} exceeds "
                                f"tol={RTOL * scale:.3e}")
     return lam, res

@@ -739,6 +739,50 @@ def segment_cycles_scan(log: EventLog, boundaries: Sequence[datetime]) -> list[C
     return cycles
 
 
+# ``segment_cycles`` by anchor as it ran before it matched once per distinct
+# group: the anchor is searched in every label of every record.
+
+def _record_labels(record: EventRecord) -> Iterable[str]:
+    for g in record.groups:
+        yield g.location_id
+        for e in g.entities:
+            yield e.entity_id
+            if e.prop:
+                yield f"{e.prop}_{g.location_id}"
+
+
+def segment_cycles_per_record(log: EventLog, anchor: str) -> list[Cycle]:
+    """Cycles from one anchor record up to (not including) the next; cycle
+    time is anchor-to-anchor, except the last cycle's, which spans its own
+    records."""
+    records, n = log.records, len(log.records)
+    try:
+        pattern = re.compile(anchor)
+    except re.error as exc:
+        raise DataError(f"bad anchor pattern {anchor!r}: {exc}") from None
+    starts = [
+        i
+        for i, r in enumerate(records)
+        if any(pattern.search(lbl) for lbl in _record_labels(r))
+    ]
+    if not starts:
+        available = sorted({lbl for r in records for lbl in _record_labels(r)})
+        raise DataError(
+            f"anchor {anchor!r} matches no record; available labels: "
+            f"{', '.join(available)}"
+        )
+    start_times = [records[i].timestamp for i in starts]
+
+    cycles = []
+    for k, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
+        recs = records[lo:hi]
+        if not recs:
+            continue
+        end = start_times[k + 1] if k + 1 < len(starts) else recs[-1].timestamp
+        cycles.append(Cycle(len(cycles) + 1, recs, (end - start_times[k]).total_seconds()))
+    return cycles
+
+
 # The simulator before it sampled from arrays: a per-sample scan of the
 # actor's stops from the first one.
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,8 @@ from trackmine.eventlog import (
 from _oracles import (gantt_per_tick, log_from_jsonl_per_line, log_to_jsonl_dumps,
                       occurrences_to_log_per_occurrence, parse_log_per_line,
                       parse_record_split_top, parse_timestamp_fields, precision_scan,
-                      segment_cycles_scan, serialize_log_per_record)
+                      segment_cycles_per_record, segment_cycles_scan,
+                      serialize_log_per_record)
 
 
 def rec(ts, *groups):
@@ -422,25 +424,34 @@ def pooled_records(draw):
 @st.composite
 def text_logs(draw):
     """Record lines over a pool of groups, so group texts repeat, exactly or
-    spaced and ordered otherwise; labelled and unlabelled, with blank and
-    comment lines; at times a last bad line of an earlier line's group
-    texts, with a bad time or a repeated location."""
+    spaced and ordered otherwise, and whole lines repeat at new times with
+    one label, group texts and separators; labelled and unlabelled, with
+    blank and comment lines; at times a last bad line of an earlier line's
+    head or group texts, with a bad time or tail, or a repeated location."""
     pool, records = draw(pooled_records())
-    lines, used = [], []
+    lines, used = [], []  # used: (head, group texts) of each record line so far
     for t, idx in records:
         if not draw(st.integers(0, 5)):
             lines.append(draw(st.sampled_from(["", "# note", "   ", "EL1:"])))
-        chunks = [group_text(draw, pool[i]) for i in idx]
-        used.append(chunks)
-        label = draw(st.sampled_from(["", "", "EL1: ", "EL1:", "EL1 : "] * 2 + ["EL2: "]))
-        sep = draw(st.sampled_from(["; ", ";", " ; "]))
-        lines.append(f"{label}{{{sep.join(chunks)}, {draw(timestamp_texts(t))}}}")
-    if used and draw(st.booleans()):
-        chunks = draw(st.sampled_from(used))
-        if draw(st.booleans()):
-            lines.append(f"{{{'; '.join(chunks)}, {draw(st.sampled_from(_BAD_TIMES))}}}")
+        if used and draw(st.booleans()):
+            head, chunks = draw(st.sampled_from(used))
         else:
-            lines.append(f"{{{'; '.join(chunks + chunks[:1])}, 2024/08/16/00:00:00}}")
+            chunks = [group_text(draw, pool[i]) for i in idx]
+            label = draw(st.sampled_from(["", "", "EL1: ", "EL1:", "EL1 : "] * 2 + ["EL2: "]))
+            sep = draw(st.sampled_from(["; ", ";", " ; "]))
+            head = f"{label}{{{sep.join(chunks)}"
+        used.append((head, chunks))
+        lines.append(f"{head}, {draw(timestamp_texts(t))}}}")
+    if used and draw(st.booleans()):
+        head, chunks = draw(st.sampled_from(used))
+        bad_time = draw(st.sampled_from(_BAD_TIMES))
+        bad_tail = draw(st.sampled_from(["} x", "}}", "", ",", ",}"]))
+        lines.append(draw(st.sampled_from([
+            f"{head}, {bad_time}}}",
+            f"{head}, 2024/08/16/00:00:00{bad_tail}",
+            f"{{{'; '.join(chunks)}, {bad_time}}}",
+            f"{{{'; '.join(chunks + chunks[:1])}, 2024/08/16/00:00:00}}",
+        ])))
     return "\n".join(lines)
 
 
@@ -451,6 +462,14 @@ def text_logs(draw):
 # a bad name in a group before a malformed one: the malformed group is reported
 @example("{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1); v(1_s2; s3, (E(,y), "
          "2024/08/15/17:40:51}")
+# a known record head with a bad time, a tail past its "}", a doubled "}}",
+# no tail at all, and a label other than the log's
+@example("EL1: {s1, (E1,v1), 2024/08/15/17:40:50}\nEL1: {s1, (E1,v1), 2024/13/01/00:00:00}")
+@example("{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1), 2024/08/15/17:40:51} x")
+@example("{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1), 2024/08/15/17:40:51}}")
+@example("{s1, (E1,v1), 2024/08/15/17:40:50}\n{s1, (E1,v1),")
+@example("EL1: {s1, (E1,v1), 2024/08/15/17:40:50}\nEL1: {s1, (E1,v1), 2024/08/15/17:40:51}\n"
+         "EL2: {s1, (E1,v1), 2024/08/15/17:40:52}")
 @settings(max_examples=300)
 def test_parse_log_matches_per_line_reader(text):
     assert_same_outcome(parse_log, parse_log_per_line, text)
@@ -650,6 +669,30 @@ class TestCycles:
         a = [c.cycle_time for c in segment_cycles(log, anchor=r"^s11$")]
         b = [c.cycle_time for c in segment_cycles(shifted, anchor=r"^s11$")]
         assert a == b
+
+
+@st.composite
+def anchor_logs(draw):
+    """Logs over a pool of groups of a few short names, so that groups
+    repeat and each anchor below matches some logs and misses others."""
+    entity = st.builds(Entity, st.sampled_from(["E1", "E2", "W0"]),
+                       st.sampled_from(["", "v1", "v2"]))
+    group = st.builds(Group, st.sampled_from(["s1", "s2", "s3"]),
+                      st.lists(entity, min_size=1, max_size=2).map(tuple))
+    pool = draw(st.lists(group, min_size=1, max_size=5))
+    records, t = [], T0
+    for _ in range(draw(st.integers(0, 12))):
+        t += timedelta(seconds=draw(st.integers(0, 90)))
+        groups = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2,
+                               unique_by=attrgetter("location_id")))
+        records.append(EventRecord(tuple(groups), t))
+    return EventLog(tuple(records), "EL1")
+
+
+@given(anchor_logs(), st.sampled_from(["^s1$", "s", "E1", "v1_s2", "nothing"]))
+@settings(max_examples=300)
+def test_anchor_segments_match_per_record_oracle(log, anchor):
+    assert_same_outcome(segment_cycles, segment_cycles_per_record, log, anchor)
 
 
 class TestGantt:
