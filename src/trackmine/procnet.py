@@ -90,6 +90,8 @@ class LinkMatrix(_LinkMatrixFields):
         import numpy as np
         values = np.asarray(values, dtype=float)
         n = len(labels)
+        if n == 0:
+            raise DataError("link matrix has no nodes")
         if values.shape != (n, n):
             raise DataError(f"link matrix shape {values.shape} does not match {n} labels")
         repeated = [lbl.render() for lbl, count in Counter(labels).items() if count > 1]

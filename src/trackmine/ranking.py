@@ -2,13 +2,14 @@
 
 Three solvers share one contract: score every node by the dominant
 eigenvector of a matrix derived from the weighted directly-follows
-network.  Each is one dense direct solve:
+network.  Each is one direct solve:
 
 * ``hits_pm_norm`` — ``np.linalg.eigh`` of the primitivity-adjusted
   symmetric matrix ``alpha * B + (1 - alpha) / n * ones``, where ``B`` is
   the authority matrix ``L.T @ L`` or the hub matrix ``L @ L.T``.  Past
-  ``FOLD_ABOVE`` nodes, ``eigh`` runs on a smaller quotient of that matrix
-  (see ``_folded_eigvec``).
+  ``FOLD_ABOVE`` nodes, the one solve ``_dominant_eigvec`` first folds that
+  matrix to a smaller quotient over its isolated nodes, then runs ``eigh``
+  on the quotient and lifts the vector back.
 * ``gradient`` — ``hits_pm_norm`` at ``alpha = 1``: ``eigh`` of ``B``
   itself, whose dominant pair ``grad_dominant_eigvec`` returns.
 * ``pagerank_norm`` — the linear solve ``(I - alpha * S) x = (1 - alpha) / n``
@@ -66,7 +67,7 @@ class RankingResult(NamedTuple):
 
 def authority_matrix(lm: LinkMatrix) -> np.ndarray:
     """Symmetrised authority matrix L.T @ L; symmetric PSD.  An entry past
-    the float range is inf, which ``_scale`` refuses."""
+    the float range is inf, which ``hits_pm_norm`` refuses."""
     with np.errstate(over="ignore"):
         M = lm.values.T @ lm.values
         return (M + M.T) / 2.0
@@ -109,82 +110,72 @@ def _certify(M: np.ndarray, v: np.ndarray, scale: float) -> tuple[float, float]:
     return lam, res
 
 
-def _scale(A: np.ndarray) -> float:
-    """``max(1, max|A_ij|)``, the unit of the tolerance; raises DataError on a
-    non-finite entry."""
+def _scale(A: np.ndarray, error: str = "matrix has a non-finite entry") -> float:
+    """``max(1, max|A_ij|)``, the unit of the tolerance; raises
+    ``DataError(error)`` on a non-finite entry."""
     top = float(np.abs(A).max())
     if not math.isfinite(top):
-        raise DataError("matrix has a non-finite entry")
+        raise DataError(error)
     return max(1.0, top)
 
 
-def _dominant_eigvec(A: np.ndarray, scale: float):
+def _dominant_eigvec(M: np.ndarray, scale: float, base: np.ndarray | None = None,
+                     alpha: float = 1.0):
     """(unit vector, eigenvalue, residual, multiplicity, gap) of a finite
-    symmetric matrix of the given ``_scale``; see ``grad_dominant_eigvec``."""
-    vals, vecs = np.linalg.eigh(A)
-    top = vecs[:, vals >= vals[-1] - RTOL * scale]
-    v = top @ top.sum(axis=0)  # the all-ones vector projected onto the top eigenspace
-    norm = float(np.linalg.norm(v))
-    # the projection is nonzero when A is non-negative (Perron-Frobenius);
-    # otherwise eigh's own top vector stands in
-    v = _fix_sign(v / norm if norm > 0 else top[:, -1])
-    lam, res = _certify(A, v, scale)
-    m = top.shape[1]
-    gap = float((vals[-1] - vals[-m - 1]) / scale) if m < len(vals) else None
-    return v, lam, res, m, gap
+    symmetric matrix M of the given ``_scale``; see ``grad_dominant_eigvec``.
 
-
-def _folded_eigvec(B: np.ndarray, alpha: float, M: np.ndarray, scale: float):
-    """(unit vector, residual, multiplicity, gap) of ``M = alpha * B + c * ones``,
-    ``c = (1 - alpha) / n``, as ``_dominant_eigvec(M)`` gives them, from
-    ``eigh`` of a smaller matrix.
-
-    A node is isolated when its row of B has no nonzero entry off the
-    diagonal, and the isolated nodes with one diagonal value d_S form a class
-    S.  The unit indicator of each class and the unit vector of each linked
-    node span an invariant subspace of M that holds the all-ones vector, so
-    the top vector of M's restriction Q to it, lifted back, is M's:
+    Given ``base``, with ``M = alpha * base + c * ones`` and ``c = (1 - alpha) / n``,
+    and more than ``FOLD_ABOVE`` nodes, ``eigh`` runs on a smaller quotient Q
+    of M.  A node is isolated when its row of ``base`` has no nonzero entry
+    off the diagonal, and the isolated nodes with one diagonal value d_S form
+    a class S.  The unit indicator of each class and the unit vector of each
+    linked node span an invariant subspace of M that holds the all-ones
+    vector, so the top vector of M's restriction Q to it, lifted back, is M's:
     ``Q = alpha * blockdiag(diag(d_S), B_LL) + c * w w^T``, with w = sqrt|S|
     per class, then 1 per linked node.  The rest of the space is each class's
     |S| - 1 vectors orthogonal to its indicator, of eigenvalue ``alpha * d_S``.
     The nodes of one class get one score."""
-    n = B.shape[0]
-    c = (1.0 - alpha) / n
-    d = B.diagonal()
-    linked = (B != 0).sum(axis=0) > (d != 0)  # B is symmetric: a column counts its row
-    keep, lone = np.flatnonzero(linked), np.flatnonzero(~linked)
-    classes: dict[float, int] = {}  # diagonal value -> class, in first-seen order
-    cls = [classes.setdefault(x, len(classes)) for x in d[lone].tolist()]
-    m = len(classes)
-    sizes = np.bincount(cls, minlength=m)
-    root = np.sqrt(sizes)
-    w = np.ones(m + len(keep))
-    w[:m] = root
-    Q = w[:, None] * (c * w)
-    Q[m:, m:] = M.take(keep, 0).take(keep, 1)  # c + alpha * B_LL, as M holds it
-    Q.reshape(-1)[:m * (len(w) + 1):len(w) + 1] += alpha * np.array(list(classes))
+    n = M.shape[0]
+    Q, folded = M, []  # folded: (alpha * d_S, |S| - 1) per class of two or more nodes
+    if base is not None and n > FOLD_ABOVE:
+        d = base.diagonal()
+        linked = (base != 0).sum(axis=0) > (d != 0)  # base is symmetric: a column counts its row
+        keep, lone = np.flatnonzero(linked), np.flatnonzero(~linked)
+        classes: dict[float, int] = {}  # diagonal value -> class, in first-seen order
+        cls = [classes.setdefault(x, len(classes)) for x in d[lone].tolist()]
+        m = len(classes)
+        sizes = np.bincount(cls, minlength=m)
+        root = np.sqrt(sizes)
+        w = np.ones(m + len(keep))
+        w[:m] = root
+        Q = w[:, None] * ((1.0 - alpha) / n * w)
+        Q[m:, m:] = M.take(keep, 0).take(keep, 1)  # c + alpha * B_LL, as M holds it
+        Q.reshape(-1)[:m * (len(w) + 1):len(w) + 1] += alpha * np.array(list(classes))
+        folded = [(alpha * x, size - 1) for x, size in zip(classes, sizes.tolist()) if size > 1]
     vals, vecs = np.linalg.eigh(Q)
     floor = vals[-1] - RTOL * scale
     top = vecs[:, vals >= floor]
-    q = top @ (w @ top)  # the all-ones vector projected onto the top eigenspace
-    norm = float(np.linalg.norm(q))
-    q = q / norm if norm > 0 else top[:, -1]
-    v = np.empty(n)
-    v[keep] = q[m:]
-    v[lone] = (q[:m] / root)[cls]
+    # the all-ones vector projected onto the top eigenspace
+    v = top @ (top.sum(axis=0) if Q is M else w @ top)
+    norm = float(np.linalg.norm(v))
+    # the projection is nonzero when M is non-negative (Perron-Frobenius);
+    # otherwise eigh's own top vector stands in
+    v = v / norm if norm > 0 else top[:, -1]
+    if Q is not M:  # lift Q's vector back to M's nodes
+        q, v = v, np.empty(n)
+        v[keep] = q[m:]
+        v[lone] = (q[:m] / root)[cls]
     v = _fix_sign(v)
-    _, res = _certify(M, v, scale)
+    lam, res = _certify(M, v, scale)
     multiplicity = top.shape[1]
     below = [vals[-multiplicity - 1]] if multiplicity < len(vals) else []
-    for value, size in zip(classes, sizes.tolist()):
-        if size == 1:
-            continue  # Q holds the class's one eigenvalue
-        if alpha * value >= floor:  # its other |S| - 1, which Q lacks
-            multiplicity += size - 1
+    for value, extra in folded:
+        if value >= floor:  # the class's other |S| - 1 eigenvalues, which Q lacks
+            multiplicity += extra
         else:
-            below.append(alpha * value)
+            below.append(value)
     gap = float((vals[-1] - max(below)) / scale) if below else None
-    return v, res, multiplicity, gap
+    return v, lam, res, multiplicity, gap
 
 
 def grad_dominant_eigvec(S: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -219,11 +210,9 @@ def hits_pm_norm(lm: LinkMatrix, alpha: float = 0.8, kind: str = "authority") ->
         raise DataError(f"alpha must be in (0, 1], got {alpha}")
     base = _base_matrix(lm, kind)
     M = alpha * base + (1.0 - alpha) / base.shape[0]
-    scale = _scale(M)
-    if base.shape[0] > FOLD_ABOVE:
-        vec, res, multiplicity, gap = _folded_eigvec(base, alpha, M, scale)
-    else:
-        vec, _, res, multiplicity, gap = _dominant_eigvec(M, scale)
+    # L is finite, so only an overflowed base entry makes M non-finite
+    scale = _scale(M, f"{kind} matrix entry is past the float range")
+    vec, _, res, multiplicity, gap = _dominant_eigvec(M, scale, base, alpha)
     return _as_result(lm, "hits_pm_norm", kind, alpha, vec, res, multiplicity, gap)
 
 

@@ -775,17 +775,19 @@ class TestExitCodes:
                                 f"limit (131072)\n")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("algorithm, entry, message", [
-        ("gradient", "1e200", "matrix has a non-finite entry"),
-        ("hits_pm_norm", "1e200", "matrix has a non-finite entry"),
-        ("pagerank_norm", "1e308", "link matrix column sum is past the float range"),
+    @pytest.mark.parametrize("algorithm, entry, message, kind", [
+        ("gradient", "1e200", "authority matrix entry is past the float range", "authority"),
+        ("hits_pm_norm", "1e200", "authority matrix entry is past the float range", "authority"),
+        ("hits_pm_norm", "1e200", "hub matrix entry is past the float range", "hub"),
+        ("pagerank_norm", "1e308", "link matrix column sum is past the float range", "authority"),
     ])
     def test_matrix_past_the_float_range_is_data_error(self, tmp_path, capsys, algorithm,
-                                                       entry, message):
+                                                       entry, message, kind):
         # finite entries whose products or column sums overflow: one line, no warning
         matrix = tmp_path / "m.csv"
         matrix.write_text(f",x_1,x_2\nx_1,{entry},{entry}\nx_2,{entry},{entry}\n")
-        rc = main(["rank", "--matrix", str(matrix), "--algorithm", algorithm, "--json"])
+        rc = main(["rank", "--matrix", str(matrix), "--algorithm", algorithm, "--kind", kind,
+                   "--json"])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""

@@ -132,6 +132,11 @@ class TestLinkMatrix:
         with pytest.raises(DataError, match="cannot build a link matrix from an empty network"):
             link_matrix(ProcessNetwork([], {}, {}))
 
+    def test_no_nodes_rejected(self):
+        # a matrix with no nodes has nothing to rank: every solver would divide by n = 0
+        with pytest.raises(DataError, match="link matrix has no nodes"):
+            LinkMatrix([], np.zeros((0, 0)))
+
     def test_single_node(self):
         lm = link_matrix(build_dfg(cycle_from_labels(["a_s1"])))
         assert lm.values.tolist() == [[0.0]]

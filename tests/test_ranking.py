@@ -278,6 +278,14 @@ class TestFold:
                 assert len(orders) == 2 and max(orders) < n
             else:
                 assert orders == [n, n]
+            # with no base matrix the solve never folds: grad_dominant_eigvec's
+            # input need not be alpha * B + c, and the oracle tests take this
+            # call as their dense reference
+            orders.clear()
+            B = authority_matrix(matrix)
+            grad_dominant_eigvec(B)
+            ranking._dominant_eigvec(B, ranking._scale(B))
+            assert orders == [n, n]
 
 
 class TestPagerankNorm:
