@@ -2,9 +2,9 @@
 settings, atomic file writes, and event logs: model, text and JSONL formats,
 cycles, Gantt charts, precision; no numpy.
 
-The record types are immutable NamedTuples.  Those with checks are a fields
-base plus a subclass whose ``__new__`` checks, then builds; ``_make`` and
-``_replace`` build without the checks.
+The record types are immutable NamedTuples.  Those with checks are declared
+under ``@checked``, which has each construction return the record's
+``_checked()``; ``_make`` and ``_replace`` build without the checks.
 
 Every name (location, camera, class, track, entity id, property, category)
 keeps one rule, ``name_ok``, checked where it enters: by the record types,
@@ -25,7 +25,7 @@ import re
 from bisect import bisect_left
 from collections import defaultdict, deque
 from datetime import datetime, timedelta
-from itertools import groupby
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -103,20 +103,29 @@ class Occurrence(NamedTuple):
     track_id: str = ""  # "" when untracked
 
 
-class _DetectionFields(NamedTuple):
+def checked(cls):
+    """Make building a record of the NamedTuple class `cls` return its ``_checked()``:
+    the record, or a copy with a field converted, unless the hook raises DataError.
+    ``__new__`` is compiled from the field names, as ``namedtuple`` compiles its own, so
+    the hook is the one call it adds.  ``_make`` and ``_replace`` skip the hook."""
+    fields = ", ".join(cls._fields)  # identifiers, none starting with "_"
+    ns = {"_tuple_new": tuple.__new__}
+    exec(f"def __new__(_cls, {fields}): return _tuple_new(_cls, ({fields},))._checked()", ns)
+    ns["__new__"].__defaults__ = cls.__new__.__defaults__
+    cls.__new__ = ns["__new__"]
+    return cls
+
+
+@checked
+class DetectionConfig(NamedTuple):
+    """The detection thresholds; ``_field_defaults`` holds the defaults."""
+
     min_duration: float = 3.0
     min_overlap_ratio: float = 0.10
     sample_period: float = 1.0
     dedup_window: float = 2.0
 
-
-class DetectionConfig(_DetectionFields):
-    """The detection thresholds; ``_field_defaults`` holds the defaults."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         # each check is written so that nan fails it
         if not self.min_duration >= 0:
             raise DataError("min_duration must be >= 0")
@@ -250,70 +259,65 @@ def _name(value, field: str) -> str:
                     ",;()\" and no whitespace at either end")
 
 
-class _EntityFields(NamedTuple):
+@checked
+class Entity(NamedTuple):
     entity_id: str
-    prop: str
+    prop: str = ""
 
-
-class Entity(_EntityFields):
-    __slots__ = ()
-
-    def __new__(cls, entity_id: str, prop: str = ""):
-        if not entity_id:
+    def _checked(self):
+        if not self.entity_id:
             raise DataError("entity id is empty")
-        return super().__new__(cls, _name(entity_id, "entity id"), _name(prop, "property"))
+        _name(self.entity_id, "entity id")
+        _name(self.prop, "property")
+        return self
 
 
-class _GroupFields(NamedTuple):
+@checked
+class Group(NamedTuple):
     location_id: str
     entities: tuple[Entity, ...]
 
-
-class Group(_GroupFields):
-    __slots__ = ()
-
-    def __new__(cls, location_id: str, entities: tuple[Entity, ...]):
+    def _checked(self):
+        location_id, entities = self
         if not location_id:
             raise DataError("location id is empty")
         _name(location_id, "location id")
         if not entities:
             raise DataError(f"group at {location_id!r} has no entities")
-        return super().__new__(cls, location_id, entities)
+        if not isinstance(entities, tuple) or not all(map(isinstance, entities, repeat(Entity))):
+            raise DataError(f"group at {location_id!r}: entities {entities!r} "
+                            f"are not a tuple of Entity")
+        return self
 
 
-class _EventRecordFields(NamedTuple):
+@checked
+class EventRecord(NamedTuple):
     groups: tuple[Group, ...]
     timestamp: datetime
 
-
-class EventRecord(_EventRecordFields):
-    __slots__ = ()
-
-    def __new__(cls, groups: tuple[Group, ...], timestamp: datetime):
-        if not groups:
+    def _checked(self):
+        if not self.groups:
             raise DataError("record has no location groups")
-        if len(groups) > 1:  # most records have one group, which cannot repeat
-            locs = [g.location_id for g in groups]
+        if len(self.groups) > 1:  # most records have one group, which cannot repeat
+            locs = [g.location_id for g in self.groups]
             if len(set(locs)) != len(locs):
                 raise DataError(f"duplicate location within one record: {locs}")
-        return super().__new__(cls, groups, timestamp)
+        return self
 
     @property
     def event_count(self) -> int:
         return sum(len(g.entities) for g in self.groups)
 
 
-class _EventLogFields(NamedTuple):
-    records: tuple[EventRecord, ...]
-    label: str
-
-
-class EventLog(_EventLogFields):
+@checked
+class EventLog(NamedTuple):
     """Records in time order (equal timestamps allowed) under one label."""
 
-    __slots__ = ()
+    records: tuple[EventRecord, ...]
+    label: str = ""
 
-    def __new__(cls, records: tuple[EventRecord, ...], label: str = ""):
+    def _checked(self):
+        records, label = self
         if not _LABEL_RE.fullmatch(label):
             raise DataError(f"log label {label!r} holds a character other than "
                             f"A-Z, a-z, 0-9 and _")
@@ -323,7 +327,7 @@ class EventLog(_EventLogFields):
                 raise DataError(
                     f"event log {label!r}: record {i} at {format_timestamp(b)} is "
                     f"earlier than record {i - 1} at {format_timestamp(a)}")
-        return super().__new__(cls, records, label)
+        return self
 
 
 class Cycle(NamedTuple):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError
 # DetectionConfig, Occurrence, merging and the occurrence CSV stay reachable as events.*
-from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _name, _number, _reason,
+from .eventlog import (DetectionConfig, Occurrence, _csv_rows, _name, _number, _reason, checked,
                        load_json, load_occurrences_csv, merge_camera_streams, name_ok, parse_time,
                        write_occurrences_csv)
 
@@ -47,31 +47,32 @@ def _collector_paused(fn):
     return paused
 
 
-class _RectFields(NamedTuple):
+@checked
+class Rect(NamedTuple):
+    """An axis-aligned rectangle in pixel coordinates, checked by its ``_checked`` hook:
+    every coordinate finite, w > 0 and h > 0, and so w * h > 0 (a product that underflows
+    to 0 is refused too, as the overlap divides by it).  ``_make`` and ``_replace`` skip it."""
+
     x: float
     y: float
     w: float
     h: float
 
-
-class Rect(_RectFields):
-    """An axis-aligned rectangle in pixel coordinates, checked: every coordinate
-    finite, w > 0 and h > 0, and so w * h > 0 (a product that underflows to 0 is
-    refused too, as the overlap divides by it).  ``_make`` and ``_replace`` skip
-    the check."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, w: float, h: float):
-        self = super().__new__(cls, x, y, w, h)
+    def _checked(self):
         if not all(map(math.isfinite, self)):
             raise DataError(f"box {self} has a non-finite coordinate")
-        if not (w > 0 and w * h > 0):
+        if not (self.w > 0 and self.w * self.h > 0):
             raise DataError(f"box {self} has a non-positive width, height or area")
         return self
 
 
-class _SampleFields(NamedTuple):
+@checked
+class DetectionSample(NamedTuple):
+    """One time-stamped bounding box of one entity seen by one camera, its box held
+    inline as four floats, so that a sample is one object.  Its ``_checked`` hook
+    refuses the x, y, w, h that ``Rect`` refuses, with its message; ``box`` gives them
+    back as a ``Rect``.  ``_make`` and ``_replace`` skip the hook."""
+
     camera_id: str
     time: float  # seconds
     entity_class: str
@@ -81,23 +82,9 @@ class _SampleFields(NamedTuple):
     w: float
     h: float
 
-
-class DetectionSample(_SampleFields):
-    """One time-stamped bounding box of one entity seen by one camera, its box
-    held inline as four floats, so that a sample is one object.  It is built as
-    ``DetectionSample(camera_id, time, entity_class, track_id, box)`` from any
-    four numbers x, y, w, h that ``Rect`` takes, and refuses those it refuses;
-    ``box`` gives them back as a ``Rect``.  ``_make`` and ``_replace`` skip the
-    check."""
-
-    __slots__ = ()
-
-    def __new__(cls, camera_id: str, time: float, entity_class: str, track_id: str,
-                box: Iterable[float]):
-        return super().__new__(cls, camera_id, time, entity_class, track_id, *Rect(*box))
-
-    def __getnewargs__(self):  # for copy and pickle, which call __new__ with these
-        return (*self[:4], self[4:])
+    def _checked(self):
+        Rect(*self[4:])
+        return self
 
     @property
     def box(self) -> Rect:
@@ -110,25 +97,25 @@ _TRACKS_FIELDS = list(DetectionSample._fields)  # the tracks CSV's header
 _TRACKS_HEADERS = tuple(",".join(_TRACKS_FIELDS) + end for end in ("", "\n", "\r\n"))
 
 
-class _ZoneFields(NamedTuple):
+@checked
+class ZoneSpec(NamedTuple):
+    """A named location with its rectangle in the owning camera's frame, checked by its
+    ``_checked`` hook: a ``Rect`` box, a non-empty location, and a location, camera and
+    category that keep ``eventlog.name_ok``.  ``_make`` and ``_replace`` skip the hook."""
+
     location_id: str
     camera_id: str
     box: Rect
     category: str = ""
 
-
-class ZoneSpec(_ZoneFields):
-    """A named location with its rectangle in the owning camera's frame, checked:
-    its location, camera and category keep the name rule (``eventlog.name_ok``),
-    and its location is not empty.  ``_make`` and ``_replace`` skip the check."""
-
-    __slots__ = ()
-
-    def __new__(cls, location_id: str, camera_id: str, box: Rect, category: str = ""):
-        if not _name(location_id, "location_id"):  # a value that is no string fails first
+    def _checked(self):
+        if not _name(self.location_id, "location_id"):  # a value that is no string fails first
             raise DataError("location_id is empty")
-        return super().__new__(cls, location_id, _name(camera_id, "camera_id"), box,
-                               _name(category, "category"))
+        _name(self.camera_id, "camera_id")
+        if not isinstance(self.box, Rect):
+            raise DataError(f"box {self.box!r} is not a Rect")
+        _name(self.category, "category")
+        return self
 
 
 def check_unique_zones(zones: Iterable[ZoneSpec]) -> None:
@@ -358,7 +345,7 @@ def _tracks_by_rows(fh, path) -> list[DetectionSample]:
             raise DataError("entity_class and track_id are both empty")
         return DetectionSample(_name(camera, "camera_id"), parse_time(time),
                                _name(cls, "entity_class"), _name(track, "track_id"),
-                               map(float, box))
+                               *map(float, box))
     return list(_csv_rows(fh, path, _TRACKS_FIELDS, sample))
 
 

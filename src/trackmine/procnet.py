@@ -9,7 +9,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError
-from .eventlog import Cycle, EventRecord, _csv_rows
+from .eventlog import Cycle, EventRecord, _csv_rows, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,20 +24,17 @@ _DEFAULT_ROLES = {
 }
 
 
-class _NodeLabelFields(NamedTuple):
+@checked
+class NodeLabel(NamedTuple):
+    """An immutable (role, location) node; ``_make`` and ``_replace`` skip the ``_checked`` hook."""
+
     entity_role: str
     location_id: str
 
-
-class NodeLabel(_NodeLabelFields):
-    """An immutable (role, location) node; ``_make`` and ``_replace`` skip the check."""
-
-    __slots__ = ()
-
-    def __new__(cls, entity_role: str, location_id: str):
-        if not entity_role or not location_id:
+    def _checked(self):
+        if not self.entity_role or not self.location_id:
             raise DataError("node label needs a non-empty role and location")
-        return super().__new__(cls, entity_role, location_id)
+        return self
 
     def render(self) -> str:
         return f"{self.entity_role}_{self.location_id}"
@@ -65,7 +62,8 @@ def default_labeler(record: EventRecord, built: dict | None = None) -> list[Node
             key = (_DEFAULT_ROLES.get(name, name), g.location_id)
             label = built.get(key)
             if label is None:
-                label = built[key] = NodeLabel(*key)
+                # Entity and Group refuse an empty id or location: NodeLabel's check cannot fail
+                label = built[key] = NodeLabel._make(key)
             labels.append(label)
     return labels
 
@@ -76,19 +74,18 @@ class ProcessNetwork(NamedTuple):
     activities: dict[NodeLabel, int]
 
 
-class _LinkMatrixFields(NamedTuple):
+@checked
+class LinkMatrix(NamedTuple):
+    """A square link matrix, whose ``_checked`` hook makes its values a float array and
+    checks them; ``_make`` and ``_replace`` skip the hook."""
+
     labels: list[NodeLabel]
     values: np.ndarray  # square, non-negative; rows of floats are converted
 
-
-class LinkMatrix(_LinkMatrixFields):
-    """A checked square link matrix; ``_make`` and ``_replace`` skip the check."""
-
-    __slots__ = ()
-
-    def __new__(cls, labels: list[NodeLabel], values):
+    def _checked(self):
         import numpy as np
-        values = np.asarray(values, dtype=float)
+        labels = self.labels
+        values = np.asarray(self.values, dtype=float)
         n = len(labels)
         if n == 0:
             raise DataError("link matrix has no nodes")
@@ -104,7 +101,7 @@ class LinkMatrix(_LinkMatrixFields):
                 f"link matrix entry ({labels[i].render()}, {labels[j].render()}) "
                 f"is {float(values[i, j])!r}; entries must be finite and >= 0"
             )
-        return super().__new__(cls, labels, values)
+        return self._replace(values=values)
 
 
 def build_dfg(cycle: Cycle) -> ProcessNetwork:

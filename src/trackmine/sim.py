@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .eventlog import DetectionConfig, Occurrence, _name, _number, _reason, _string, load_json
+from .eventlog import (DetectionConfig, Occurrence, _name, _number, _reason, _string, checked,
+                       load_json)
 from .events import (DetectionSample, Rect, ZoneSpec, _collector_paused, check_unique_zones,
                      zone_from_json)
 
@@ -40,7 +41,13 @@ class Actor(NamedTuple):
     track_id: str = ""
 
 
-class _ScenarioFields(NamedTuple):
+@checked
+class Scenario(NamedTuple):
+    """A scenario whose ``_checked`` hook has its actor classes and track ids keep
+    the name rule (``eventlog.name_ok``), as its zones (``events.ZoneSpec``) do,
+    and its actors' track ids, given or defaulted to ``T<index>``, differ;
+    ``_make`` and ``_replace`` skip the hook."""
+
     zones: list[ZoneSpec]
     actors: list[Actor]
     jitter: float = 0.0  # position jitter, pixels (stddev)
@@ -48,17 +55,7 @@ class _ScenarioFields(NamedTuple):
     sample_period: float = 1.0
     seed: int = 0
 
-
-class Scenario(_ScenarioFields):
-    """A checked scenario, whose actor classes and track ids keep the name rule
-    (``eventlog.name_ok``), as its zones (``events.ZoneSpec``) do, and whose actors'
-    track ids, given or defaulted to ``T<index>``, differ; ``_make`` and ``_replace``
-    skip the checks."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not 0.0 <= self.dropout <= 1.0:
             raise DataError("dropout must be in [0, 1]")
         if not 0.0 <= self.jitter < math.inf:

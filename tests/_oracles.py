@@ -253,7 +253,7 @@ def load_tracks_rows(path) -> list[DetectionSample]:
                     raise DataError("entity_class and track_id are both empty")
                 samples.append(DetectionSample(
                     _name(camera, "camera_id"), parse_time(time), _name(cls, "entity_class"),
-                    _name(track, "track_id"), Rect(float(x), float(y), float(w), float(h))))
+                    _name(track, "track_id"), *Rect(float(x), float(y), float(w), float(h))))
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return samples
@@ -858,15 +858,7 @@ def simulate_loop(
                 y += dy
             box = Rect(x - bw / 2.0, y - bh / 2.0, bw, bh)
             for cam in cameras:
-                samples.append(
-                    DetectionSample(
-                        camera_id=cam,
-                        time=at,
-                        entity_class=actor.entity_class,
-                        track_id=track_id,
-                        box=box,
-                    )
-                )
+                samples.append(DetectionSample(cam, at, actor.entity_class, track_id, *box))
     samples.sort(key=lambda s: (s.camera_id, s.track_id, s.time))
     truth.sort()
     return samples, truth

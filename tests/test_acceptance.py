@@ -164,7 +164,7 @@ def test_criterion_07_event_detection_fixtures():
 
     def track(times):
         return [
-            DetectionSample("cam1", float(t), "worker-right", "T1", Rect(25, 0, 50, 100))
+            DetectionSample("cam1", float(t), "worker-right", "T1", *Rect(25, 0, 50, 100))
             for t in times
         ]
 

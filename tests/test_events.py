@@ -42,7 +42,7 @@ ZONE = ZoneSpec(location_id="s1", camera_id="cam1", box=Rect(0, 0, 100, 100))
 
 def track(times, box, camera="cam1", cls="worker-right", tid="T1"):
     return [
-        DetectionSample(camera_id=camera, time=t, entity_class=cls, track_id=tid, box=box)
+        DetectionSample(camera, t, cls, tid, *box)
         for t in times
     ]
 
@@ -190,7 +190,7 @@ class TestDetectEvents:
     def test_non_finite_box_rejected(self, bad):
         # neither a sample's box nor a zone's can be built to reach detection
         with pytest.raises(DataError, match="^box .* has a non-finite coordinate$"):
-            DetectionSample("cam1", 2, "worker-right", "T1", Rect(bad, 10, 40, 40))
+            DetectionSample("cam1", 2, "worker-right", "T1", *Rect(bad, 10, 40, 40))
         with pytest.raises(DataError, match="^box .* has a non-finite coordinate$"):
             ZoneSpec("s1", "cam1", Rect(0, 0, bad, 100))
 
@@ -206,10 +206,10 @@ class TestDetectEvents:
         zones = [ZONE, ZoneSpec("s1", "cam2", Rect(0, 0, 100, 100))]
         inside = Rect(10, 10, 40, 40)
         samples = [
-            DetectionSample("cam1", -0.0, "a", "T1", inside),
-            DetectionSample("cam2", 0.0, "a", "T1", inside),
-            DetectionSample("cam2", 1.0, "a", "T1", inside),
-            DetectionSample("cam1", 1.0, "a", "T1", inside),
+            DetectionSample("cam1", -0.0, "a", "T1", *inside),
+            DetectionSample("cam2", 0.0, "a", "T1", *inside),
+            DetectionSample("cam2", 1.0, "a", "T1", *inside),
+            DetectionSample("cam1", 1.0, "a", "T1", *inside),
         ]
         cfg = DetectionConfig(min_duration=1.0)
         out = detect_events(samples, zones, cfg)
@@ -255,7 +255,7 @@ def _detection_case(draw):
         clock[cam, tid] += draw(st.sampled_from(_STEPS))
         if draw(st.integers(0, 3)) == 0:
             box[key] = draw(_BOX)
-        samples.append(DetectionSample(cam, clock[cam, tid], cls, tid, box[key]))
+        samples.append(DetectionSample(cam, clock[cam, tid], cls, tid, *box[key]))
     if samples and draw(_RARE):
         i, j = (draw(st.integers(0, len(samples) - 1)) for _ in range(2))
         samples[i], samples[j] = samples[j], samples[i]
@@ -376,7 +376,7 @@ def _random_tracks(rng, n_tracks=100):
                 boxes.append(Rect(x + rng.normal(0, 2), y + rng.normal(0, 2), 40, 40))
         tracks.append(
             [
-                DetectionSample("cam1", float(t), "worker-right", f"T{i}", b)
+                DetectionSample("cam1", float(t), "worker-right", f"T{i}", *b)
                 for t, b in enumerate(boxes)
             ]
         )
@@ -434,9 +434,9 @@ _RECTS = st.tuples(_FLOATS, _FLOATS, _SIDES, _SIDES).filter(
 
 
 def _sample(camera, time, cls, track, box):
-    """``DetectionSample`` by its five arguments: ``st.builds(DetectionSample, ...)``
-    would also draw the x, y, w and h that its fields base annotates."""
-    return DetectionSample(camera, time, cls, track, box)
+    """``DetectionSample`` with its x, y, w and h from one drawn box:
+    ``st.builds(DetectionSample, ...)`` would draw each of the four alone."""
+    return DetectionSample(camera, time, cls, track, *box)
 
 
 # a sample the tracks readers take: a class or a track id, or both
@@ -738,8 +738,8 @@ def test_building_samples_runs_no_collection(tmp_path, build):
 class TestRecordTypes:
     @pytest.mark.parametrize("record, field", [
         (Rect(0, 0, 1, 1), "x"),
-        (DetectionSample("c", 0.0, "h", "T", Rect(0, 0, 1, 1)), "time"),
-        (DetectionSample("c", 0.0, "h", "T", Rect(0, 0, 1, 1)), "box"),
+        (DetectionSample("c", 0.0, "h", "T", *Rect(0, 0, 1, 1)), "time"),
+        (DetectionSample("c", 0.0, "h", "T", *Rect(0, 0, 1, 1)), "box"),
     ])
     def test_fields_are_read_only(self, record, field):
         with pytest.raises(AttributeError):
@@ -772,14 +772,14 @@ class TestRecordTypes:
                                     "coordinate"),
     ], ids=["zero_width", "negative_height", "nan_x"])
     def test_sample_refuses_what_rect_refuses(self, box, message):
-        for build in (lambda: Rect(*box), lambda: DetectionSample("c", 0.0, "h", "T", box)):
+        for build in (lambda: Rect(*box), lambda: DetectionSample("c", 0.0, "h", "T", *box)):
             with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
                 build()
         # _make skips the check
         assert DetectionSample._make(("c", 0.0, "h", "T", *box)).box == Rect._make(box)
 
     def test_sample_copies_and_pickles(self):
-        s = DetectionSample("c", 0.5, "h", "T", (1.0, 2.0, 3.0, 4.0))
+        s = DetectionSample("c", 0.5, "h", "T", 1.0, 2.0, 3.0, 4.0)
         assert copy.deepcopy(s) == pickle.loads(pickle.dumps(s)) == s
         assert type(pickle.loads(pickle.dumps(s))) is DetectionSample
 

@@ -2,9 +2,12 @@
 compared and sorted as their field tuples; those that hold lists, dicts or
 arrays are frozen too, and no module declares a record any other way."""
 
+import copy
+import importlib
 import json
 import math
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -33,6 +36,7 @@ LABEL = NodeLabel("RP", "s1")
 
 RECORDS = {
     "Occurrence": Occurrence(1.5, "s1", "worker", "T1"),
+    "Rect": Rect(1.0, 2.0, 3.0, 4.0),
     "DetectionConfig": DetectionConfig(),
     "Entity": ENTITY,
     "Group": GROUP,
@@ -41,7 +45,7 @@ RECORDS = {
     "Cycle": Cycle(1, (RECORD,), 10.0),
     "NodeLabel": LABEL,
     "ZoneSpec": ZONE,
-    "DetectionSample": DetectionSample("cam1", 1.5, "worker", "T1", Rect(1.0, 2.0, 3.0, 4.0)),
+    "DetectionSample": DetectionSample("cam1", 1.5, "worker", "T1", *Rect(1.0, 2.0, 3.0, 4.0)),
     "Actor": Actor("worker", (("s1", 5.0),), "T1"),
     "DispersionStats": DispersionStats(0.0, 1.0),
 }
@@ -97,6 +101,11 @@ BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace 
     (lambda: Entity("E1", "a,b"), "property 'a,b' " + BAD),
     (lambda: Group("s;1", (ENTITY,)), "location id 's;1' " + BAD),
     (lambda: Group("s1", ()), "group at 's1' has no entities"),
+    (lambda: Group("s1", [ENTITY]),
+     "group at 's1': entities [Entity(entity_id='E1', prop='RP')] are not a tuple of Entity"),
+    (lambda: Group("s1", ("E1",)), "group at 's1': entities ('E1',) are not a tuple of Entity"),
+    (lambda: ZoneSpec("s1", "cam1", (0.0, 0.0, -10.0, 10.0)),
+     "box (0.0, 0.0, -10.0, 10.0) is not a Rect"),
     (lambda: EventRecord((), T0), "record has no location groups"),
     (lambda: EventRecord((GROUP, GROUP), T0),
      "duplicate location within one record: ['s1', 's1']"),
@@ -114,7 +123,8 @@ BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace 
     (lambda: DetectionConfig(sample_period=0.0), "sample_period must be > 0"),
     (lambda: DetectionConfig(sample_period=math.nan), "sample_period must be > 0"),
     (lambda: DetectionConfig(dedup_window=math.nan), "dedup_window must be >= 0"),
-], ids=["entity_id", "property", "location_id", "no_entities", "no_groups",
+], ids=["entity_id", "property", "location_id", "no_entities", "entities_list",
+        "entities_not_entity", "zone_box_not_rect", "no_groups",
         "duplicate_location", "label", "time_order", "node_role", "node_location",
         "min_duration", "min_duration_nan", "overlap_ratio", "overlap_ratio_nan",
         "sample_period", "sample_period_nan", "dedup_window_nan"])
@@ -130,6 +140,69 @@ def test_detection_defaults_are_field_defaults():
 
 
 MODULES = sorted(f"trackmine.{m.name}" for m in pkgutil.iter_modules(trackmine.__path__))
+# every tuple subclass that a trackmine module defines
+RECORD_TYPES = sorted(
+    (v for m in MODULES for v in vars(importlib.import_module(m)).values()
+     if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == m),
+    key=lambda cls: cls.__name__)
+# for each checked type, fields that its check refuses, set on its entry above
+REFUSED = {
+    "DetectionConfig": {"min_duration": -1.0},
+    "Entity": {"entity_id": ""},
+    "Group": {"entities": ()},
+    "EventRecord": {"groups": ()},
+    "EventLog": {"label": "EL-1"},
+    "Rect": {"w": -1.0},
+    "DetectionSample": {"w": -1.0},
+    "ZoneSpec": {"location_id": ""},
+    "NodeLabel": {"location_id": ""},
+    "LinkMatrix": {"labels": []},
+    "Scenario": {"dropout": 2.0},
+}
+
+
+def test_every_record_type_has_an_entry():
+    assert [cls.__name__ for cls in RECORD_TYPES] == sorted({**RECORDS, **HOLDERS})
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_no_record_type_subclasses_another(cls):
+    # one class per record: a checked one is a NamedTuple with a _checked hook
+    assert cls.__bases__ == (tuple,)
+
+
+def test_the_checked_types_are_those_with_a_hook():
+    assert sorted(cls.__name__ for cls in RECORD_TYPES if hasattr(cls, "_checked")) == \
+        sorted(REFUSED)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_make_and_replace_skip_the_check(name):
+    record = {**RECORDS, **HOLDERS}[name]
+    cls = type(record)
+    refused = record._replace(**REFUSED[name])
+    made = cls._make(refused)
+    for built in (refused, made):
+        assert type(built) is cls
+        assert all(a is b for a, b in zip(built, refused))
+    with pytest.raises(DataError):
+        cls(*refused)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda record: pickle.loads(pickle.dumps(record))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", list(RECORDS) + list(HOLDERS))
+def test_copies_and_pickles_to_an_equal_record(name, clone):
+    record = {**RECORDS, **HOLDERS}[name]
+    other = clone(record)
+    assert type(other) is type(record)
+    if name == "LinkMatrix":  # an array's == is elementwise
+        assert other.labels == record.labels
+        assert other.values.dtype == record.values.dtype
+        assert other.values.tolist() == record.values.tolist()
+    else:
+        assert other == record
 
 
 @pytest.mark.parametrize("modules, unloaded", [
