@@ -10,8 +10,9 @@ import csv
 
 import numpy as np
 
-from trackmine.eventlog import DetectionConfig, precision
+from trackmine.eventlog import DetectionConfig
 from trackmine.events import detect_streams
+from trackmine.occurrences import precision
 from trackmine.sim import Actor, Scenario, cell_layout, simulate
 
 DROPOUTS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]

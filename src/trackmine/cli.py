@@ -1,9 +1,12 @@
 """Command-line pipeline: tracks -> events -> logs -> cycles -> network -> rankings.
 
-Importing this module loads only what every subcommand needs.  ``dfg``,
-``rank``, ``compare`` and ``tables`` import ``procnet`` themselves;
-``detect``, ``rank``, ``simulate`` and ``tables`` import the numpy layers
-(``events``, ``ranking``, ``sim``); the others run without numpy."""
+Importing this module loads only what every subcommand needs, of the log
+layer ``eventlog`` alone.  ``dfg``, ``rank``, ``compare`` and ``tables`` import
+``procnet`` themselves; ``detect``, ``rank``, ``simulate`` and ``tables``
+import the numpy layers (``events``, ``ranking``, ``sim``); the others run
+without numpy.  ``detect``, ``merge``, ``precision`` and ``simulate`` import
+``occurrences``, ``gantt`` imports ``gantt``, and a log path ending in
+``.jsonl`` has ``jsonl`` imported."""
 
 from __future__ import annotations
 
@@ -46,7 +49,8 @@ def _read_log(path: str) -> eventlog.EventLog:
     text = eventlog.read_text(path)
     try:
         if path.endswith(".jsonl"):
-            return eventlog.log_from_jsonl(text)
+            from .jsonl import log_from_jsonl
+            return log_from_jsonl(text)
         return eventlog.parse_log(text)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
@@ -54,7 +58,8 @@ def _read_log(path: str) -> eventlog.EventLog:
 
 def _write_log(path: str, log: eventlog.EventLog) -> None:
     if path.endswith(".jsonl"):
-        write_atomic(path, eventlog.log_to_jsonl(log))
+        from .jsonl import log_to_jsonl
+        write_atomic(path, log_to_jsonl(log))
     else:
         write_atomic(path, eventlog.serialize_log(log))
 
@@ -116,29 +121,32 @@ def _report_json(ranked, result, stats):
 
 def cmd_detect(args):
     from . import events
+    from .occurrences import occurrences_to_log, write_occurrences_csv
     cfg = _detection_config(args)
     samples = events.load_tracks_csv(args.tracks)
     zones = events.load_zones_json(args.zones)
     occurrences = events.detect_streams(samples, zones, cfg)
     if args.out.endswith(".csv"):
-        eventlog.write_occurrences_csv(args.out, occurrences)
+        write_occurrences_csv(args.out, occurrences)
     else:
-        _write_log(args.out, eventlog.occurrences_to_log(occurrences, label=args.label))
+        _write_log(args.out, occurrences_to_log(occurrences, label=args.label))
     return {"samples": len(samples), "zones": len(zones), "occurrences": len(occurrences),
             "out": args.out}
 
 
 def cmd_merge(args):
-    streams = [eventlog.load_occurrences_csv(p) for p in args.inputs]
-    merged = eventlog.merge_camera_streams(streams, args.dedup_window)
-    eventlog.write_occurrences_csv(args.out, merged)
+    from .occurrences import load_occurrences_csv, merge_camera_streams, write_occurrences_csv
+    streams = [load_occurrences_csv(p) for p in args.inputs]
+    merged = merge_camera_streams(streams, args.dedup_window)
+    write_occurrences_csv(args.out, merged)
     return {"occurrences": len(merged), "out": args.out}
 
 
 def cmd_gantt(args):
+    from .gantt import gantt, gantt_lane
     log = _read_log(args.log)
-    write_atomic(args.out, eventlog.gantt(log, lane_key=args.lane_key))
-    lanes = {eventlog.gantt_lane(g, e, args.lane_key)
+    write_atomic(args.out, gantt(log, lane_key=args.lane_key))
+    lanes = {gantt_lane(g, e, args.lane_key)
              for r in log.records for g in r.groups for e in g.entities}
     return {"out": args.out, "lanes": len(lanes)}
 
@@ -216,19 +224,21 @@ def cmd_compare(args):
 
 
 def cmd_precision(args):
-    detected = eventlog.load_occurrences_csv(args.detected)
-    truth = eventlog.load_occurrences_csv(args.truth)
-    value = eventlog.precision(detected, truth, args.window)
+    from .occurrences import load_occurrences_csv, precision
+    detected = load_occurrences_csv(args.detected)
+    truth = load_occurrences_csv(args.truth)
+    value = precision(detected, truth, args.window)
     print(json.dumps({"precision": value, "detected": len(detected), "truth": len(truth)}))
 
 
 def cmd_simulate(args):
     from . import events, sim
+    from .occurrences import write_occurrences_csv
     sc = sim.scenario_from_json(args.scenario)
     if args.seed is not None:
         sc = sim.Scenario(*sc._replace(seed=args.seed))  # _replace alone skips the checks
     samples, truth = sim.simulate(sc, min_duration=args.min_duration)
-    eventlog.write_occurrences_csv(args.out_truth, truth)
+    write_occurrences_csv(args.out_truth, truth)
     write_atomic(args.out_tracks, events.tracks_to_csv(samples))
     if args.out_zones:
         write_atomic(args.out_zones, events.zones_to_json(sc.zones))

@@ -1,6 +1,11 @@
-"""Calendar time, occurrences with their CSV and stream merge, the detection
-settings, atomic file writes, and event logs: model, text and JSONL formats,
-cycles, Gantt charts, precision; no numpy.
+"""Calendar time, the detection settings, atomic file writes, and event logs:
+the name rule, the record types, the text format and cycles; no numpy.
+
+This is the log code that every subcommand runs, and ``import trackmine.cli``
+loads it.  The rest lives where only the subcommands that run it import it:
+occurrences with their CSV, stream merge, log builder and precision in
+``occurrences``, the JSONL format in ``jsonl`` and the Gantt chart in
+``gantt``; this module imports none of them.
 
 The record types are immutable NamedTuples.  Those with checks are declared
 under ``@checked``, which has each construction return the record's
@@ -23,17 +28,14 @@ import math
 import os
 import re
 from bisect import bisect_left
-from collections import defaultdict, deque
 from datetime import datetime, timedelta
-from itertools import groupby, repeat
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError
 
 # ---------------------------------------------------------------------------
-# calendar time and occurrences
+# calendar time
 
 _TIMESTAMP_RE = re.compile(
     r"\d{4}(?:/\d\d/\d\d/|-\d\d-\d\d[T ])(?:[01]\d|2[0-3]):\d\d:\d\d(?:\.\d{6})?", re.ASCII)
@@ -94,15 +96,6 @@ def parse_time(text: str) -> float:
     return to_seconds(parse_timestamp(text))
 
 
-class Occurrence(NamedTuple):
-    """One detected event: an entity started a task at a location."""
-
-    start_time: float
-    location_id: str
-    entity_class: str
-    track_id: str = ""  # "" when untracked
-
-
 def checked(cls):
     """Make building a record of the NamedTuple class `cls` return its ``_checked()``:
     the record, or a copy with a field converted, unless the hook raises DataError.
@@ -136,29 +129,6 @@ class DetectionConfig(NamedTuple):
         if not self.dedup_window >= 0:
             raise DataError("dedup_window must be >= 0")
         return self
-
-
-def merge_camera_streams(
-    streams: Sequence[Sequence[Occurrence]], dedup_window: float
-) -> list[Occurrence]:
-    """Merge per-camera occurrence streams into one time-ordered stream.
-
-    Occurrences with identical (location, class, track) whose start times
-    differ by at most dedup_window collapse to the earliest one.
-    """
-    if not dedup_window >= 0:  # nan fails too
-        raise DataError("dedup_window must be >= 0")
-    merged = sorted(occ for stream in streams for occ in stream)
-    out: list[Occurrence] = []
-    last_kept: dict[tuple, float] = {}
-    for occ in merged:
-        key = (occ.location_id, occ.entity_class, occ.track_id)
-        prev = last_kept.get(key)
-        if prev is not None and occ.start_time - prev <= dedup_window:
-            continue
-        out.append(occ)
-        last_kept[key] = occ.start_time
-    return out
 
 
 def _csv_rows(fh, path, header, build):
@@ -209,29 +179,6 @@ def write_atomic(path, text: str) -> None:
         if exc.filename != tmp:
             raise
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-
-
-def write_occurrences_csv(path, occurrences: Sequence[Occurrence]) -> None:
-    """The occurrence CSV at `path`, one f-string per row ending in "\\r\\n": the
-    text csv's writer gives, since no name that keeps ``name_ok`` needs quoting."""
-    write_atomic(path, "".join(["location_id,entity_class,track_id,start_time\r\n"] + [
-        f"{o.location_id},{o.entity_class},{o.track_id},{o.start_time!r}\r\n"
-        for o in occurrences]))
-
-
-def load_occurrences_csv(path) -> list[Occurrence]:
-    header = ["location_id", "entity_class", "track_id", "start_time"]
-    passed: set[str] = set()  # names that kept the rule: each distinct one is checked once
-
-    def occurrence(location, cls, track, start):
-        if location not in passed or cls not in passed or track not in passed:
-            passed.update(map(_name, (location, cls, track), header))
-        if not (location and (cls or track)):
-            raise DataError("location_id is empty" if not location
-                            else "entity_class and track_id are both empty")
-        return Occurrence(parse_time(start), location, cls, track)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return list(_csv_rows(fh, path, header, occurrence))
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +418,6 @@ def serialize_log(log: EventLog) -> str:
     return "".join(lines)
 
 
-def log_to_jsonl(log: EventLog) -> str:
-    """One compact ``{"locations":[{"id":...,"entities":[{"id":...,"prop":...}]}],"ts":...}``
-    line per record, escaped as by ``json.dumps``' default ``ensure_ascii``.
-    Each distinct Group's JSON is made once per call."""
-    encode = encode_basestring_ascii
-    memo: dict[Group, str] = {}
-    lines = []
-    for r in log.records:
-        texts = []
-        for g in r.groups:
-            if (text := memo.get(g)) is None:
-                ents = ",".join([f'{{"id":{encode(e.entity_id)},"prop":{encode(e.prop)}}}'
-                                 for e in g.entities])
-                text = memo[g] = f'{{"id":{encode(g.location_id)},"entities":[{ents}]}}'
-            texts.append(text)
-        # a formatted timestamp holds only digits, "/", ":" and ".", which JSON takes as they are
-        lines.append(f'{{"locations":[{",".join(texts)}],'
-                     f'"ts":"{format_timestamp(r.timestamp)}"}}\n')
-    return "".join(lines)
-
-
 def _string(value, field: str) -> str:
     """`value` if it is a str that UTF-8 can encode: a JSON escape such as
     ``"\\ud800"`` gives a lone surrogate, which no writer could store."""
@@ -533,66 +459,6 @@ def load_json(path):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError
         raise DataError(f"{path}: invalid JSON: {exc}") from None
-
-
-def log_from_jsonl(text: str, label: str = "") -> EventLog:
-    """One ``{"locations": [{"id", "entities": [{"id", "prop"}]}], "ts"}``
-    object per line; every id, prop and ts is a string, and prop may be omitted.
-
-    Each distinct group, a location id with its (entity id, property)
-    pairs, is checked once per call: a dict that lives for the call maps it
-    to its Group, which every record holding that group shares."""
-    records = []
-    memo: dict[tuple, Group] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            groups = [
-                (_string(g["id"], "id"), tuple(
-                    (_string(e["id"], "id"), _string(e.get("prop", ""), "prop"))
-                    for e in g["entities"]
-                ))
-                for g in obj["locations"]
-            ]
-            ts = _string(obj["ts"], "ts")
-        except (ValueError, KeyError, TypeError, RecursionError, DataError) as exc:
-            raise DataError(f"line {lineno}: {_reason(exc)}") from None
-        records.append(_record(memo, groups, ts, lineno, lambda group: group))
-    return EventLog(records=tuple(records), label=label)
-
-
-def occurrences_to_log(occurrences: Sequence[Occurrence], label: str = "") -> EventLog:
-    """Build an event log from detected occurrences.
-
-    Occurrences sharing a start time merge into one simultaneous record;
-    the entity id is the track id (or the class when untracked) and the
-    property is the entity class.
-
-    Each distinct (track id, class) Entity and (location id, entities)
-    Group is built and checked once per call, in the order a build of
-    every one would take, so the first error is the same.
-    """
-    entities: dict[tuple[str, str], Entity] = {}  # (track id, class) -> its Entity
-    groups: dict[tuple, Group] = {}  # (location id, entities) -> its Group
-    records = []
-    for t, occs in groupby(sorted(occurrences), key=attrgetter("start_time")):
-        by_location: dict[str, list[Entity]] = {}
-        for occ in occs:
-            key = occ.track_id, occ.entity_class
-            if (ent := entities.get(key)) is None:
-                ent = entities[key] = Entity(occ.track_id or occ.entity_class, occ.entity_class)
-            by_location.setdefault(occ.location_id, []).append(ent)
-        grouped = []
-        for loc, ents in by_location.items():
-            key = loc, tuple(ents)
-            if (group := groups.get(key)) is None:
-                group = groups[key] = Group(*key)
-            grouped.append(group)
-        # the locations are dict keys, so distinct: EventRecord's check cannot fail
-        records.append(EventRecord._make((tuple(grouped), to_datetime(t))))
-    return EventLog(records=tuple(records), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -661,138 +527,17 @@ def segment_cycles(
 
 
 # ---------------------------------------------------------------------------
-# Gantt chart
+# names read here that moved out: the benchmark harness reads each as eventlog.<name>
 
-_PALETTE = [
-    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
-    "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
-]
+_MOVED = {"gantt": "gantt", "log_to_jsonl": "jsonl", "log_from_jsonl": "jsonl",
+          "occurrences_to_log": "occurrences", "precision": "occurrences"}
 
 
-def gantt_lane(group: Group, entity: Entity, lane_key: str) -> str:
-    """The lane ``gantt`` charts an entity in: its group's location, or its
-    class (its property, else its id)."""
-    return group.location_id if lane_key == "location" else entity.prop or entity.entity_id
-
-
-def gantt(log: EventLog, lane_key: str = "location") -> str:
-    """Render event start times as an SVG chart: one lane per key, one
-    tick per event start.  lane_key is 'location' or 'entity'.
-
-    Each lane's y, each (lane, class) pair's stroke and each distinct tick
-    time's x are formatted once per call; a tick is then a concatenation.
-    Lane and legend text is HTML-escaped: a name keeps ``name_ok``, so it
-    holds no character that XML 1.0 forbids."""
-    from html import escape
-
-    if not log.records:
-        raise DataError("cannot chart an empty event log")
-    if lane_key not in ("location", "entity"):
-        raise DataError(f"lane_key must be 'location' or 'entity', got {lane_key!r}")
-
-    # (lane, class) -> the times of its ticks; ticks are coloured by the entity lane
-    ticks: dict[tuple[str, str], list[float]] = {}
-    for r in log.records:
-        t = to_seconds(r.timestamp)
-        for g in r.groups:
-            for e in g.entities:
-                ticks.setdefault((gantt_lane(g, e, lane_key), gantt_lane(g, e, "entity")),
-                                 []).append(t)
-
-    lanes = sorted({lane for lane, _ in ticks})
-    classes = sorted({cls for _, cls in ticks})
-    colors = {cls: _PALETTE[i % len(_PALETTE)] for i, cls in enumerate(classes)}
-
-    t0 = min(map(min, ticks.values()))
-    t1 = max(map(max, ticks.values()))
-    span = max(t1 - t0, 1.0)
-
-    margin_l, margin_t, lane_h, plot_w = 110, 30, 24, 640
-    legend_h = 20 * len(classes) + 10
-    width = margin_l + plot_w + 40
-    height = margin_t + lane_h * len(lanes) + 40 + legend_h
-
-    def sx(t: float) -> float:
-        return margin_l + (t - t0) / span * plot_w
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    tick_y: dict[str, tuple[str, str]] = {}
-    for i, lane in enumerate(lanes):
-        y = margin_t + i * lane_h
-        out.append(
-            f'<text x="{margin_l - 8}" y="{y + lane_h * 0.7:.1f}" text-anchor="end">'
-            f"{escape(lane)}</text>"
-        )
-        out.append(
-            f'<line x1="{margin_l}" y1="{y + lane_h:.1f}" x2="{margin_l + plot_w}" '
-            f'y2="{y + lane_h:.1f}" stroke="#ddd"/>'
-        )
-        # a tick's line in this lane from after x1 to x2, and from after x2 to its colour
-        tick_y[lane] = f'" y1="{y + 4:.1f}" x2="', f'" y2="{y + lane_h - 4:.1f}" stroke="'
-    axis_y = margin_t + lane_h * len(lanes)
-    out.append(
-        f'<line x1="{margin_l}" y1="{axis_y}" x2="{margin_l + plot_w}" y2="{axis_y}" '
-        f'stroke="black"/>'
-    )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        t = t0 + frac * span
-        # the time of day; the axis may run past the calendar's last second
-        label = to_datetime(t % 86400.0).strftime("%H:%M:%S")
-        out.append(
-            f'<text x="{sx(t):.1f}" y="{axis_y + 16}" text-anchor="middle">{label}</text>'
-        )
-    xs: dict[float, str] = {}  # a tick time -> its x
-    for lane, cls in sorted(ticks):  # in (lane, class, time) order
-        mid, y2 = tick_y[lane]
-        tail = f'{y2}{colors[cls]}" stroke-width="3"/>'
-        for t in sorted(ticks[lane, cls]):
-            if (x := xs.get(t)) is None:
-                x = xs[t] = f"{sx(t):.1f}"
-            out.append(f'<line class="tick" x1="{x}{mid}{x}{tail}')
-    ly = axis_y + 34
-    for i, cls in enumerate(classes):
-        y = ly + 20 * i
-        out.append(f'<rect x="{margin_l}" y="{y}" width="14" height="14" fill="{colors[cls]}"/>')
-        out.append(f'<text x="{margin_l + 20}" y="{y + 12}">{escape(cls)}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# precision
-
-def precision(
-    detected: Sequence[Occurrence],
-    truth: Sequence[Occurrence],
-    match_window: float,
-) -> float:
-    """Fraction of detected occurrences that match a ground-truth one.
-
-    Greedy one-to-one matching in time order on identical
-    (location, entity_class) within match_window.  An empty detected
-    stream scores 1.0 (no false positives).
-    """
-    if not match_window >= 0:  # nan fails too
-        raise DataError("match_window must be >= 0")
-    detected = sorted(detected)
-    if not detected:
-        return 1.0
-    # per (location, class): the truth start times not yet matched or passed
-    queues: defaultdict[tuple[str, str], deque[float]] = defaultdict(deque)
-    for t in sorted(truth, key=attrgetter("start_time")):
-        queues[t.location_id, t.entity_class].append(t.start_time)
-    matched = 0
-    for d in detected:
-        q = queues[d.location_id, d.entity_class]
-        # too early for this detection, so too early for every later one
-        while q and d.start_time - q[0] > match_window:
-            q.popleft()
-        # the head is not too early, so this is abs(q[0] - d) <= match_window
-        if q and q[0] - d.start_time <= match_window:
-            q.popleft()
-            matched += 1
-    return matched / len(detected)
+def __getattr__(name):
+    """A name in ``_MOVED``, from the module that holds it now, imported on the first
+    read and cached in this module's namespace (PEP 562); any other name is missing."""
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f"{__package__}.{_MOVED[name]}"), name)
+    return value

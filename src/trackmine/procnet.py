@@ -6,6 +6,7 @@ its CSV and DOT writers and ``compare_topk`` run without it."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError
@@ -76,8 +77,9 @@ class ProcessNetwork(NamedTuple):
 
 @checked
 class LinkMatrix(NamedTuple):
-    """A square link matrix, whose ``_checked`` hook makes its values a float array and
-    checks them; ``_make`` and ``_replace`` skip the hook."""
+    """A square link matrix, whose ``_checked`` hook checks that each label is a distinct
+    ``NodeLabel`` and makes its values a float array and checks them; ``_make`` and
+    ``_replace`` skip the hook."""
 
     labels: list[NodeLabel]
     values: np.ndarray  # square, non-negative; rows of floats are converted
@@ -89,6 +91,9 @@ class LinkMatrix(NamedTuple):
         n = len(labels)
         if n == 0:
             raise DataError("link matrix has no nodes")
+        if not all(map(isinstance, labels, repeat(NodeLabel))):
+            bad = next(lbl for lbl in labels if not isinstance(lbl, NodeLabel))
+            raise DataError(f"link matrix label {bad!r} is not a NodeLabel")
         if values.shape != (n, n):
             raise DataError(f"link matrix shape {values.shape} does not match {n} labels")
         repeated = [lbl.render() for lbl, count in Counter(labels).items() if count > 1]

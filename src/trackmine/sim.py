@@ -14,10 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .eventlog import (DetectionConfig, Occurrence, _name, _number, _reason, _string, checked,
-                       load_json)
+from .eventlog import DetectionConfig, _name, _number, _reason, _string, checked, load_json
 from .events import (DetectionSample, Rect, ZoneSpec, _collector_paused, check_unique_zones,
                      zone_from_json)
+from .occurrences import Occurrence
 
 TRAVEL_SPEED = 400.0  # pixels per second between zone centers
 # the most samples a scenario may ask for, over all its actors and cameras; `trackmine
@@ -43,10 +43,10 @@ class Actor(NamedTuple):
 
 @checked
 class Scenario(NamedTuple):
-    """A scenario whose ``_checked`` hook has its actor classes and track ids keep
-    the name rule (``eventlog.name_ok``), as its zones (``events.ZoneSpec``) do,
-    and its actors' track ids, given or defaulted to ``T<index>``, differ;
-    ``_make`` and ``_replace`` skip the hook."""
+    """A scenario whose ``_checked`` hook has its zones be ``events.ZoneSpec``s, its
+    actor classes and track ids keep the name rule (``eventlog.name_ok``), as the
+    zones' names do, and its actors' track ids, given or defaulted to ``T<index>``,
+    differ; ``_make`` and ``_replace`` skip the hook."""
 
     zones: list[ZoneSpec]
     actors: list[Actor]
@@ -64,6 +64,9 @@ class Scenario(NamedTuple):
             raise DataError("sample_period must be finite and > 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
+        if not all(map(isinstance, self.zones, repeat(ZoneSpec))):
+            bad = next(z for z in self.zones if not isinstance(z, ZoneSpec))
+            raise DataError(f"zone {bad!r} is not a ZoneSpec")
         check_unique_zones(self.zones)
         known = {z.location_id for z in self.zones}
         tracks: dict[str, int] = {}  # each track id, given or defaulted, and its actor's index

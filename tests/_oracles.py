@@ -18,12 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trackmine.errors import ConvergenceError, DataError
-from trackmine.eventlog import (_LABEL_LINE_RE, _PAIR_SEP_RE, _PALETTE, _RECORD_RE, Cycle,
-                                Entity, EventLog, EventRecord, Group, Occurrence, _name,
-                                _string, format_timestamp, gantt_lane, parse_time, to_datetime,
-                                to_seconds)
+from trackmine.eventlog import (_LABEL_LINE_RE, _PAIR_SEP_RE, _RECORD_RE, Cycle, Entity,
+                                EventLog, EventRecord, Group, _name, _string, format_timestamp,
+                                parse_time, to_datetime, to_seconds)
 from trackmine.events import (_TRACKS_FIELDS, DetectionConfig, DetectionSample, Rect, ZoneSpec,
-                              detect_events, merge_camera_streams)
+                              detect_events)
+from trackmine.gantt import _PALETTE, gantt_lane
+from trackmine.occurrences import Occurrence, merge_camera_streams
 from trackmine.ranking import SYMMETRY_TOL, _fix_sign
 from trackmine.sim import _BOX_SIZES, _DEFAULT_BOX, TRAVEL_SPEED, Scenario, _zone_center
 

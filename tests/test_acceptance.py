@@ -15,18 +15,17 @@ from trackmine.eventlog import (
     EventLog,
     EventRecord,
     Group,
-    precision,
     segment_cycles,
 )
 from trackmine.events import (
     DetectionConfig,
     DetectionSample,
-    Occurrence,
     Rect,
     ZoneSpec,
     detect_events,
     detect_streams,
 )
+from trackmine.occurrences import Occurrence, precision
 from trackmine.procnet import LinkMatrix, NodeLabel, build_dfg, link_matrix
 from trackmine.ranking import (
     authority_matrix,

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import _oracles
 from trackmine import cli, ranking, sim
 from trackmine.cli import _detection_config, build_parser, main
-from trackmine.eventlog import (load_occurrences_csv, log_to_jsonl, parse_log, segment_cycles,
-                                to_datetime)
+from trackmine.eventlog import parse_log, segment_cycles, to_datetime
 from trackmine.events import DetectionConfig, Rect, detect_streams, load_tracks_csv
+from trackmine.jsonl import log_to_jsonl
+from trackmine.occurrences import load_occurrences_csv
 from trackmine.procnet import build_dfg
 
 SCENARIO = {
@@ -1967,15 +1968,16 @@ def test_non_computing_subcommands_leave_numpy_unloaded(tmp_path, log_file, comm
 LEAN_LOADS = {
     "import": [],
     "cycles": [],
-    "gantt": ["html"],
-    "precision": [],
-    "merge": [],
+    "gantt": ["html", "trackmine.gantt"],
+    "precision": ["trackmine.occurrences"],
+    "merge": ["trackmine.occurrences"],
     "compare": ["trackmine.procnet"],
     "dfg": ["trackmine.procnet"],
 }
 LEAN_PROBE = NUMPY_PROBE.replace(
     '"numpy": "numpy" in sys.modules',
-    '"loaded": sorted({"dataclasses", "html", "trackmine.procnet"} & set(sys.modules))')
+    '"loaded": sorted({"dataclasses", "html", "trackmine.gantt", "trackmine.jsonl", '
+    '"trackmine.occurrences", "trackmine.procnet"} & set(sys.modules))')
 
 
 @pytest.mark.parametrize("command", list(NUMPY_FREE_ARGV))

@@ -19,19 +19,20 @@ from trackmine.eventlog import (
     EventLog,
     EventRecord,
     Group,
-    Occurrence,
-    gantt,
-    load_occurrences_csv,
-    log_from_jsonl,
-    log_to_jsonl,
-    occurrences_to_log,
     parse_log,
     parse_record,
     parse_timestamp,
-    precision,
     segment_cycles,
     serialize_log,
     to_datetime,
+)
+from trackmine.gantt import gantt
+from trackmine.jsonl import log_from_jsonl, log_to_jsonl
+from trackmine.occurrences import (
+    Occurrence,
+    load_occurrences_csv,
+    occurrences_to_log,
+    precision,
     write_occurrences_csv,
 )
 
@@ -925,3 +926,34 @@ def test_import_leaves_numpy_unloaded():
     code = "import sys, trackmine.eventlog; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(eventlog.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+SPLIT_OUT = ["trackmine.gantt", "trackmine.jsonl", "trackmine.occurrences"]
+
+
+def test_import_loads_none_of_the_modules_split_out():
+    # every process compiles eventlog; only the subcommands that run them load these
+    code = f"import sys, trackmine.eventlog; print(sorted(set({SPLIT_OUT}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(eventlog.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name, moved", [
+    ("gantt", gantt),
+    ("log_to_jsonl", log_to_jsonl),
+    ("log_from_jsonl", log_from_jsonl),
+    ("occurrences_to_log", occurrences_to_log),
+    ("precision", precision),
+])
+def test_moved_names_read_through_eventlog_are_the_moved_objects(name, moved):
+    assert getattr(eventlog, name) is moved
+
+
+def test_other_missing_names_stay_missing():
+    assert not hasattr(eventlog, "no_such_name")
+    with pytest.raises(AttributeError, match="^module 'trackmine.eventlog' has no attribute "
+                                             "'Occurrence'$"):
+        eventlog.Occurrence

@@ -25,17 +25,16 @@ from trackmine.events import (
     _overlap,
     DetectionConfig,
     DetectionSample,
-    Occurrence,
     Rect,
     ZoneSpec,
     detect_events,
     detect_streams,
     load_tracks_csv,
     load_zones_json,
-    merge_camera_streams,
     tracks_to_csv,
     zones_to_json,
 )
+from trackmine.occurrences import Occurrence, merge_camera_streams
 
 ZONE = ZoneSpec(location_id="s1", camera_id="cam1", box=Rect(0, 0, 100, 100))
 

@@ -19,9 +19,9 @@ import pytest
 
 import trackmine
 from trackmine.errors import DataError
-from trackmine.eventlog import (Cycle, DetectionConfig, Entity, EventLog, EventRecord, Group,
-                                Occurrence)
+from trackmine.eventlog import Cycle, DetectionConfig, Entity, EventLog, EventRecord, Group
 from trackmine.events import DetectionSample, Rect, ZoneSpec
+from trackmine.occurrences import Occurrence
 from trackmine.procnet import LinkMatrix, NodeLabel, ProcessNetwork
 from trackmine.ranking import DispersionStats, RankingResult
 from trackmine.sim import Actor, Scenario
@@ -116,6 +116,11 @@ BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace 
      "2024/08/15/10:00:10"),
     (lambda: NodeLabel("", "s1"), "node label needs a non-empty role and location"),
     (lambda: NodeLabel("RP", ""), "node label needs a non-empty role and location"),
+    (lambda: LinkMatrix(["a", "b"], [[0, 1], [1, 0]]), "link matrix label 'a' is not a NodeLabel"),
+    (lambda: LinkMatrix([LABEL, "a", "a"], [[0] * 3] * 3),
+     "link matrix label 'a' is not a NodeLabel"),
+    (lambda: Scenario([ZONE, ("s2", "cam1", (0, 0, 1, 1))], [Actor("w", (("s1", 1.0),))]),
+     "zone ('s2', 'cam1', (0, 0, 1, 1)) is not a ZoneSpec"),
     (lambda: DetectionConfig(min_duration=-1.0), "min_duration must be >= 0"),
     (lambda: DetectionConfig(min_duration=math.nan), "min_duration must be >= 0"),
     (lambda: DetectionConfig(0.0, 1.5), "min_overlap_ratio must be in [0, 1]"),
@@ -126,6 +131,8 @@ BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace 
 ], ids=["entity_id", "property", "location_id", "no_entities", "entities_list",
         "entities_not_entity", "zone_box_not_rect", "no_groups",
         "duplicate_location", "label", "time_order", "node_role", "node_location",
+        "matrix_label_not_node_label", "matrix_label_repeated_not_node_label",
+        "scenario_zone_not_zone_spec",
         "min_duration", "min_duration_nan", "overlap_ratio", "overlap_ratio_nan",
         "sample_period", "sample_period_nan", "dedup_window_nan"])
 def test_construction_checks_each_field(build, message):

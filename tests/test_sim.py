@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from _oracles import simulate_loop
 from trackmine.errors import DataError
-from trackmine.eventlog import precision
 from trackmine.events import DetectionConfig, detect_streams, zone_from_json
+from trackmine.occurrences import precision
 from trackmine.sim import MAX_SAMPLES, _BOX_SIZES, Actor, Scenario, cell_layout, simulate
 
 
