@@ -285,19 +285,19 @@ def load_tracks_csv(path) -> list[DetectionSample]:
 
 
 def _tracks_by_columns(fh) -> list[DetectionSample] | None:
-    """The samples of `fh` read a chunk of lines at a time: each chunk is
+    """The samples of `fh` read a chunk of lines at a time: each line is
     split once, and its columns are converted and zipped into records in C,
     with each distinct id one shared string.  None when some chunk is not plain,
     that is when csv could read it otherwise or a row needs an exact check:
-    a header other than the exact one, a "\\r" outside a "\\r\\n", a line
-    without exactly 7 commas (a blank line too) or longer than csv's field
-    limit, a time column that is not ASCII or holds "_", a value ``float``
-    rejects, a column whose values sum to a non-finite value, as any nan or
-    inf makes it (a sum that only overflows is refused too), a width or height
-    column whose least value is not > 0 (or whose least values' product is not),
-    an id that breaks ``name_ok``, as one holding a quote or a NUL does, or a
-    row whose class and track id are both empty, looked for only when "" is one
-    of the ids."""
+    a header other than the exact one, a line that ends in a lone "\\r" (the
+    reader ends a line at each), holds other than 8 fields (a blank line too)
+    or is longer than csv's field limit, a time column that is not ASCII or
+    holds "_", a value ``float`` rejects, a column whose values sum to a
+    non-finite value, as any nan or inf makes it (a sum that only overflows is
+    refused too), a width or height column whose least value is not > 0 (or
+    whose least values' product is not), an id that breaks ``name_ok``, as one
+    holding a quote or a NUL does, or a row whose class and track id are both
+    empty, looked for only when "" is one of the ids."""
     if fh.readline() not in _TRACKS_HEADERS:
         return None
     limit = csv.field_size_limit()
@@ -305,18 +305,18 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
     distinct: dict[str, str] = {}
     share = distinct.setdefault  # each distinct id as one string for the whole file
     while lines := fh.readlines(_CHUNK):
-        text = "".join(lines)
-        if (text.count("\r") != text.count("\r\n")
-                or set(map(str.count, lines, repeat(","))) != {7}
+        rows = list(map(str.split, lines, repeat(",")))
+        if (set(map(len, rows)) != {8} or any(map(str.endswith, lines, repeat("\r")))
                 or max(map(len, lines)) > limit):
             return None
-        # a "\r" left by a "\r\n" ends an h field, and ``float`` skips it as it does a space
-        f = text.removesuffix("\n").replace("\n", ",").split(",")
-        times = ",".join(f[1::8])
-        if not times.isascii() or "_" in times:
+        # a line's "\n" or "\r\n" ends its h field, and ``float`` skips it as it does a space
+        camera, times, cls, track, *box = zip(*rows)
+        del rows  # freed before the floats and records are built, which lowers the peak
+        joined = ",".join(times)
+        if not joined.isascii() or "_" in joined:
             return None
         try:
-            t, x, y, w, h = (list(map(float, f[i::8])) for i in (1, 4, 5, 6, 7))
+            t, x, y, w, h = (list(map(float, column)) for column in (times, *box))
         except ValueError:
             return None
         # a nan or inf makes its column's sum one
@@ -326,7 +326,7 @@ def _tracks_by_columns(fh) -> list[DetectionSample] | None:
         least_w, least_h = min(w), min(h)
         if not (least_w > 0 and least_w * least_h > 0):
             return None
-        camera, cls, track = (map(share, ids, ids) for ids in (f[0::8], f[2::8], f[3::8]))
+        camera, cls, track = (map(share, ids, ids) for ids in (camera, cls, track))
         samples += map(tuple.__new__, repeat(DetectionSample),
                        zip(camera, t, cls, track, x, y, w, h))
     if not all(map(name_ok, distinct)):

@@ -36,6 +36,8 @@ _DEFAULT_BOX = (40.0, 40.0)
 
 
 class Actor(NamedTuple):
+    """An actor who walks its itinerary; ``Scenario`` states its rules."""
+
     entity_class: str
     itinerary: tuple[tuple[str, float], ...]  # (location_id, dwell seconds)
     track_id: str = ""
@@ -43,10 +45,12 @@ class Actor(NamedTuple):
 
 @checked
 class Scenario(NamedTuple):
-    """A scenario whose ``_checked`` hook has its zones be ``events.ZoneSpec``s, its
-    actor classes and track ids keep the name rule (``eventlog.name_ok``), as the
-    zones' names do, and its actors' track ids, given or defaulted to ``T<index>``,
-    differ; ``_make`` and ``_replace`` skip the hook."""
+    """A scenario whose ``_checked`` hook states every scenario rule, for one read from a
+    file and one built in Python alike: numbers in range, an integer seed, zones that are
+    ``events.ZoneSpec``s, and ``Actor``s whose names keep ``eventlog.name_ok`` and whose
+    stops visit known locations.  It returns the record with float numbers, lists of zones
+    and actors, tuple itineraries and distinct track ids, an empty one resolved to
+    ``T<index>``; ``_make`` and ``_replace`` skip the hook."""
 
     zones: list[ZoneSpec]
     actors: list[Actor]
@@ -56,44 +60,55 @@ class Scenario(NamedTuple):
     seed: int = 0
 
     def _checked(self):
-        if not 0.0 <= self.dropout <= 1.0:
+        jitter, dropout, period = map(_number, self[2:5], self._fields[2:5])
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise DataError("seed must be an integer")
+        if not 0.0 <= dropout <= 1.0:
             raise DataError("dropout must be in [0, 1]")
-        if not 0.0 <= self.jitter < math.inf:
+        if not 0.0 <= jitter < math.inf:
             raise DataError("jitter must be finite and >= 0")
-        if not 0.0 < self.sample_period < math.inf:
+        if not 0.0 < period < math.inf:
             raise DataError("sample_period must be finite and > 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        if not all(map(isinstance, self.zones, repeat(ZoneSpec))):
-            bad = next(z for z in self.zones if not isinstance(z, ZoneSpec))
+        zones = list(self.zones)
+        if not all(map(isinstance, zones, repeat(ZoneSpec))):
+            bad = next(z for z in zones if not isinstance(z, ZoneSpec))
             raise DataError(f"zone {bad!r} is not a ZoneSpec")
-        check_unique_zones(self.zones)
-        known = {z.location_id for z in self.zones}
+        check_unique_zones(zones)
+        known = {z.location_id for z in zones}
+        actors = []
         tracks: dict[str, int] = {}  # each track id, given or defaulted, and its actor's index
         per_camera = 0.0
         for index, actor in enumerate(self.actors):
+            if not isinstance(actor, Actor):
+                raise DataError(f"actor {actor!r} is not an Actor")
             _name(actor.entity_class, "entity_class")
             track_id = _name(actor.track_id, "track_id") or f"T{index}"
             first = tracks.setdefault(track_id, index)
             if first != index:
                 raise DataError(f"track id {track_id!r} names actors #{first} and #{index}")
             name = repr(actor.track_id or actor.entity_class)
-            if not actor.itinerary:
+            itinerary = tuple((_string(loc, "location"), _number(dwell, "dwell"))
+                              for loc, dwell in actor.itinerary)
+            if not itinerary:
                 raise DataError(f"actor {name} has an empty itinerary")
-            for loc, dwell in actor.itinerary:
+            for loc, dwell in itinerary:
                 if loc not in known:
                     raise DataError(f"actor {name} visits unknown location {loc!r}")
                 if not 0.0 < dwell < math.inf:
                     raise DataError(f"dwell at {loc!r} must be finite and > 0")
-            end = _clock(actor, self.zones)[3][-1]
+            actors.append(actor._replace(itinerary=itinerary, track_id=track_id))
+            end = _clock(actors[-1], zones)[3][-1]
             if not np.isfinite(end):
                 raise DataError(f"actor {name}: itinerary time overflows")
-            per_camera += _sample_count(end, self.sample_period)
-        total = per_camera * len({z.camera_id for z in self.zones})
+            per_camera += _sample_count(end, period)
+        total = per_camera * len({z.camera_id for z in zones})
         if total > MAX_SAMPLES:
             raise DataError(f"the scenario asks for {total:.15g} samples; "
                             f"at most {MAX_SAMPLES} are allowed")
-        return self
+        return self._replace(zones=zones, actors=actors, jitter=jitter, dropout=dropout,
+                             sample_period=period)
 
 
 def _zone_center(zone: ZoneSpec) -> tuple[float, float]:
@@ -134,10 +149,9 @@ def simulate(
     Each actor sample is emitted once per camera present in the scenario
     (overlapping-view cameras see the same pixel frame, and share one box);
     stream merging downstream collapses the duplicates.  An actor's track id,
-    given or defaulted to ``T<index>``, names that actor alone (``Scenario``
-    refuses a shared one).  Ground truth holds one occurrence per itinerary
-    stop whose dwell reaches ``min_duration``, stamped with the arrival time
-    at the zone.
+    which ``Scenario`` resolves, names that actor alone.  Ground truth holds
+    one occurrence per itinerary stop whose dwell reaches ``min_duration``,
+    stamped with the arrival time at the zone.
 
     Positions come from one stop lookup per actor, and the noise from two
     draws per actor, in the order that fixes each seed's random stream: one
@@ -152,9 +166,8 @@ def simulate(
 
     truth: list[Occurrence] = []
     tracks: dict[str, tuple] = {}  # per track id, its actor's class, sample columns and box size
-    for idx, actor in enumerate(sc.actors):
-        track_id = actor.track_id or f"T{idx}"
-        cls = actor.entity_class
+    for actor in sc.actors:
+        track_id, cls = actor.track_id, actor.entity_class
         bw, bh = _BOX_SIZES.get(cls, _DEFAULT_BOX)
         cx, cy, arr, dep = _clock(actor, sc.zones)
         for (loc, dwell), start in zip(actor.itinerary, arr.tolist()):
@@ -228,7 +241,8 @@ def scenario_from_json(path) -> Scenario:
     or, in their place, ``"layout": "cell19"``; ``actors``, each with an
     ``entity_class``, an ``itinerary`` of ``[location_id, dwell]`` pairs and an
     optional ``track_id``; and optional ``noise`` (``{"jitter", "dropout"}``),
-    ``sample_period`` and integer ``seed``."""
+    ``sample_period`` and integer ``seed``.  Only the JSON shape is checked here;
+    ``Scenario`` checks every value, and each error names the file."""
     raw = load_json(path)
     try:
         if not isinstance(raw, dict):
@@ -236,9 +250,6 @@ def scenario_from_json(path) -> Scenario:
         noise = raw.get("noise", {})
         if not isinstance(noise, dict):
             raise DataError("noise must be a JSON object")
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise DataError("seed must be an integer")
         layout = raw.get("layout")
         if layout is None:
             zones = [zone_from_json(z) for z in raw["zones"]]
@@ -246,22 +257,9 @@ def scenario_from_json(path) -> Scenario:
             zones = cell_layout()
         else:
             raise DataError(f"layout must be null, or 'cell19' without zones; got {layout!r}")
-        actors = [
-            Actor(
-                entity_class=a["entity_class"],  # Scenario checks both names
-                itinerary=tuple((_string(loc, "location"), _number(dwell, "dwell"))
-                                for loc, dwell in a["itinerary"]),
-                track_id=a.get("track_id", ""),
-            )
-            for a in raw["actors"]
-        ]
-        return Scenario(
-            zones=zones,
-            actors=actors,
-            jitter=_number(noise.get("jitter", 0.0), "jitter"),
-            dropout=_number(noise.get("dropout", 0.0), "dropout"),
-            sample_period=_number(raw.get("sample_period", 1.0), "sample_period"),
-            seed=seed,
-        )
+        actors = [Actor(a["entity_class"], a["itinerary"], a.get("track_id", ""))
+                  for a in raw["actors"]]
+        return Scenario(zones, actors, noise.get("jitter", 0.0), noise.get("dropout", 0.0),
+                        raw.get("sample_period", 1.0), raw.get("seed", 0))
     except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"{path}: bad scenario: {_reason(exc)}") from None

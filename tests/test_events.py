@@ -813,6 +813,23 @@ class TestRecordTypes:
         assert hashlib.sha256(tracks_to_csv(samples).encode("utf-8")).hexdigest() == (
             "ff867e38945076720ff7e8850d4471ab37e26ee709a2c843c15791c142142047")
 
+    def test_simulated_cell_tracks_load_in_column_passes(self, tmp_path, monkeypatch):
+        # jittered samples with dropout gaps over more than two chunks, as `simulate`
+        # writes them: a change that sent such a file down the row path, which gives
+        # the same samples more slowly, would leave every other test passing
+        zones = sim.cell_layout()
+        locations = sorted({z.location_id for z in zones})
+        classes = ["worker-right", "worker-left", "big-AGV", "small-AGV"]
+        actors = [sim.Actor(cls, tuple((loc, 300.0) for loc in locations[i::4]))
+                  for i, cls in enumerate(classes)]
+        samples, _ = sim.simulate(sim.Scenario(zones=zones, actors=actors, jitter=2.0,
+                                               dropout=0.05, seed=7))
+        path = tmp_path / "tracks.csv"
+        path.write_text(tracks_to_csv(samples), encoding="utf-8")
+        assert path.stat().st_size > 2 * events._CHUNK
+        monkeypatch.setattr(events, "_tracks_by_rows", None)  # a refused chunk would call it
+        assert repr(load_tracks_csv(path)) == repr(samples)
+
 
 class TestMerge:
     def occ(self, t, loc="s1", cls="worker-right", tid="T1"):

@@ -121,6 +121,12 @@ BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace 
      "link matrix label 'a' is not a NodeLabel"),
     (lambda: Scenario([ZONE, ("s2", "cam1", (0, 0, 1, 1))], [Actor("w", (("s1", 1.0),))]),
      "zone ('s2', 'cam1', (0, 0, 1, 1)) is not a ZoneSpec"),
+    (lambda: Scenario([ZONE], [("w", (("s1", 1.0),))]),
+     "actor ('w', (('s1', 1.0),)) is not an Actor"),
+    (lambda: Scenario([ZONE], [Actor("w", (("s1", "1"),))]), "dwell must be a number"),
+    (lambda: Scenario([ZONE], [Actor("w", (("s1", 1.0),))], seed=1.0), "seed must be an integer"),
+    (lambda: Scenario([ZONE], [Actor("w", (("s1", 1.0),))], seed=True),
+     "seed must be an integer"),
     (lambda: DetectionConfig(min_duration=-1.0), "min_duration must be >= 0"),
     (lambda: DetectionConfig(min_duration=math.nan), "min_duration must be >= 0"),
     (lambda: DetectionConfig(0.0, 1.5), "min_overlap_ratio must be in [0, 1]"),
@@ -132,7 +138,8 @@ BAD = 'is not a name: a name is printable, with none of ,;()" and no whitespace 
         "entities_not_entity", "zone_box_not_rect", "no_groups",
         "duplicate_location", "label", "time_order", "node_role", "node_location",
         "matrix_label_not_node_label", "matrix_label_repeated_not_node_label",
-        "scenario_zone_not_zone_spec",
+        "scenario_zone_not_zone_spec", "scenario_actor_not_actor", "scenario_string_dwell",
+        "scenario_float_seed", "scenario_bool_seed",
         "min_duration", "min_duration_nan", "overlap_ratio", "overlap_ratio_nan",
         "sample_period", "sample_period_nan", "dedup_window_nan"])
 def test_construction_checks_each_field(build, message):

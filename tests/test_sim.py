@@ -90,6 +90,24 @@ class TestSimulate:
             Scenario(zones=cell_layout(), actors=actors)
         assert str(exc.value) == message
 
+    def test_scenario_holds_floats_tuples_and_resolved_track_ids(self):
+        # an itinerary given as a list of lists, and int dwells and noise, as JSON gives them
+        actors = [Actor("h", [["s11", 5], ["s12", 2.5]]), Actor("v", (("k1", 3),), "V")]
+        sc = Scenario(zones=cell_layout(), actors=actors, jitter=2, dropout=0, sample_period=1)
+        assert sc.actors == [Actor("h", (("s11", 5.0), ("s12", 2.5)), "T0"),
+                             Actor("v", (("k1", 3.0),), "V")]
+        assert [type(dwell) for a in sc.actors for _, dwell in a.itinerary] == [float] * 3
+        assert [type(v) for v in sc[2:]] == [float, float, float, int]
+        assert Scenario(*sc) == sc  # the check holds for its own result
+
+    def test_itinerary_iterator_simulates_as_its_tuple(self):
+        stops = (("s11", 5.0), ("s14", 8.0), ("k3", 6.0))
+        built = [Scenario(zones=cell_layout(), actors=[Actor("h", itinerary)], jitter=2.0,
+                          dropout=0.1, seed=4)
+                 for itinerary in (iter(stops), stops)]
+        assert built[0] == built[1]
+        assert repr(simulate(built[0])) == repr(simulate(built[1]))
+
     def test_samples_cover_both_cameras(self):
         samples, _ = simulate(single_worker_scenario())
         assert {s.camera_id for s in samples} == {"cam1", "cam2"}
